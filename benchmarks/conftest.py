@@ -109,13 +109,9 @@ def scale() -> float:
 
 
 @pytest.fixture(scope="session")
-def executor() -> Optional[SweepExecutor]:
-    """A shared sweep executor, or None when running plain serial."""
-    jobs = bench_jobs()
-    cache_dir = bench_cache_dir()
-    if jobs <= 1 and cache_dir is None:
-        return None
-    return make_executor(jobs=jobs, cache_dir=cache_dir)
+def executor() -> SweepExecutor:
+    """The sweep executor every bench shares."""
+    return make_executor(jobs=bench_jobs(), cache_dir=bench_cache_dir())
 
 
 def emit(text: str) -> None:

@@ -121,8 +121,6 @@ from repro.experiments import (
     ConfiguredFactory,
     PointSpec,
     ResultCache,
-    SerialExecutor,
-    ParallelExecutor,
     SweepExecutor,
     make_executor,
     figure2,
@@ -164,8 +162,7 @@ __all__ = [
     # experiments
     "RunConfig", "run_point", "load_sweep", "measure_capacity",
     "find_saturation", "SaturationResult", "ConfiguredFactory",
-    "PointSpec", "ResultCache", "SerialExecutor", "ParallelExecutor",
-    "SweepExecutor", "make_executor",
+    "PointSpec", "ResultCache", "SweepExecutor", "make_executor",
     "figure2", "figure3", "figure4", "figure5",
     "figure6", "table_t1", "render_figure", "render_t1",
 ]

@@ -32,7 +32,12 @@ HOST_ENV_KEYS = ("python", "implementation", "platform", "machine",
 
 
 def _env(record: Dict[str, Any], key: str) -> Any:
-    """An env key, with legacy defaults for pre-schema records."""
+    """An env key, with legacy defaults for pre-schema records.
+
+    Records without a ``fastpath`` key (every current one) read as
+    ``"off"``, so only legacy records taken with the removed
+    approximate mode at ``auto``/``force`` are incomparable.
+    """
     env = record.get("environment", {})
     if key == "fastpath":
         return env.get(key, "off")
@@ -62,14 +67,6 @@ class BenchComparison:
     def __post_init__(self):
         if self.host_differences is None:
             self.host_differences = {}
-
-    @property
-    def fastpath_only(self) -> bool:
-        """True when the records differ only by fast-path mode (and
-        the work counters that necessarily follow from it)."""
-        knob_diffs = {key for key in self.differences
-                      if key in COMPARABLE_ENV_KEYS}
-        return knob_diffs == {"fastpath"}
 
     @property
     def regression(self) -> bool:
@@ -184,13 +181,6 @@ def render_comparison(comparison: BenchComparison) -> str:
                           for key, (was, now)
                           in sorted(comparison.differences.items()))
         lines.append(f"  not comparable ({diffs}); no verdict")
-        if comparison.fastpath_only:
-            lines.append(
-                f"  fast-path mode differs "
-                f"({_env(base, 'fastpath')} -> {_env(cur, 'fastpath')}): "
-                f"points/sec ratio {comparison.points_speedup:.2f}x "
-                "(informational — approximate points do less simulated "
-                "work)")
         return "\n".join(lines)
     if comparison.drift:
         lines.append(

@@ -51,6 +51,8 @@ TIMING_FIELDS = ("recorded_at", "wall_s", "events_per_sec",
 
 #: Environment keys that must match for two records to be comparable
 #: (same simulated work, so events/sec ratios are meaningful).
+#: ``fastpath`` is only ever present in legacy records taken with the
+#: removed approximate mode; such records stay incomparable.
 COMPARABLE_ENV_KEYS = ("scale", "seed", "jobs", "sanitize", "cached",
                        "fastpath")
 
@@ -88,35 +90,18 @@ class BenchOptions:
     seed: int = 42
     jobs: int = 1
     cache_dir: Optional[str] = None
-    #: Calibrated fast-path mode ("off", "auto", "force"); part of the
-    #: comparability fingerprint because approx points do less
-    #: simulated work than exact ones.
-    fastpath: str = "off"
     #: Stream progress events while the suite runs.  Deliberately NOT
     #: part of the comparability fingerprint: events observe the sweep
     #: without changing the simulated work, so progress-on and
     #: progress-off records stay comparable (the bench-guard suite
     #: verifies the overhead stays inside the slowdown threshold).
     progress: bool = False
-    #: Run sweep points under :class:`SupervisedExecutor` (per-point
-    #: deadlines, retry, crash isolation).  Like ``progress``, NOT part
-    #: of the comparability fingerprint: supervision observes and
-    #: restarts the same deterministic points, so a supervised record
-    #: must reproduce the unsupervised metrics digest bit-for-bit and
-    #: stay inside the slowdown threshold against the committed
-    #: trajectory — that identity is exactly what the bench guard
-    #: asserts.
-    supervised: bool = False
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ExperimentError(f"scale must be positive: {self.scale}")
         if self.jobs < 1:
             raise ExperimentError(f"jobs must be >= 1: {self.jobs}")
-        from repro.experiments.fastpath import MODES
-        if self.fastpath not in MODES:
-            raise ExperimentError(
-                f"fastpath must be one of {MODES}: {self.fastpath!r}")
 
 
 @dataclass
@@ -150,8 +135,6 @@ def capture_environment(options: BenchOptions) -> Dict[str, Any]:
         "cached": options.cache_dir is not None,
         "scale": options.scale,
         "seed": options.seed,
-        "fastpath": options.fastpath,
-        "supervised": options.supervised,
     }
 
 

@@ -20,7 +20,7 @@ run measured exactly the same simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.bench.recorder import (
     BenchOptions,
@@ -45,19 +45,8 @@ class BenchSuite:
     run: Callable[[BenchOptions], SuiteResult]
 
 
-def _provenance_counts(all_metrics) -> Dict[str, int]:
-    """How many points each provenance kind/method produced."""
-    counts: Dict[str, int] = {}
-    for metrics in all_metrics:
-        prov = metrics.provenance
-        key = "exact" if prov is None or prov.exact else prov.method
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _run_fig2(options: BenchOptions) -> SuiteResult:
     from repro.experiments.executor import make_executor
-    from repro.experiments.fastpath import parse_fastpath_mode
     from repro.experiments.figures import figure2
     from repro.experiments.harness import RunConfig
     progress = None
@@ -67,20 +56,15 @@ def _run_fig2(options: BenchOptions) -> SuiteResult:
         from repro.experiments.progress import SweepProgress
         progress = SweepProgress()
     executor = make_executor(jobs=options.jobs, cache_dir=options.cache_dir,
-                             on_event=progress,
-                             supervised=options.supervised)
-    config = RunConfig(seed=options.seed,
-                       fastpath=parse_fastpath_mode(options.fastpath))
-    figure = figure2(config=config, scale=options.scale, executor=executor)
+                             on_event=progress)
+    figure = figure2(config=RunConfig(seed=options.seed),
+                     scale=options.scale, executor=executor)
     all_metrics = [point.metrics for sweep in figure.sweeps
                    for point in sweep.points]
     stats = executor.stats
     detail_progress = ({"progress_events": progress.events_seen}
                        if progress is not None else {})
     return SuiteResult(
-        # Figure points, not executor submissions: under the fast path
-        # the executor also runs internal anchor probes, which must not
-        # inflate points/sec.
         points=len(all_metrics),
         events=stats.events_executed,
         metrics_digest=metrics_digest(all_metrics),
@@ -88,10 +72,7 @@ def _run_fig2(options: BenchOptions) -> SuiteResult:
             "figure": "fig2",
             "series": [sweep.system_name for sweep in figure.sweeps],
             "points_cached": stats.points_cached,
-            "fastpath": options.fastpath,
-            "supervised": options.supervised,
             "points_retried": stats.points_retried,
-            "provenance": _provenance_counts(all_metrics),
             **detail_progress,
         },
         payload=figure,
@@ -106,15 +87,11 @@ def _system_point_suite(names: List[str]) -> Callable[[BenchOptions],
             PointSpec,
             make_executor,
         )
-        from repro.experiments.fastpath import parse_fastpath_mode
         from repro.experiments.harness import RunConfig
         from repro.systems import registry
         from repro.units import us
         from repro.workload.distributions import Fixed
-        config = RunConfig(
-            seed=options.seed,
-            fastpath=parse_fastpath_mode(options.fastpath),
-        ).scaled(options.scale)
+        config = RunConfig(seed=options.seed).scaled(options.scale)
         distribution = Fixed(us(_SYSTEM_POINT_SERVICE_US))
         specs = [PointSpec(
             factory=ConfiguredFactory.by_name(
@@ -134,8 +111,6 @@ def _system_point_suite(names: List[str]) -> Callable[[BenchOptions],
                 "rate_rps": _SYSTEM_POINT_RPS,
                 "service_us": _SYSTEM_POINT_SERVICE_US,
                 "points_cached": stats.points_cached,
-                "fastpath": options.fastpath,
-                "provenance": _provenance_counts(results),
             },
             payload=results,
         )

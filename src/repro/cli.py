@@ -19,7 +19,7 @@ terminal::
     repro race --inject        # self-test on a planted race
     repro fig2 --progress --cache-dir d   # stream per-point progress
     repro watch --cache-dir d  # live scoreboard of that sweep
-    repro fig2 --supervised --point-timeout 120   # crash-safe workers
+    repro fig2 --point-timeout 120   # killable workers, per-point deadline
     repro fig2 --cache-dir d --resume     # finish an interrupted sweep
 """
 
@@ -57,8 +57,7 @@ from repro.experiments.executor import (
     make_executor,
 )
 from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.fastpath import parse_fastpath_mode
-from repro.experiments.harness import RunConfig, run_point
+from repro.experiments.harness import RunConfig
 from repro.faults.plan import parse_fault_spec
 from repro.experiments.report import (
     render_executor_stats,
@@ -97,9 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_executor_args(cmd_parser: argparse.ArgumentParser) -> None:
         cmd_parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for sweep points (1 = serial; "
-                 "results are bit-identical either way)")
+            "--jobs", type=_jobs_arg, default=1, metavar="N",
+            help="points run at once, each in its own worker process "
+                 "(1 = in this process; results are bit-identical "
+                 "either way)")
         cmd_parser.add_argument(
             "--cache-dir", default=None, metavar="DIR",
             help="on-disk result cache; re-runs skip already-measured "
@@ -110,38 +110,27 @@ def _build_parser() -> argparse.ArgumentParser:
                  "simulator (clock/queue/conservation invariants; "
                  "metrics stay bit-identical)")
         cmd_parser.add_argument(
-            "--fastpath", choices=("off", "auto", "force"), default="off",
-            help="calibrated fast-path mode: off = every point exact "
-                 "(bit-identical historical behavior), auto = exact at "
-                 "the knee + calibrated model on the plateau, force = "
-                 "model everything; fault runs always force exact")
-        cmd_parser.add_argument(
             "--progress", action="store_true",
             help="stream per-point progress events (started/completed/"
                  "cache-hit/failed) as the sweep runs; with --cache-dir, "
                  "also write a progress.jsonl ledger 'repro watch' tails")
         cmd_parser.add_argument(
-            "--supervised", action="store_true",
-            help="run points in crash-isolated worker processes with a "
-                 "watchdog and bounded-backoff retries (results stay "
-                 "bit-identical; one poisoned point degrades to a "
-                 "recorded failure instead of aborting the sweep)")
-        cmd_parser.add_argument(
             "--point-timeout", type=float, default=None, metavar="SEC",
             dest="point_timeout",
-            help="per-point wall-clock deadline; a hung worker is "
-                 "killed and the point retried (implies --supervised)")
+            help="per-point wall-clock deadline; every point runs in a "
+                 "worker process, and a hung one is killed and the point "
+                 "retried")
         cmd_parser.add_argument(
             "--max-retries", type=int, default=None, metavar="N",
             dest="max_retries",
             help="extra attempts after a point's first failure "
-                 "(default: 2; implies --supervised)")
+                 "(default: 2)")
         cmd_parser.add_argument(
             "--resume", action="store_true",
             help="resume an interrupted sweep: serve points already "
                  "settled in the result cache or the progress.jsonl "
                  "ledger, re-execute only the remainder (requires "
-                 "--cache-dir; implies --supervised)")
+                 "--cache-dir)")
 
     for fig_id, description in _FIGURE_DESCRIPTIONS.items():
         fig_parser = sub.add_parser(fig_id, help=description)
@@ -293,18 +282,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _jobs_arg(text: str) -> int:
+    """``--jobs``: an integer >= 1 (anything else is a usage error)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {jobs}")
+    return jobs
+
+
 def _run_figure(fig_id: str, scale: float, seed: int,
-                executor: Optional[SweepExecutor] = None,
-                fastpath: str = "off") -> None:
+                executor: SweepExecutor) -> None:
     # The one sanctioned wall-clock site: operator-facing elapsed-time
     # reporting, which never feeds simulated state or cached results.
     start = time.perf_counter()  # repro: allow[wall-clock]
-    config = RunConfig(seed=seed, fastpath=parse_fastpath_mode(fastpath))
-    figure = ALL_FIGURES[fig_id](config=config, scale=scale,
+    figure = ALL_FIGURES[fig_id](config=RunConfig(seed=seed), scale=scale,
                                  executor=executor)
     print(render_figure(figure))
-    if executor is not None:
-        print(render_executor_stats(executor.stats, jobs=executor.jobs))
+    print(render_executor_stats(executor.stats, jobs=executor.jobs))
     elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
     print(f"[{fig_id} regenerated in {elapsed:.1f}s]")
 
@@ -323,9 +320,7 @@ def _cmd_systems() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one (system, rate) point by registry name and report it."""
     factory = ConfiguredFactory.by_name(args.system)
-    config = RunConfig(
-        seed=args.seed,
-        fastpath=parse_fastpath_mode(args.fastpath)).scaled(args.scale)
+    config = RunConfig(seed=args.seed).scaled(args.scale)
     if getattr(args, "faults", None):
         config = replace(config, faults=parse_fault_spec(args.faults))
     distribution = Fixed(us(args.service_us))
@@ -333,13 +328,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _apply_sanitize_flag(args)
     start = time.perf_counter()  # repro: allow[wall-clock]
     try:
-        if executor is None:
-            metrics = run_point(factory, args.rate, distribution, config)
-        else:
-            metrics = executor.run_point(PointSpec(
-                factory=factory, rate_rps=args.rate,
-                distribution=distribution, config=config,
-                label=args.system))
+        metrics = executor.run_point(PointSpec(
+            factory=factory, rate_rps=args.rate,
+            distribution=distribution, config=config, label=args.system))
     finally:
         if ledger is not None:
             ledger.write_done()
@@ -358,8 +349,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"p99.9 {latency.p999_ns / 1e3:.2f}us")
     print(f"  preemptions {metrics.preemptions}  "
           f"worker wait {metrics.worker_wait_fraction:.1%}")
-    if metrics.provenance is not None:
-        print(f"  provenance  {metrics.provenance}")
     if metrics.faults is not None:
         faults = metrics.faults
         print(f"  faults      link drops {faults.link_drops} "
@@ -378,8 +367,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"stale fallbacks {faults.stale_fallbacks}")
         print(f"  goodput     {faults.goodput_rps / 1e3:.1f}k RPS "
               f"(unassisted completions)")
-    if executor is not None:
-        print(render_executor_stats(executor.stats, jobs=executor.jobs))
+    print(render_executor_stats(executor.stats, jobs=executor.jobs))
     print(f"[{args.system} point in {elapsed:.1f}s]")
     return 0
 
@@ -408,9 +396,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     _apply_sanitize_flag(args)
     options = BenchOptions(scale=args.scale, seed=args.seed,
                            jobs=args.jobs, cache_dir=args.cache_dir,
-                           fastpath=args.fastpath,
-                           progress=getattr(args, "progress", False),
-                           supervised=getattr(args, "supervised", False))
+                           progress=args.progress)
     run = record_suite(args.suite, options, artifact_dir=args.artifact_dir)
     record = run.record
     print(f"bench {record.name}: {record.points} points, "
@@ -431,74 +417,56 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _make_executor(args: argparse.Namespace,
-                   ) -> Tuple[Optional[SweepExecutor],
-                              Optional["ProgressLedger"]]:
+                   ) -> Tuple[SweepExecutor, Optional["ProgressLedger"]]:
     """The executor (and progress ledger) the flags ask for.
 
-    Without ``--progress`` this is the historical behavior: an executor
-    only when ``--jobs``/``--cache-dir`` demand one, else ``(None,
-    None)`` for the plain serial path.  ``--progress`` always forces an
-    executor so every point flows through the event stream, attaches a
-    console printer, and — when a cache directory exists to anchor it —
-    opens the ``progress.jsonl`` ledger that ``repro watch`` tails.
-    The caller owns the returned ledger and must ``write_done()`` it
-    when the sweep finishes.
+    ``--progress`` attaches a console printer and — when a cache
+    directory exists to anchor it — opens the ``progress.jsonl`` ledger
+    that ``repro watch`` tails; ``--resume`` replays (and appends to)
+    that ledger.  The caller owns the returned ledger and must
+    ``write_done()`` it when the sweep finishes.
     """
-    jobs = getattr(args, "jobs", 1)
-    cache_dir = getattr(args, "cache_dir", None)
-    progress = getattr(args, "progress", False)
-    resume = getattr(args, "resume", False)
-    point_timeout = getattr(args, "point_timeout", None)
-    max_retries = getattr(args, "max_retries", None)
-    supervised = (getattr(args, "supervised", False) or resume
-                  or point_timeout is not None or max_retries is not None)
+    from repro.experiments.progress import (
+        ConsoleProgress,
+        ProgressLedger,
+        clear_ledger,
+        ledger_path,
+        multiplex,
+    )
+    cache_dir = args.cache_dir
+    resume = args.resume
     if resume and cache_dir is None:
         raise ExperimentError("--resume requires --cache-dir (the cache "
                               "and its progress ledger are the "
                               "checkpoint being resumed)")
     resume_replay = None
     if resume:
-        from repro.experiments.progress import ProgressLedger, ledger_path
         resume_replay = ProgressLedger.replay(ledger_path(cache_dir))
         print(f"[resume: {len(resume_replay.completed)} point(s) settled "
               f"by the previous run"
               + ("" if resume_replay.finished
                  else " (interrupted: no done sentinel)") + "]")
-    if not progress and not resume:
-        if jobs <= 1 and cache_dir is None and not supervised:
-            return None, None
-        return make_executor(jobs=jobs, cache_dir=cache_dir,
-                             supervised=supervised,
-                             point_timeout_s=point_timeout,
-                             max_retries=max_retries), None
-    from repro.experiments.progress import (
-        ConsoleProgress,
-        ProgressLedger,
-        clear_ledger,
-        multiplex,
-    )
     ledger = None
-    if cache_dir is not None:
+    if cache_dir is not None and (args.progress or resume):
         if not resume:
             clear_ledger(cache_dir)  # stale ledgers would confuse watchers
         # A resumed sweep appends to the existing ledger (its replay is
         # already in hand), so a second interruption still resumes.
         ledger = ProgressLedger.in_cache_dir(cache_dir)
-    console = ConsoleProgress() if progress else None
-    on_event = multiplex(console, ledger)
-    return make_executor(jobs=jobs, cache_dir=cache_dir,
-                         on_event=on_event, supervised=supervised,
-                         point_timeout_s=point_timeout,
-                         max_retries=max_retries,
+    console = ConsoleProgress() if args.progress else None
+    return make_executor(jobs=args.jobs, cache_dir=cache_dir,
+                         on_event=multiplex(console, ledger),
+                         point_timeout_s=args.point_timeout,
+                         max_retries=args.max_retries,
                          resume_from=resume_replay), ledger
 
 
 def _apply_sanitize_flag(args: argparse.Namespace) -> None:
     """Export ``--sanitize`` through the environment.
 
-    The harness (and any parallel worker process, which inherits the
-    environment) reads ``REPRO_SANITIZE``, so one env var covers the
-    serial, parallel, and cached execution paths alike.
+    The harness (and any worker process, which inherits the
+    environment) reads ``REPRO_SANITIZE``, so one env var covers
+    in-process and worker points alike.
     """
     if getattr(args, "sanitize", False):
         os.environ[SANITIZE_ENV] = "1"
@@ -714,8 +682,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _apply_sanitize_flag(args)
         try:
             for fig_id in _FIGURE_DESCRIPTIONS:
-                _run_figure(fig_id, args.scale, args.seed, executor,
-                            fastpath=args.fastpath)
+                _run_figure(fig_id, args.scale, args.seed, executor)
                 print()
         finally:
             if ledger is not None:
@@ -730,8 +697,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         _apply_sanitize_flag(args)
         try:
-            _run_figure(args.command, args.scale, args.seed, executor,
-                        fastpath=args.fastpath)
+            _run_figure(args.command, args.scale, args.seed, executor)
         finally:
             if ledger is not None:
                 ledger.write_done()

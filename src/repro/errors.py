@@ -86,10 +86,10 @@ class SweepPointError(ExperimentError):
 
     Carries everything needed to triage (or retry) the point without
     the original spec in hand: the system label, the offered rate, the
-    run config, how many attempts were made, and the underlying cause.
-    ``kind`` is the failure-taxonomy tag — one of ``"crash"``,
-    ``"timeout"``, ``"exception"``, or ``"cache-corruption"`` — matched
-    by the subclasses below.
+    run config, how many attempts were made, and the underlying cause
+    (also chained as ``__cause__``).  ``kind`` is the failure-taxonomy
+    tag — one of ``"crash"``, ``"timeout"``, or ``"exception"`` —
+    matched by the subclasses below.
     """
 
     #: Taxonomy tag; subclasses override.
@@ -103,6 +103,7 @@ class SweepPointError(ExperimentError):
         self.attempts = attempts
         self.config = config
         self.cause = cause
+        self.__cause__ = cause
 
     def describe(self):
         """One operator-facing line: taxonomy, point identity, attempts."""
@@ -126,17 +127,6 @@ class PointExecutionError(SweepPointError):
     """The point's own code raised while simulating."""
 
     kind = "exception"
-
-
-class CacheCorruptionError(SweepPointError):
-    """A cached result entry was corrupt (torn, truncated, bit-flipped).
-
-    Raised only by a strict-mode :class:`~repro.experiments.executor.
-    ResultCache`; the default cache quarantines the entry and reads it
-    as a miss instead, so sweeps recompute transparently.
-    """
-
-    kind = "cache-corruption"
 
 
 class SweepFailure(ExperimentError):

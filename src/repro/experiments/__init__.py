@@ -14,10 +14,8 @@ from repro.experiments.harness import (
 from repro.experiments.executor import (
     ConfiguredFactory,
     ExecutorStats,
-    ParallelExecutor,
     PointSpec,
     ResultCache,
-    SerialExecutor,
     SweepExecutor,
     make_executor,
     spec_cache_key,
@@ -58,10 +56,8 @@ __all__ = [
     "find_saturation",
     "ConfiguredFactory",
     "ExecutorStats",
-    "ParallelExecutor",
     "PointSpec",
     "ResultCache",
-    "SerialExecutor",
     "SweepExecutor",
     "make_executor",
     "spec_cache_key",

@@ -1,15 +1,15 @@
-"""Pluggable sweep execution: serial, process-parallel, and cached.
+"""Sweep execution: one executor, with a result cache and resume.
 
-Every figure and study in this repro bottoms out in ``run_point`` calls
-that each build a fresh, independently seeded :class:`Simulator` — so
-points are embarrassingly parallel, and identical inputs always produce
-identical :class:`RunMetrics`.  This module exploits both facts:
+Every figure and study in this repro bottoms out in points that each
+build a fresh, independently seeded :class:`Simulator` — so points are
+embarrassingly parallel, and identical inputs always produce identical
+:class:`RunMetrics`.  This module exploits both facts:
 
-- :class:`SerialExecutor` runs points in-process, in order (the
-  historical behavior and the default everywhere);
-- :class:`ParallelExecutor` fans points out across worker processes via
-  :class:`concurrent.futures.ProcessPoolExecutor`, returning results in
-  submission order regardless of completion order;
+- :class:`SweepExecutor` is the one way a point runs: cache and resume
+  lookups first, then every miss through the supervised attempt loop of
+  :mod:`repro.experiments.supervise` — in this process at ``jobs=1``
+  without a point deadline, in disposable forked workers otherwise —
+  with one typed progress stream and one failure contract;
 - :class:`ResultCache` is an on-disk content-addressed store keyed by a
   stable SHA-256 over (system name, factory fingerprint, offered rate,
   distribution parameters, :class:`RunConfig`), so re-running a figure
@@ -17,21 +17,23 @@ identical :class:`RunMetrics`.  This module exploits both facts:
 
 Determinism is the contract that makes all of this safe; the
 differential suite in ``tests/integration/test_executor_equivalence.py``
-enforces bit-identical serial/parallel/cached results for every system.
+enforces bit-identical in-process/worker/cached results for every
+system.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import os
-import pickle
 import tempfile
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -44,11 +46,9 @@ from typing import (
 )
 
 from repro.errors import (
-    CacheCorruptionError,
     ConfigError,
     ExperimentError,
-    PointCrashError,
-    PointExecutionError,
+    SweepFailure,
     SweepPointError,
 )
 from repro.experiments.harness import (
@@ -64,15 +64,18 @@ from repro.experiments.progress import (
     PointEvent,
     ProgressCallback,
 )
+from repro.experiments.supervise import DEFAULT_MAX_RETRIES, run_attempts
 from repro.metrics.summary import (
     FaultSummary,
     LatencySummary,
-    Provenance,
     RunMetrics,
     ThroughputSummary,
 )
 from repro.systems import registry
 from repro.workload.distributions import ServiceTimeDistribution
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.experiments.progress import LedgerReplay
 
 #: Bump when the cache key payload or the stored schema changes shape;
 #: old entries then simply miss instead of deserializing wrongly.
@@ -83,7 +86,9 @@ from repro.workload.distributions import ServiceTimeDistribution
 #: join the stored metrics.
 #: Schema 4: a content checksum joins the stored entry, verified on
 #: every read; entries that fail it are quarantined, never trusted.
-CACHE_SCHEMA = 4
+#: Schema 5: the fast-path config leaves the key payload and provenance
+#: tags the stored metrics (every point is an exact simulation).
+CACHE_SCHEMA = 5
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,7 @@ class ConfiguredFactory:
     All served systems share the ``(sim, rngs, metrics, config=...)``
     constructor shape, so a (class, config) pair is a complete recipe.
     Classes pickle by reference and configs are plain dataclasses, which
-    is what lets :class:`ParallelExecutor` ship these to workers; the
+    is what lets them cross a process boundary on any platform; the
     deterministic dataclass ``repr`` of the config is what lets the
     cache fingerprint them.
 
@@ -203,7 +208,6 @@ def spec_cache_key(spec: PointSpec) -> Optional[str]:
             "max_events": config.max_events,
             # Frozen-dataclass reprs: deterministic, value-complete.
             "faults": repr(config.faults),
-            "fastpath": repr(config.fastpath),
         },
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -227,10 +231,6 @@ def metrics_to_jsonable(metrics: RunMetrics) -> Dict[str, Any]:
         # Emitted only for faulted runs, so fault-free entries keep
         # their historical shape byte for byte.
         data["faults"] = dataclasses.asdict(metrics.faults)
-    if metrics.provenance is not None:
-        # Same pattern: only fast-path points carry the tag, so plain
-        # exact runs serialize exactly as they always have.
-        data["provenance"] = dataclasses.asdict(metrics.provenance)
     return data
 
 
@@ -241,8 +241,6 @@ def metrics_from_jsonable(data: Dict[str, Any]) -> RunMetrics:
                else LatencySummary(**data["latency"]))
     faults = (FaultSummary(**data["faults"])
               if data.get("faults") is not None else None)
-    provenance = (Provenance(**data["provenance"])
-                  if data.get("provenance") is not None else None)
     return RunMetrics(
         latency=latency,
         throughput=ThroughputSummary(**data["throughput"]),
@@ -250,7 +248,6 @@ def metrics_from_jsonable(data: Dict[str, Any]) -> RunMetrics:
         mean_slowdown=data["mean_slowdown"],
         worker_wait_fraction=data["worker_wait_fraction"],
         faults=faults,
-        provenance=provenance,
     )
 
 
@@ -294,16 +291,13 @@ class ResultCache:
     recomputes the point transparently instead of crashing on (or
     silently trusting) damaged bytes.  Entries from an older schema
     read as plain misses without quarantine — they are honest
-    old-format files, not corruption.  ``strict=True`` raises
-    :class:`~repro.errors.CacheCorruptionError` instead of
-    quarantining (for tools that want to fail loudly).
+    old-format files, not corruption.
     """
 
-    def __init__(self, root: Union[str, Path], strict: bool = False):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.strict = strict
         #: Every corrupt entry this instance has quarantined, in
-        #: detection order (the supervised executor reports these).
+        #: detection order (the executor reports these).
         self.quarantine_log: List[QuarantineRecord] = []
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -322,11 +316,7 @@ class ResultCache:
         return self.root / QUARANTINE_DIRNAME
 
     def _quarantine(self, path: Path, key: str, reason: str) -> None:
-        """Move the corrupt entry at *path* aside (or raise in strict
-        mode) and log the incident."""
-        if self.strict:
-            raise CacheCorruptionError(
-                f"cache entry {path} is corrupt: {reason}", label=key)
+        """Move the corrupt entry at *path* aside and log the incident."""
         destination: Optional[Path] = None
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -415,8 +405,10 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*/*.json"))
 
 
+
+
 # ---------------------------------------------------------------------------
-# Executors
+# The executor
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -433,7 +425,7 @@ class ExecutorStats:
     events_executed: int = 0
     #: Points that permanently failed (every attempt exhausted).
     points_failed: int = 0
-    #: Extra attempts made beyond each point's first (supervised runs).
+    #: Extra attempts made beyond each point's first.
     points_retried: int = 0
     #: Points served from a previous run's progress ledger (--resume).
     points_resumed: int = 0
@@ -453,44 +445,78 @@ class ExecutorStats:
 
 
 def _execute_spec(spec: PointSpec) -> Tuple[RunMetrics, int]:
-    """Worker entry point: run one spec, return (metrics, events)."""
+    """Run one spec, return (metrics, events).
+
+    Calls :func:`run_point_with_events` through this module's global, so
+    a wrapper installed on it here reaches forked workers too.
+    """
     return run_point_with_events(spec.factory, spec.rate_rps,
                                  spec.distribution, spec.config)
 
 
 class SweepExecutor:
-    """Base executor: cache orchestration plus in-process execution.
+    """Runs sweep points: cache, resume, progress, supervised attempts.
 
-    Subclasses override :meth:`_run_specs` to change *where* cache
-    misses run; ordering and cache semantics live here so every
-    executor shares them exactly.  So does progress: every executor
-    emits one typed :class:`~repro.experiments.progress.PointEvent`
-    stream — started / completed / cache-hit / failed, completions
-    carrying the point's :class:`RunMetrics` — from *this* process,
-    even when the points themselves ran in workers.
+    :meth:`run_points` serves every point it can from the result cache
+    and then from ``resume_from`` (a replayed
+    :class:`~repro.experiments.progress.LedgerReplay` of an interrupted
+    run, whose hits are written back into the cache).  The rest run
+    through :func:`~repro.experiments.supervise.run_attempts`: in this
+    process when ``jobs == 1`` and no ``point_timeout_s`` is set,
+    otherwise in disposable forked workers, at most ``jobs`` at once,
+    killed past ``point_timeout_s``.  A failed attempt retries up to
+    ``max_retries`` times with bounded backoff.
+
+    One failure contract holds at every ``jobs`` value: a point whose
+    attempts are all exhausted becomes a typed
+    :class:`~repro.errors.SweepPointError` chaining its cause and a
+    ``failed`` progress event; every other point completes and is
+    cached; then :class:`~repro.errors.SweepFailure` is raised.
+
+    Every executor emits one typed
+    :class:`~repro.experiments.progress.PointEvent` stream — started /
+    completed / cache-hit / failed, completions carrying the point's
+    :class:`RunMetrics` — from *this* process, even when the points ran
+    in workers.  Results are bit-identical in every case: points are
+    independent and slot by index, so neither completion order,
+    retries, nor resume can move a single measured bit.
     """
 
-    #: Worker parallelism (1 for serial; informational for reporting).
-    jobs: int = 1
-
-    def __init__(self, cache: Optional[ResultCache] = None,
-                 on_event: Optional[ProgressCallback] = None):
+    def __init__(self, jobs: int = 1,
+                 cache: Optional[ResultCache] = None,
+                 on_event: Optional[ProgressCallback] = None,
+                 point_timeout_s: Optional[float] = None,
+                 max_retries: int = DEFAULT_MAX_RETRIES,
+                 resume_from: Optional["LedgerReplay"] = None):
+        if jobs < 1:
+            raise ExperimentError(f"jobs must be >= 1: {jobs}")
+        if point_timeout_s is not None and point_timeout_s <= 0:
+            raise ExperimentError(
+                f"point timeout must be positive: {point_timeout_s}")
+        if max_retries < 0:
+            raise ExperimentError(f"max retries must be >= 0: {max_retries}")
+        self.jobs = jobs
         self.cache = cache
-        self.stats = ExecutorStats()
         #: Persistent progress subscriber (every ``run_points`` call).
         self.on_event = on_event
+        self.point_timeout_s = point_timeout_s
+        self.max_retries = max_retries
+        self.resume_from = resume_from
+        self.stats = ExecutorStats()
         self._seq = 0
         self._batches = 0
+        #: Backoff pacing between retries; host-side only (tests stub it).
+        self._sleep: Callable[[float], None] = time.sleep
 
     def run_points(self, specs: Sequence[PointSpec],
                    on_event: Optional[ProgressCallback] = None,
                    ) -> List[RunMetrics]:
         """Run every spec, returning metrics in the order given.
 
-        Cached points are served without simulating; the rest run via
-        :meth:`_run_specs`.  Each fresh point is written back to the
-        cache the moment it completes — not at the end of the batch —
-        so an interrupted sweep resumes from every finished point.
+        Cached and resumed points are served without simulating; the
+        rest run under supervision.  Each fresh point is written back to
+        the cache the moment it completes — not at the end of the batch
+        — so an interrupted sweep resumes from every finished point.
 
         *on_event* subscribes to this batch's progress stream on top of
         the executor-wide :attr:`on_event`; both see every event.
@@ -551,16 +577,20 @@ class SweepExecutor:
         def started(batch_index: int) -> None:
             emit(STARTED, misses[batch_index])
 
-        def failed(batch_index: int, error: BaseException) -> None:
-            # Typed SweepPointErrors carry their attempt count into the
-            # event stream; raw exceptions report 0 ("not tracked").
+        def failed(batch_index: int, error: SweepPointError) -> None:
+            self.stats.points_failed += 1
             emit(FAILED, misses[batch_index], error=str(error),
-                 attempts=getattr(error, "attempts", 0))
+                 attempts=error.attempts)
 
         if misses:
-            self._run_specs([specs[i] for i in misses], record,
-                            started=started, failed=failed)
-        return [result for result in results if result is not None]
+            failures = run_attempts(
+                [specs[i] for i in misses], _execute_spec, record, started,
+                failed, self.stats, jobs=self.jobs,
+                point_timeout_s=self.point_timeout_s,
+                max_retries=self.max_retries, sleep=self._sleep)
+            if failures:
+                raise SweepFailure(failures) from failures[0]
+        return results  # every slot is filled once no point failed
 
     def run_point(self, spec: PointSpec) -> RunMetrics:
         """Convenience wrapper for a single point."""
@@ -568,191 +598,54 @@ class SweepExecutor:
 
     def _lookup_resume(self, spec: PointSpec,
                        key: Optional[str]) -> Optional[RunMetrics]:
-        """A completed result for *spec* from a previous interrupted run.
+        """Serve *spec* from the replayed ledger, repairing the cache.
 
-        The base executor has no resume source; the supervised executor
-        overrides this to serve points out of a replayed progress
-        ledger (and repair the cache entry under *key* while at it).
+        Only consulted on a cache miss, so the content-addressed cache
+        always wins when it has a healthy entry; the ledger covers
+        uncacheable specs, lost entries, and quarantined corruption.
         """
-        return None
-
-    def _run_specs(self, specs: Sequence[PointSpec],
-                   record: Callable[[int, Tuple[RunMetrics, int]], None],
-                   started: Optional[Callable[[int], None]] = None,
-                   failed: Optional[Callable[[int, BaseException], None]] = None,
-                   ) -> None:
-        """Run *specs*, reporting each ``(index, outcome)`` as it lands.
-
-        *started* fires when a spec is handed off for execution and
-        *failed* when its run raises (the exception still propagates).
-        """
-        for j, spec in enumerate(specs):
-            if started is not None:
-                started(j)
-            try:
-                outcome = _execute_spec(spec)
-            except Exception as exc:
-                if failed is not None:
-                    failed(j, exc)
-                raise
-            record(j, outcome)
-
-
-class SerialExecutor(SweepExecutor):
-    """The historical behavior: every point in this process, in order."""
-
-
-def _wrap_point_failure(spec: PointSpec,
-                        cause: BaseException) -> SweepPointError:
-    """*cause* as a typed :class:`~repro.errors.SweepPointError`.
-
-    Worker-pool breakage (a killed or segfaulted process) classifies as
-    a crash; anything the point's own code raised as an execution
-    error.  Already-typed errors pass through untouched.
-    """
-    if isinstance(cause, SweepPointError):
-        return cause
-    crashed = isinstance(cause, concurrent.futures.process.BrokenProcessPool)
-    cls = PointCrashError if crashed else PointExecutionError
-    return cls(str(cause) or type(cause).__name__, label=spec.label,
-               rate_rps=spec.rate_rps, attempts=1, config=spec.config,
-               cause=cause)
-
-
-class ParallelExecutor(SweepExecutor):
-    """Fan points across worker processes; results stay in spec order.
-
-    Specs that cannot be pickled (closure factories, ad-hoc callables)
-    transparently run in the parent process instead — parallelism is an
-    optimization, never a constraint on what callers may pass.
-
-    A point whose run raises no longer tears down the whole batch: the
-    failure is wrapped in a typed :class:`~repro.errors.SweepPointError`
-    (system label, point config, attempt count, cause), emitted as a
-    ``failed`` progress event, and every *other* point still completes
-    and lands in the cache before the first failure is re-raised — so
-    a re-run pays only for the failed point.  (KeyboardInterrupt and
-    other non-``Exception`` interrupts still abort immediately.)
-    """
-
-    def __init__(self, jobs: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 on_event: Optional[ProgressCallback] = None):
-        super().__init__(cache=cache, on_event=on_event)
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1: {jobs}")
-        self.jobs = jobs
-
-    @staticmethod
-    def _picklable(spec: PointSpec) -> bool:
-        try:
-            pickle.dumps(spec)
-            return True
-        except Exception:
-            return False
-
-    def _run_specs(self, specs: Sequence[PointSpec],
-                   record: Callable[[int, Tuple[RunMetrics, int]], None],
-                   started: Optional[Callable[[int], None]] = None,
-                   failed: Optional[Callable[[int, BaseException], None]] = None,
-                   ) -> None:
-        remote = [i for i, spec in enumerate(specs) if self._picklable(spec)]
-        failures: List[SweepPointError] = []
-
-        def fail(i: int, cause: BaseException) -> None:
-            error = _wrap_point_failure(specs[i], cause)
-            failures.append(error)
-            self.stats.points_failed += 1
-            if failed is not None:
-                failed(i, error)
-
-        def run_local(i: int) -> None:
-            if started is not None:
-                started(i)
-            try:
-                outcome = _execute_spec(specs[i])
-            except Exception as exc:
-                fail(i, exc)
-                return
-            record(i, outcome)
-
-        if len(remote) > 1 and self.jobs > 1:
-            workers = min(self.jobs, len(remote))
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-            try:
-                futures = {}
-                for i in remote:
-                    futures[pool.submit(_execute_spec, specs[i])] = i
-                    # Progress events always fire in *this* process —
-                    # the started event marks the handoff to a worker.
-                    if started is not None:
-                        started(i)
-                for future in concurrent.futures.as_completed(futures):
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:
-                        # A failed point is recorded, not fatal: the
-                        # remaining futures drain (and cache) first.
-                        fail(futures[future], exc)
-                        continue
-                    record(futures[future], outcome)
-                pool.shutdown(wait=True)
-            except BaseException:
-                # On Ctrl-C (or pool-wide breakage) don't join
-                # interrupted workers — shutdown(wait=True) can hang
-                # forever; drop pending work and surface the interrupt
-                # immediately.  Every completed point has already been
-                # recorded (and cached), so a re-run resumes from them.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        else:
-            for i in remote:
-                run_local(i)
-        # Unpicklable stragglers run in-process, after the fan-out.
-        fanned_out = set(remote)
-        for i in range(len(specs)):
-            if i not in fanned_out:
-                run_local(i)
-        if failures:
-            raise failures[0]
+        if self.resume_from is None:
+            return None
+        hit = self.resume_from.lookup(spec.label, spec.rate_rps)
+        if hit is not None and self.cache is not None and key is not None:
+            self.cache.put(key, hit)
+        return hit
 
 
 def make_executor(jobs: int = 1,
                   cache_dir: Optional[Union[str, Path]] = None,
                   on_event: Optional[ProgressCallback] = None,
-                  supervised: bool = False,
                   point_timeout_s: Optional[float] = None,
                   max_retries: Optional[int] = None,
-                  resume_from: Optional[Any] = None,
+                  resume_from: Optional["LedgerReplay"] = None,
                   ) -> SweepExecutor:
     """Build the executor the CLI/benches ask for.
 
-    ``jobs <= 1`` gives a :class:`SerialExecutor`; more gives a
-    :class:`ParallelExecutor`.  ``cache_dir`` (optional) enables the
-    on-disk result cache in either case, and ``on_event`` (optional)
-    subscribes a progress callback to every sweep the executor runs.
-
-    Any supervision knob — ``supervised``, a per-point wall-clock
-    deadline ``point_timeout_s``, a retry budget ``max_retries``, or a
-    replayed ledger ``resume_from`` — selects the crash-safe
-    :class:`~repro.experiments.supervise.SupervisedExecutor` instead
-    (results stay bit-identical in every case).
+    ``jobs`` (>= 1; anything less raises
+    :class:`~repro.errors.ExperimentError`) bounds concurrent points,
+    ``cache_dir`` (optional) enables the on-disk result cache,
+    ``on_event`` (optional) subscribes a progress callback to every
+    sweep, ``point_timeout_s`` sets a per-point wall-clock deadline,
+    ``max_retries`` (default
+    :data:`~repro.experiments.supervise.DEFAULT_MAX_RETRIES`) bounds
+    extra attempts, and ``resume_from`` replays an interrupted run's
+    ledger.  Results are bit-identical under every combination.
     """
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    if supervised or point_timeout_s is not None \
-            or max_retries is not None or resume_from is not None:
-        from repro.experiments.supervise import (
-            DEFAULT_MAX_RETRIES,
-            SupervisedExecutor,
-        )
-        return SupervisedExecutor(
-            jobs=jobs, cache=cache, on_event=on_event,
-            point_timeout_s=point_timeout_s,
-            max_retries=(DEFAULT_MAX_RETRIES if max_retries is None
-                         else max_retries),
-            resume_from=resume_from)
-    if jobs <= 1:
-        return SerialExecutor(cache=cache, on_event=on_event)
-    return ParallelExecutor(jobs=jobs, cache=cache, on_event=on_event)
+    return SweepExecutor(
+        jobs=jobs, cache=cache, on_event=on_event,
+        point_timeout_s=point_timeout_s,
+        max_retries=(DEFAULT_MAX_RETRIES if max_retries is None
+                     else max_retries),
+        resume_from=resume_from)
+
+
+@functools.lru_cache(maxsize=None)
+def default_executor() -> SweepExecutor:
+    """The in-process executor sweeps run on when given none.
+
+    One instance per process, so its batch numbering keeps every
+    ``(batch, index)`` progress key unique across successive
+    executor-less sweeps feeding one subscriber.
+    """
+    return make_executor()

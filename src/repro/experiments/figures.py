@@ -21,12 +21,16 @@ from repro.config import (
     ShinjukuConfig,
     ShinjukuOffloadConfig,
 )
-from repro.experiments.executor import ConfiguredFactory, SweepExecutor
+from repro.experiments.executor import (
+    ConfiguredFactory,
+    PointSpec,
+    SweepExecutor,
+    default_executor,
+)
 from repro.experiments.harness import (
     LoadSweepResult,
     RunConfig,
     load_sweep,
-    measure_capacity,
 )
 from repro.units import us
 from repro.workload.distributions import BIMODAL_FIG2, Fixed
@@ -148,29 +152,19 @@ def figure3(config: Optional[RunConfig] = None, scale: float = 1.0,
             ShinjukuOffloadConfig(workers=workers, outstanding_per_worker=k,
                                   preemption=NO_PREEMPTION))
         for workers, k in grid}
-    if executor is None:
-        capacities = {
-            cell: measure_capacity(
-                factories[cell], Fixed(us(1.0)),
-                overload_rps=overload_rps, config=run_config,
-                system_name=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}",
-                on_event=on_event)
-            for cell in grid}
-    else:
-        # One batch for the whole grid, so a parallel executor fans the
-        # cells out instead of seeing seven single-point sweeps.
-        from repro.experiments.executor import PointSpec
-        # The outstanding target joins the label: every grid cell runs
-        # at the same overload rate, and (label, rate) is the identity
-        # checkpoint/resume reconstructs completed points by — two
-        # cells must never alias.
-        specs = [PointSpec(factory=factories[cell], rate_rps=overload_rps,
-                           distribution=Fixed(us(1.0)), config=run_config,
-                           label=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}")
-                 for cell in grid]
-        results = executor.run_points(specs, on_event=on_event)
-        capacities = {cell: metrics.throughput.achieved_rps
-                      for cell, metrics in zip(grid, results)}
+    # One batch for the whole grid, so a multi-worker executor fans the
+    # cells out instead of seeing fourteen single-point sweeps.  The
+    # outstanding target joins the label: every grid cell runs at the
+    # same overload rate, and (label, rate) is the identity resume
+    # reconstructs completed points by — two cells must never alias.
+    specs = [PointSpec(factory=factories[cell], rate_rps=overload_rps,
+                       distribution=Fixed(us(1.0)), config=run_config,
+                       label=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}")
+             for cell in grid]
+    results = (executor or default_executor()).run_points(
+        specs, on_event=on_event)
+    capacities = {cell: metrics.throughput.achieved_rps
+                  for cell, metrics in zip(grid, results)}
     series: List[FigureSeries] = []
     for workers in worker_counts:
         series.append(FigureSeries(

@@ -7,7 +7,6 @@ independently seeded universe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -40,7 +39,6 @@ from repro.workload.generator import ClientPool, OpenLoopLoadGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.executor import SweepExecutor
-    from repro.experiments.fastpath import FastPathConfig
     from repro.experiments.progress import ProgressCallback
 
 SystemFactory = Callable[[Simulator, RngRegistry, MetricsCollector], BaseSystem]
@@ -61,11 +59,6 @@ class RunConfig:
     max_events: Optional[int] = 50_000_000
     #: Fault scenario for this run; None (or a null plan) runs clean.
     faults: Optional[FaultPlan] = None
-    #: Calibrated fast-path mode (see
-    #: :mod:`repro.experiments.fastpath`); None runs every point as a
-    #: full exact simulation — the historical, bit-identical behavior.
-    #: Ignored (forced exact) whenever a real fault plan is present.
-    fastpath: Optional["FastPathConfig"] = None
 
     def __post_init__(self):
         if self.horizon_ns <= self.warmup_ns:
@@ -153,8 +146,8 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
     simulator (clock monotonicity, queue accounting, request
     conservation, per-stream draw counts — see
     :mod:`repro.analysis.sanitizer`); the default None defers to the
-    ``REPRO_SANITIZE`` environment variable, which worker processes of
-    a parallel executor inherit.  Metrics are bit-identical either way.
+    ``REPRO_SANITIZE`` environment variable, which an executor's
+    worker processes inherit.  Metrics are bit-identical either way.
 
     ``tiebreak`` installs an equal-timestamp ordering policy on the
     fresh simulator (see :mod:`repro.sim.tiebreak`); the default None
@@ -172,16 +165,6 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
         config = RunConfig()
     if rate_rps <= 0:
         raise ExperimentError(f"rate must be positive: {rate_rps}")
-    if config.fastpath is not None:
-        plan = config.faults
-        if plan is None or plan.is_null:
-            from repro.experiments.fastpath import run_point_fastpath
-            return run_point_fastpath(factory, rate_rps, distribution,
-                                      config, clients, sanitize)
-        # Fault-injected runs always force the exact engine: recovery
-        # dynamics have no fluid model, and chaos results must never be
-        # extrapolations.
-        config = replace(config, fastpath=None)
     if sanitize is None:
         sanitize = sanitize_enabled()
     if tiebreak is None:
@@ -232,80 +215,25 @@ def run_point(factory: SystemFactory, rate_rps: float,
     return metrics
 
 
-#: Batch/sequence numbering for progress events emitted without an
-#: executor (the inline serial path) — keeps (batch, index) keys unique
-#: across successive sweeps feeding one subscriber.
-_INLINE_BATCHES = itertools.count()
-_INLINE_SEQ = itertools.count(1)
-
-
-def _run_inline(factory: SystemFactory, rates_rps: Sequence[float],
-                distribution: ServiceTimeDistribution, config: RunConfig,
-                system_name: str,
-                on_event: "ProgressCallback") -> List[RunMetrics]:
-    """The executor-less serial loop, with progress events."""
-    from repro.experiments.progress import (
-        COMPLETED,
-        FAILED,
-        STARTED,
-        PointEvent,
-    )
-    batch = next(_INLINE_BATCHES)
-    total = len(rates_rps)
-
-    def emit(kind: str, index: int, rate: float,
-             metrics: Optional[RunMetrics] = None,
-             error: Optional[str] = None) -> None:
-        on_event(PointEvent(kind=kind, seq=next(_INLINE_SEQ), batch=batch,
-                            index=index, total=total, label=system_name,
-                            rate_rps=rate, metrics=metrics, error=error))
-
-    results: List[RunMetrics] = []
-    for index, rate in enumerate(rates_rps):
-        emit(STARTED, index, rate)
-        try:
-            metrics = run_point(factory, rate, distribution, config)
-        except Exception as exc:
-            emit(FAILED, index, rate, error=str(exc))
-            raise
-        emit(COMPLETED, index, rate, metrics=metrics)
-        results.append(metrics)
-    return results
-
-
 def _run_batch(factory: SystemFactory, rates_rps: Sequence[float],
                distribution: ServiceTimeDistribution, config: RunConfig,
                system_name: str,
                executor: Optional["SweepExecutor"],
                on_event: Optional["ProgressCallback"] = None,
                ) -> List[RunMetrics]:
-    """One metrics list for *rates_rps*, via *executor* when given.
+    """One metrics list for *rates_rps*: one ``run_points`` call.
 
-    *on_event* subscribes to the batch's progress stream: forwarded to
-    the executor when one is given, emitted inline otherwise.  The
-    fast-path branch runs its exact probes through the executor, so an
-    executor-wide subscriber still sees those; a per-batch *on_event*
-    only covers exact batches.
+    Without an *executor* the points run on the process-wide
+    :func:`~repro.experiments.executor.default_executor`.  *on_event*
+    subscribes to this batch's progress stream.
     """
-    if config.fastpath is not None and len(rates_rps) > 1:
-        plan = config.faults
-        if plan is None or plan.is_null:
-            from repro.experiments.fastpath import run_batch_fastpath
-            return run_batch_fastpath(factory, rates_rps, distribution,
-                                      config, system_name, executor)
-        config = replace(config, fastpath=None)
-    if executor is None:
-        if on_event is not None:
-            return _run_inline(factory, rates_rps, distribution, config,
-                               system_name, on_event)
-        return [run_point(factory, rate, distribution, config)
-                for rate in rates_rps]
-    from repro.experiments.executor import PointSpec
+    from repro.experiments.executor import PointSpec, default_executor
     specs = [PointSpec(factory=factory, rate_rps=rate,
                        distribution=distribution, config=config,
                        label=system_name)
              for rate in rates_rps]
-    return executor.run_points(specs, on_event=on_event)
+    return (executor or default_executor()).run_points(specs,
+                                                       on_event=on_event)
 
 
 def load_sweep(factory: SystemFactory, rates_rps: Sequence[float],
@@ -321,7 +249,8 @@ def load_sweep(factory: SystemFactory, rates_rps: Sequence[float],
     and/or be served from its result cache; ``points`` stay in
     offered-rate order either way.  *on_event* streams per-point
     progress (see :mod:`repro.experiments.progress`) with or without
-    an executor.
+    an executor.  A point that fails every attempt raises
+    :class:`~repro.errors.SweepFailure` once the other points are done.
     """
     if config is None:
         config = RunConfig()
@@ -329,15 +258,6 @@ def load_sweep(factory: SystemFactory, rates_rps: Sequence[float],
         raise ExperimentError("empty rate list")
     all_metrics = _run_batch(factory, rates_rps, distribution, config,
                              system_name, executor, on_event=on_event)
-    if len(all_metrics) != len(rates_rps):
-        # A supervised executor with failure_policy="skip" can return
-        # fewer results than specs; a sweep's points are positional, so
-        # refuse to misattribute rates rather than zip silently short.
-        raise ExperimentError(
-            f"sweep for {system_name!r} returned {len(all_metrics)} "
-            f"result(s) for {len(rates_rps)} rates; points were "
-            f"dropped (failed points cannot be elided from a sweep — "
-            f"use failure_policy='raise' or re-run with --resume)")
     points = [SweepPoint(offered_rps=rate, metrics=metrics)
               for rate, metrics in zip(rates_rps, all_metrics)]
     return LoadSweepResult(system_name=system_name, points=points)

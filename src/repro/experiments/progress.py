@@ -4,10 +4,10 @@ Executors emit one :class:`PointEvent` stream per process: a point is
 *started* when it is handed to a worker (or this process), *completed*
 when its :class:`~repro.metrics.summary.RunMetrics` lands, *cache-hit*
 when it is served from the on-disk result cache without simulating, and
-*failed* when its run raises.  Parallel executors emit from the parent
-process as futures resolve, so consumers never cross a process
-boundary themselves — partial results stream out of a sweep while later
-points are still running.
+*failed* when its attempts are exhausted.  Points that run in worker
+processes are reported from the parent process as their results land,
+so consumers never cross a process boundary themselves — partial
+results stream out of a sweep while later points are still running.
 
 Three consumers live here:
 
@@ -78,8 +78,8 @@ class PointEvent:
     rate_rps: float
     metrics: Optional[RunMetrics] = None
     error: Optional[str] = None
-    #: Execution attempts behind this event (0 when the emitter does
-    #: not track attempts; >1 on supervised retries).
+    #: Execution attempts behind a ``failed`` event (0 on other kinds
+    #: and in ledgers that predate the field).
     attempts: int = 0
 
     def __post_init__(self):

@@ -42,9 +42,6 @@ def render_figure(figure: FigureResult) -> str:
     lines: List[str] = [f"== {figure.figure_id}: {figure.title} =="]
     if figure.notes:
         lines.append(f"   {figure.notes}")
-    provenance = _provenance_note(figure)
-    if provenance:
-        lines.append(f"   {provenance}")
     for series in figure.series:
         lines.append(f"-- {series.label} "
                      f"[x: {series.x_label}; y: {series.y_label}]")
@@ -54,32 +51,6 @@ def render_figure(figure: FigureResult) -> str:
         lines.append("  ".join(cell.rjust(width) for cell in header))
         lines.append("  ".join(cell.rjust(width) for cell in values))
     return "\n".join(lines)
-
-
-def _provenance_note(figure: FigureResult) -> str:
-    """Summarize approx/exact point provenance, or "" for plain runs.
-
-    Figures regenerated without the fast path carry no provenance tags
-    and render exactly as before.
-    """
-    methods: dict = {}
-    exact = 0
-    total = 0
-    for sweep in getattr(figure, "sweeps", []) or []:
-        for point in sweep.points:
-            prov = point.metrics.provenance
-            if prov is None:
-                continue
-            total += 1
-            if prov.exact:
-                exact += 1
-            else:
-                methods[prov.method] = methods.get(prov.method, 0) + 1
-    if total == 0:
-        return ""
-    parts = [f"{count} {method}" for method, count in sorted(methods.items())]
-    parts.append(f"{exact} exact")
-    return f"fast path: {', '.join(parts)} of {total} points"
 
 
 def render_t1(rows: Iterable[TableRow]) -> str:
@@ -96,7 +67,7 @@ def render_t1(rows: Iterable[TableRow]) -> str:
 def render_executor_stats(stats: ExecutorStats, jobs: int = 1) -> str:
     """One-line summary of where a run's points came from.
 
-    Supervision tallies (retries, failures, ledger-resumed points,
+    Robustness tallies (retries, failures, ledger-resumed points,
     quarantined cache entries) are appended only when nonzero, so an
     undisturbed run renders exactly as it always has.
     """

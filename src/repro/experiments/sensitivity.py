@@ -13,8 +13,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.executor import ConfiguredFactory
-from repro.experiments.harness import RunConfig, SystemFactory, run_point
+from repro.experiments.executor import (
+    ConfiguredFactory,
+    PointSpec,
+    default_executor,
+)
+from repro.experiments.harness import RunConfig, SystemFactory
 from repro.metrics.summary import RunMetrics
 from repro.workload.distributions import ServiceTimeDistribution
 
@@ -98,24 +102,19 @@ def sweep_parameter(parameter: str, values: Sequence[Any],
     rate_rps, distribution, config:
         Shared load conditions across all points.
     executor:
-        Optional sweep executor: the grid becomes one batch, so points
-        may run in parallel processes and/or hit the result cache.
-        Point order always matches *values* order.
+        Optional sweep executor (default: the in-process
+        :func:`~repro.experiments.executor.default_executor`); the grid
+        is one batch, so points may run in worker processes and/or hit
+        the result cache.  Point order always matches *values* order.
     """
     if not values:
         raise ExperimentError("empty sweep")
     run_config = config if config is not None else RunConfig()
-    if executor is None:
-        all_metrics = [run_point(factory_for(value), rate_rps, distribution,
-                                 run_config)
-                       for value in values]
-    else:
-        from repro.experiments.executor import PointSpec
-        specs = [PointSpec(factory=factory_for(value), rate_rps=rate_rps,
-                           distribution=distribution, config=run_config,
-                           label=f"{parameter}={value!r}")
-                 for value in values]
-        all_metrics = executor.run_points(specs)
+    specs = [PointSpec(factory=factory_for(value), rate_rps=rate_rps,
+                       distribution=distribution, config=run_config,
+                       label=f"{parameter}={value!r}")
+             for value in values]
+    all_metrics = (executor or default_executor()).run_points(specs)
     points = [SensitivityPoint(value=value, metrics=metrics)
               for value, metrics in zip(values, all_metrics)]
     return SensitivityResult(parameter=parameter, points=points)

@@ -1,39 +1,31 @@
-"""Resilient sweep supervision: crash-safe workers, deadlines, resume.
+"""Supervised attempts: crash-safe workers, deadlines, bounded retries.
 
-At rack scale the experiment harness *is* the production system: a
-sweep of 10^6+ simulated requests across dozens of hosts runs for
-minutes to hours, and with the plain executors a single OOM-killed
-worker, hung point, or torn cache file costs the whole run.  This
-module applies the dataplane's own fault-tolerance discipline (PR 5)
-to the layer that runs the experiments:
+:class:`~repro.experiments.executor.SweepExecutor` hands every point
+its cache and resume lookups miss to :func:`run_attempts`, the one loop
+that runs point attempts:
 
-- :class:`SupervisedExecutor` runs every point in a dedicated,
-  disposable worker process watched by the parent: a killed worker is
-  detected the moment its result pipe drops, and a hung worker is
-  killed when it exceeds its per-point wall-clock deadline;
+- with ``jobs == 1`` and no per-point deadline, attempts run in this
+  process, one after another;
+- otherwise every attempt runs in its own disposable worker process
+  (at most ``jobs`` at once) watched by the parent: a worker whose
+  result pipe drops without a result is a *crash*, and one that
+  outlives its per-point wall-clock deadline is killed as a *timeout*;
 - failed attempts retry with bounded exponential backoff, classified
   by the typed taxonomy in :mod:`repro.errors` (crash / timeout /
-  exception / cache-corruption);
-- a point whose every attempt fails degrades to a recorded ``failed``
-  progress event — every *other* point still completes and lands in
-  the result cache before :class:`~repro.errors.SweepFailure` reports
-  the casualties;
-- ``resume_from`` (a replayed :class:`~repro.experiments.progress.
-  LedgerReplay`) serves points an interrupted run already settled,
-  repairing missing or quarantined cache entries from the ledger.
+  exception);
+- a point whose every attempt fails becomes a recorded failure; every
+  *other* point still completes before the caller reports the
+  casualties.
 
 The robustness contract is deterministic: points are independent and
-slot into the result list by index, so a retried, resumed, or
-quarantine-recovered sweep is bit-for-bit identical to an undisturbed
-one.  Every wall-clock read below times the *host* (deadlines,
-backoff); nothing it produces feeds simulated state or cached results.
+slot into the result list by index, so a retried sweep is bit-for-bit
+identical to an undisturbed one.  Every wall-clock read below times
+the *host* (deadlines, backoff); nothing it produces feeds simulated
+state or cached results.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
-import os
 import pickle
 import time
 import traceback
@@ -53,23 +45,22 @@ from repro.errors import (
     PointCrashError,
     PointExecutionError,
     PointTimeoutError,
-    SweepFailure,
     SweepPointError,
-)
-from repro.experiments.executor import (
-    PointSpec,
-    ResultCache,
-    SweepExecutor,
-    _execute_spec,
 )
 from repro.metrics.summary import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.progress import LedgerReplay, ProgressCallback
+    import multiprocessing.connection
+    import multiprocessing.process
+
+    from repro.experiments.executor import ExecutorStats, PointSpec
+
+#: One attempt's outcome: the point's metrics and its simulator events.
+Outcome = Tuple[RunMetrics, int]
 
 #: Default extra attempts after a point's first failure.
 DEFAULT_MAX_RETRIES = 2
-#: Default backoff schedule: base * factor**(attempt-1), capped.
+#: Backoff schedule: base * factor**(attempt-1), capped.
 DEFAULT_BACKOFF_BASE_S = 0.05
 DEFAULT_BACKOFF_FACTOR = 2.0
 DEFAULT_BACKOFF_MAX_S = 2.0
@@ -92,35 +83,55 @@ def backoff_delay(attempt: int, base_s: float = DEFAULT_BACKOFF_BASE_S,
     return min(max_s, base_s * (factor ** (attempt - 1)))
 
 
-def _attempt_worker(conn, spec: PointSpec) -> None:
+def _describe(exc: BaseException) -> str:
+    """The message a failed attempt reports: exception type and text."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _portable(exc: BaseException) -> Optional[BaseException]:
+    """*exc* if it survives a pickle round trip (to cross the worker
+    pipe as a failure's cause), else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
+def _attempt_worker(conn, execute: Callable[["PointSpec"], Outcome],
+                    spec: "PointSpec") -> None:
     """Child-process entry: run one spec, ship the outcome up the pipe.
 
-    Ships ``("ok", metrics, events)`` on success and ``("error", type
-    name, message, traceback)`` on an exception; a crash (SIGKILL,
-    segfault, OOM) ships nothing — the parent sees the pipe drop and
-    classifies from the exit code.
+    Ships ``("ok", metrics, events)`` on success and ``("error",
+    message, traceback, cause)`` on an exception (``cause`` is None when
+    the exception cannot be pickled); a crash (SIGKILL, segfault, OOM)
+    ships nothing — the parent sees the pipe drop and classifies from
+    the exit code.
     """
     try:
-        metrics, events = _execute_spec(spec)
+        metrics, events = execute(spec)
         conn.send(("ok", metrics, events))
     except BaseException as exc:  # noqa: BLE001 - everything goes upstream
         try:
-            conn.send(("error", type(exc).__name__, str(exc),
-                       traceback.format_exc()))
+            conn.send(("error", _describe(exc), traceback.format_exc(),
+                       _portable(exc)))
         except Exception:
             pass  # parent will classify the silent death as a crash
     finally:
         conn.close()
 
 
-def _supervision_context():
-    """The multiprocessing context supervised attempts run under.
+def supervision_context():
+    """The multiprocessing context worker attempts run under.
 
     Fork is preferred where available: attempt arguments transfer by
     inheritance, so even unpicklable specs stay fully supervised (and
     killable).  Elsewhere the platform default applies and unpicklable
     specs fall back to in-process execution.
     """
+    # Imported here, not at module level: in-process sweeps (and the
+    # CLI's start-up) never pay for the multiprocessing machinery.
+    import multiprocessing
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -148,254 +159,169 @@ class _InFlight:
     kill_after: Optional[float]
 
 
-class SupervisedExecutor(SweepExecutor):
-    """Crash-safe executor: disposable workers, watchdog, retry, resume.
+def _now() -> float:
+    """Host wall clock for deadlines/backoff (never simulated time)."""
+    return time.monotonic()  # repro: allow[wall-clock]
 
-    Each cache-missing point runs in its own worker process (at most
-    ``jobs`` concurrently).  The parent watches every worker's result
-    pipe: a pipe that drops without a result is a *crash*, a worker
-    that outlives ``point_timeout_s`` is killed and classified a
-    *timeout*, and an exception inside the point comes back typed as an
-    *exception* — all three retry up to ``max_retries`` times with
-    bounded exponential backoff.  A point that exhausts its attempts is
-    recorded as a ``failed`` progress event; the rest of the sweep
-    completes (and caches) before :class:`~repro.errors.SweepFailure`
-    raises, so chaos never costs more than the failed point
-    (``failure_policy="skip"`` instead drops it from the results).
 
-    ``resume_from`` plugs a replayed progress ledger into the lookup
-    path: points a previous interrupted run settled are served without
-    simulating — and written back into the cache, which transparently
-    repairs quarantined entries.  Results are bit-identical to an
-    unsupervised run in every case: points are independent and slot by
-    index, so neither completion order, retries, nor resume can move a
-    single measured bit.
+def run_attempts(specs: Sequence["PointSpec"],
+                 execute: Callable[["PointSpec"], Outcome],
+                 record: Callable[[int, Outcome], None],
+                 started: Callable[[int], None],
+                 failed: Callable[[int, SweepPointError], None],
+                 stats: "ExecutorStats", *, jobs: int,
+                 point_timeout_s: Optional[float], max_retries: int,
+                 sleep: Callable[[float], None] = time.sleep,
+                 ) -> List[SweepPointError]:
+    """Run every spec to a result or a permanent failure.
+
+    *execute* runs one spec and returns its outcome; *record* receives
+    each ``(index, outcome)`` as it lands, *started* fires once per spec
+    at its first launch, and *failed* once per spec whose attempts are
+    exhausted.  Retries are counted into *stats*.  Returns the permanent
+    failures in detection order.
     """
+    import multiprocessing.connection
+    context = supervision_context()
+    in_process = jobs == 1 and point_timeout_s is None
+    needs_pickle = context.get_start_method() != "fork"
+    ready: List[_Attempt] = [_Attempt(index=j, attempt=1)
+                             for j in range(len(specs))]
+    delayed: List[_Attempt] = []
+    inflight: Dict[multiprocessing.connection.Connection, _InFlight] = {}
+    failures: List[SweepPointError] = []
+    started_indices = set()
 
-    def __init__(self, jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
-                 on_event: Optional["ProgressCallback"] = None,
-                 point_timeout_s: Optional[float] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-                 backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
-                 backoff_max_s: float = DEFAULT_BACKOFF_MAX_S,
-                 failure_policy: str = "raise",
-                 resume_from: Optional["LedgerReplay"] = None):
-        super().__init__(cache=cache, on_event=on_event)
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1: {jobs}")
-        if point_timeout_s is not None and point_timeout_s <= 0:
-            raise ExperimentError(
-                f"point timeout must be positive: {point_timeout_s}")
-        if max_retries < 0:
-            raise ExperimentError(f"max retries must be >= 0: {max_retries}")
-        if failure_policy not in ("raise", "skip"):
-            raise ExperimentError(
-                f"failure policy must be 'raise' or 'skip': "
-                f"{failure_policy!r}")
-        self.jobs = jobs
-        self.point_timeout_s = point_timeout_s
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
-        self.backoff_max_s = backoff_max_s
-        self.failure_policy = failure_policy
-        self.resume_from = resume_from
-        #: Permanent failures across every ``run_points`` call, in
-        #: detection order (also raised via SweepFailure when the
-        #: policy is "raise").
-        self.failures: List[SweepPointError] = []
-        self._context = _supervision_context()
-        #: Injectable for tests; host-side pacing only.
-        self._sleep: Callable[[float], None] = time.sleep
+    def classify(task: _Attempt, kind: type, message: str,
+                 cause: Optional[BaseException] = None) -> SweepPointError:
+        spec = specs[task.index]
+        return kind(message, label=spec.label, rate_rps=spec.rate_rps,
+                    attempts=task.attempt, config=spec.config, cause=cause)
 
-    # -- resume ------------------------------------------------------------
+    def attempt_failed(task: _Attempt, error: SweepPointError) -> None:
+        if task.attempt <= max_retries:
+            stats.points_retried += 1
+            delayed.append(_Attempt(
+                index=task.index, attempt=task.attempt + 1,
+                not_before=_now() + backoff_delay(task.attempt)))
+            return
+        failures.append(error)
+        failed(task.index, error)
 
-    def _lookup_resume(self, spec: PointSpec,
-                       key: Optional[str]) -> Optional[RunMetrics]:
-        """Serve *spec* from the replayed ledger, repairing the cache.
+    def reap(entry: _InFlight) -> None:
+        entry.process.join(_REAP_TIMEOUT_S)
 
-        Only consulted on a cache miss, so the content-addressed cache
-        always wins when it has a healthy entry; the ledger covers
-        uncacheable specs, lost entries, and quarantined corruption.
-        """
-        if self.resume_from is None:
-            return None
-        hit = self.resume_from.lookup(spec.label, spec.rate_rps)
-        if hit is not None and self.cache is not None and key is not None:
-            self.cache.put(key, hit)
-        return hit
-
-    # -- supervised execution ---------------------------------------------
-
-    def _backoff(self, attempt: int) -> float:
-        """The backoff before retry *attempt* under this executor's knobs."""
-        return backoff_delay(attempt, base_s=self.backoff_base_s,
-                             factor=self.backoff_factor,
-                             max_s=self.backoff_max_s)
-
-    @staticmethod
-    def _now() -> float:
-        """Host wall clock for deadlines/backoff (never simulated time)."""
-        return time.monotonic()  # repro: allow[wall-clock]
-
-    def _needs_pickle(self) -> bool:
-        """Do attempt arguments cross the process boundary by pickling?"""
-        return self._context.get_start_method() != "fork"
-
-    def _run_specs(self, specs: Sequence[PointSpec],
-                   record: Callable[[int, Tuple[RunMetrics, int]], None],
-                   started: Optional[Callable[[int], None]] = None,
-                   failed: Optional[Callable[[int, BaseException], None]] = None,
-                   ) -> None:
-        """Run *specs* under supervision (see the class docstring)."""
-        ready: List[_Attempt] = [_Attempt(index=j, attempt=1)
-                                 for j in range(len(specs))]
-        delayed: List[_Attempt] = []
-        inflight: Dict[multiprocessing.connection.Connection,
-                       _InFlight] = {}
-        failures: List[SweepPointError] = []
-        started_indices = set()
-
-        def classify(task: _Attempt, kind: type,
-                     message: str,
-                     cause: Optional[BaseException] = None,
-                     ) -> SweepPointError:
-            spec = specs[task.index]
-            return kind(message, label=spec.label, rate_rps=spec.rate_rps,
-                        attempts=task.attempt, config=spec.config,
-                        cause=cause)
-
-        def attempt_failed(task: _Attempt, error: SweepPointError) -> None:
-            if task.attempt <= self.max_retries:
-                self.stats.points_retried += 1
-                delayed.append(_Attempt(
-                    index=task.index, attempt=task.attempt + 1,
-                    not_before=self._now() + self._backoff(task.attempt)))
-                return
-            failures.append(error)
-            self.failures.append(error)
-            self.stats.points_failed += 1
-            if failed is not None:
-                failed(task.index, error)
-
-        def reap(entry: _InFlight) -> None:
-            entry.process.join(_REAP_TIMEOUT_S)
-
-        def handle_result(conn) -> None:
-            entry = inflight.pop(conn)
-            task = entry.task
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                reap(entry)
-                conn.close()
-                code = entry.process.exitcode
-                detail = (f"killed by signal {-code}" if code is not None
-                          and code < 0 else f"exit code {code}")
-                attempt_failed(task, classify(
-                    task, PointCrashError,
-                    f"worker process died without a result ({detail})"))
-                return
-            reap(entry)
-            conn.close()
-            if message[0] == "ok":
-                _tag, metrics, events = message
-                record(task.index, (metrics, events))
-                return
-            _tag, type_name, text, tb = message
-            error = classify(task, PointExecutionError,
-                             f"{type_name}: {text}")
-            error.worker_traceback = tb
-            attempt_failed(task, error)
-
-        def handle_timeout(conn) -> None:
-            entry = inflight.pop(conn)
-            task = entry.task
-            entry.process.kill()
-            reap(entry)
-            conn.close()
-            attempt_failed(task, classify(
-                task, PointTimeoutError,
-                f"point exceeded its {self.point_timeout_s:g}s wall-clock "
-                f"deadline and was killed"))
-
-        def run_local(task: _Attempt) -> None:
-            # Unpicklable spec on a spawn-only platform: execute in
-            # process.  Exceptions stay typed and retryable, but there
-            # is no kill lever, so the deadline is unenforceable here.
-            try:
-                outcome = _execute_spec(specs[task.index])
-            except Exception as exc:
-                attempt_failed(task, classify(
-                    task, PointExecutionError,
-                    str(exc) or type(exc).__name__, cause=exc))
-                return
-            record(task.index, outcome)
-
-        def launch(task: _Attempt) -> None:
-            if started is not None and task.index not in started_indices:
-                started_indices.add(task.index)
-                started(task.index)
-            if self._needs_pickle():
-                try:
-                    pickle.dumps(specs[task.index])
-                except Exception:
-                    run_local(task)
-                    return
-            recv_conn, send_conn = self._context.Pipe(duplex=False)
-            process = self._context.Process(
-                target=_attempt_worker,
-                args=(send_conn, specs[task.index]), daemon=True)
-            process.start()
-            # Close the parent's copy of the send end so the pipe
-            # drops — and the watchdog wakes — the instant the worker
-            # dies, cleanly or not.
-            send_conn.close()
-            kill_after = (self._now() + self.point_timeout_s
-                          if self.point_timeout_s is not None else None)
-            inflight[recv_conn] = _InFlight(task=task, process=process,
-                                            kill_after=kill_after)
-
+    def handle_result(conn) -> None:
+        entry = inflight.pop(conn)
+        task = entry.task
         try:
-            while ready or delayed or inflight:
-                wall = self._now()
-                still_delayed = [t for t in delayed if t.not_before > wall]
-                due = [t for t in delayed if t.not_before <= wall]
-                delayed = still_delayed
-                ready.extend(due)
-                while ready and len(inflight) < self.jobs:
-                    launch(ready.pop(0))
-                if not inflight:
-                    if delayed:
-                        wake = min(t.not_before for t in delayed)
-                        pause = wake - self._now()
-                        if pause > 0:
-                            self._sleep(pause)
-                    continue
-                wall = self._now()
-                horizons = [entry.kill_after - wall
-                            for entry in inflight.values()
-                            if entry.kill_after is not None]
-                horizons.extend(t.not_before - wall for t in delayed)
-                wait_s = max(0.0, min(horizons)) if horizons else None
-                ready_conns = multiprocessing.connection.wait(
-                    list(inflight), timeout=wait_s)
-                for conn in ready_conns:
-                    handle_result(conn)
-                wall = self._now()
-                for conn in [c for c, entry in list(inflight.items())
-                             if entry.kill_after is not None
-                             and wall >= entry.kill_after]:
-                    handle_timeout(conn)
-        except BaseException:
-            # Ctrl-C or an unexpected supervisor bug: never orphan
-            # live workers.  Completed points are already recorded and
-            # cached, so a re-run (or --resume) picks up from them.
-            for conn, entry in list(inflight.items()):
-                entry.process.kill()
-                conn.close()
-            raise
-        if failures and self.failure_policy == "raise":
-            raise SweepFailure(failures)
+            message = conn.recv()
+        except (EOFError, OSError):
+            reap(entry)
+            conn.close()
+            code = entry.process.exitcode
+            detail = (f"killed by signal {-code}" if code is not None
+                      and code < 0 else f"exit code {code}")
+            attempt_failed(task, classify(
+                task, PointCrashError,
+                f"worker process died without a result ({detail})"))
+            return
+        reap(entry)
+        conn.close()
+        if message[0] == "ok":
+            _tag, metrics, events = message
+            record(task.index, (metrics, events))
+            return
+        _tag, text, tb, cause = message
+        error = classify(task, PointExecutionError, text, cause=cause)
+        error.worker_traceback = tb
+        attempt_failed(task, error)
+
+    def handle_timeout(conn) -> None:
+        entry = inflight.pop(conn)
+        task = entry.task
+        entry.process.kill()
+        reap(entry)
+        conn.close()
+        attempt_failed(task, classify(
+            task, PointTimeoutError,
+            f"point exceeded its {point_timeout_s:g}s wall-clock "
+            f"deadline and was killed"))
+
+    def run_local(task: _Attempt) -> None:
+        # Exceptions stay typed and retryable, but there is no kill
+        # lever in this process, so no deadline applies here.
+        try:
+            outcome = execute(specs[task.index])
+        except Exception as exc:
+            error = classify(task, PointExecutionError, _describe(exc),
+                             cause=exc)
+            error.worker_traceback = traceback.format_exc()
+            attempt_failed(task, error)
+            return
+        record(task.index, outcome)
+
+    def launch(task: _Attempt) -> None:
+        if task.index not in started_indices:
+            started_indices.add(task.index)
+            started(task.index)
+        if in_process:
+            run_local(task)
+            return
+        if needs_pickle:
+            try:
+                pickle.dumps(specs[task.index])
+            except Exception:
+                run_local(task)  # unpicklable spec on a spawn platform
+                return
+        recv_conn, send_conn = context.Pipe(duplex=False)
+        process = context.Process(
+            target=_attempt_worker,
+            args=(send_conn, execute, specs[task.index]), daemon=True)
+        process.start()
+        # Close the parent's copy of the send end so the pipe drops —
+        # and the watchdog wakes — the instant the worker dies, cleanly
+        # or not.
+        send_conn.close()
+        kill_after = (_now() + point_timeout_s
+                      if point_timeout_s is not None else None)
+        inflight[recv_conn] = _InFlight(task=task, process=process,
+                                        kill_after=kill_after)
+
+    try:
+        while ready or delayed or inflight:
+            wall = _now()
+            due = [t for t in delayed if t.not_before <= wall]
+            delayed = [t for t in delayed if t.not_before > wall]
+            ready.extend(due)
+            while ready and len(inflight) < jobs:
+                launch(ready.pop(0))
+            if not inflight:
+                if delayed:
+                    pause = min(t.not_before for t in delayed) - _now()
+                    if pause > 0:
+                        sleep(pause)
+                continue
+            wall = _now()
+            horizons = [entry.kill_after - wall
+                        for entry in inflight.values()
+                        if entry.kill_after is not None]
+            horizons.extend(t.not_before - wall for t in delayed)
+            wait_s = max(0.0, min(horizons)) if horizons else None
+            for conn in multiprocessing.connection.wait(list(inflight),
+                                                        timeout=wait_s):
+                handle_result(conn)
+            wall = _now()
+            for conn in [c for c, entry in list(inflight.items())
+                         if entry.kill_after is not None
+                         and wall >= entry.kill_after]:
+                handle_timeout(conn)
+    except BaseException:
+        # Ctrl-C or an unexpected supervisor bug: never orphan live
+        # workers.  Completed points are already recorded (and cached),
+        # so a re-run (or --resume) picks up from them.
+        for conn, entry in list(inflight.items()):
+            entry.process.kill()
+            conn.close()
+        raise
+    return failures

@@ -109,45 +109,6 @@ class FaultSummary:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """How a :class:`RunMetrics` was obtained.
-
-    ``kind`` is ``"exact"`` (full discrete-event simulation) or
-    ``"approx"`` (the calibrated fast-path model of
-    :mod:`repro.experiments.fastpath`).  Approximate points carry the
-    model name and the error envelope the prediction is held to by the
-    differential suite; exact points carry zero bounds.  Runs made
-    without the fast path leave ``RunMetrics.provenance`` as None —
-    exact by construction — so their serialized images are unchanged.
-    """
-
-    kind: str
-    #: Model identifier: "des", "plateau-drain", "subknee-mgk",
-    #: "anchor-scale" (degenerate self-extrapolation).
-    method: str = "des"
-    #: Horizon of the exact anchor run(s) backing an approx point.
-    anchor_horizon_ns: float = 0.0
-    #: Claimed relative error bounds (0.0 for exact points).
-    throughput_error_bound: float = 0.0
-    p99_error_bound: float = 0.0
-
-    @property
-    def exact(self) -> bool:
-        """True for fully simulated points."""
-        return self.kind == "exact"
-
-    def __str__(self) -> str:
-        if self.exact:
-            return "exact"
-        if self.p99_error_bound == float("inf"):
-            tail = "p99 unbounded"
-        else:
-            tail = f"p99<={self.p99_error_bound:.0%}"
-        return (f"approx[{self.method}] "
-                f"(tput<={self.throughput_error_bound:.0%}, {tail})")
-
-
-@dataclass(frozen=True)
 class RunMetrics:
     """Everything measured in one simulation run."""
 
@@ -162,13 +123,9 @@ class RunMetrics:
     worker_wait_fraction: float
     #: Fault/recovery accounting; None for fault-free runs.
     faults: Optional[FaultSummary] = None
-    #: How this point was obtained; None means exact (plain runs never
-    #: set it, keeping their serialized images byte-identical).
-    provenance: Optional[Provenance] = None
 
     def __str__(self) -> str:
         lat = str(self.latency) if self.latency is not None else "no samples"
-        tag = f"; {self.provenance}" if self.provenance is not None else ""
         return (f"RunMetrics({lat}; {self.throughput}; "
                 f"preemptions={self.preemptions}; "
-                f"wait={self.worker_wait_fraction:.1%}{tag})")
+                f"wait={self.worker_wait_fraction:.1%})")

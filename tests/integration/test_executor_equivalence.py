@@ -1,12 +1,12 @@
-"""Differential suite: serial, parallel, and cached execution agree.
+"""Differential suite: in-process, worker, and cached execution agree.
 
 Determinism is the contract that makes sweep parallelism safe: every
 point runs in a fresh, independently seeded simulator, so *where* it
 runs must not matter.  These tests enforce the contract bit-for-bit —
 exact ``RunMetrics`` equality (same p99, same achieved_rps, same float
-representation) between :class:`SerialExecutor` and
-:class:`ParallelExecutor` for every served system, and between a fresh
-run and a cache-hit re-run.
+representation) between an executor at ``jobs=1`` (points in this
+process) and one at ``jobs=N`` (points in forked workers) for every
+served system, and between a fresh run and a cache-hit re-run.
 
 ``REPRO_TEST_JOBS`` (default 4) sets the worker-process count, so CI
 can pin the parallelism it wants to stress.
@@ -21,12 +21,12 @@ import pytest
 from repro.config import ShinjukuConfig, ShinjukuOffloadConfig
 from repro.experiments.executor import (
     ConfiguredFactory,
-    ParallelExecutor,
     PointSpec,
     ResultCache,
-    SerialExecutor,
+    make_executor,
 )
 from repro.experiments.harness import RunConfig, load_sweep
+from repro.experiments.progress import ProgressLedger
 from repro.systems.elastic_rss import ElasticRssConfig, ElasticRssSystem
 from repro.systems.ideal_offload import IdealOffloadSystem
 from repro.systems.mica_system import MicaSystem, MicaSystemConfig
@@ -82,8 +82,8 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
     def test_bit_identical_metrics(self, name, factory):
         """Same seed -> the *same* RunMetrics, wherever the point ran."""
-        serial = _sweep(factory, SerialExecutor())
-        parallel = _sweep(factory, ParallelExecutor(jobs=JOBS))
+        serial = _sweep(factory, make_executor())
+        parallel = _sweep(factory, make_executor(jobs=JOBS))
         for s_point, p_point in zip(serial.points, parallel.points):
             assert s_point.offered_rps == p_point.offered_rps
             # Frozen-dataclass equality is exact float equality across
@@ -94,9 +94,42 @@ class TestSerialParallelEquivalence:
     def test_executor_none_matches_serial_executor(self, name, factory):
         """The executor layer changes nothing vs. the historical path."""
         plain = _sweep(factory, None, rates=RATES[:2])
-        serial = _sweep(factory, SerialExecutor(), rates=RATES[:2])
+        serial = _sweep(factory, make_executor(), rates=RATES[:2])
         assert [p.metrics for p in plain.points] == \
             [p.metrics for p in serial.points]
+
+
+class TestAttemptModes:
+    """``jobs=1`` runs attempts in this process unless a point deadline
+    is set; then each attempt runs in a forked worker, one at a time.
+    The two modes of the one executor must agree bit-for-bit."""
+
+    @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
+    def test_deadline_forked_matches_in_process(self, name, factory):
+        in_process = _sweep(factory, make_executor())
+        forked = _sweep(factory, make_executor(point_timeout_s=60.0))
+        assert [p.metrics for p in forked.points] == \
+            [p.metrics for p in in_process.points]
+
+
+class TestLedgerResume:
+    @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
+    def test_resume_from_ledger_matches_fresh_run(self, tmp_path,
+                                                  name, factory):
+        """Every system's metrics survive the progress ledger's JSON
+        round trip: a resumed sweep re-runs nothing and changes no bit."""
+        ledger = ProgressLedger(tmp_path / "progress.jsonl")
+        fresh = _sweep(factory, make_executor(on_event=ledger))
+        ledger.write_done()
+        ledger.close()
+        replay = ProgressLedger.replay(tmp_path / "progress.jsonl")
+        resumer = make_executor(resume_from=replay)
+        resumed = _sweep(factory, resumer)
+        assert resumer.stats.points_resumed == len(RATES)
+        assert resumer.stats.points_run == 0
+        assert resumer.stats.events_executed == 0
+        assert [p.metrics for p in resumed.points] == \
+            [p.metrics for p in fresh.points]
 
 
 class TestAcceptance:
@@ -109,16 +142,16 @@ class TestAcceptance:
             ShinjukuOffloadConfig(workers=4, outstanding_per_worker=4))
         rates = [100e3, 200e3, 300e3, 400e3, 500e3, 600e3, 700e3, 800e3]
 
-        serial = _sweep(factory, SerialExecutor(), rates=rates)
+        serial = _sweep(factory, make_executor(), rates=rates)
         cache = ResultCache(tmp_path / "cache")
-        parallel = ParallelExecutor(jobs=4, cache=cache)
+        parallel = make_executor(jobs=4, cache_dir=cache.root)
         fanned = _sweep(factory, parallel, rates=rates)
         assert [p.metrics for p in serial.points] == \
             [p.metrics for p in fanned.points]
         assert parallel.stats.points_run == len(rates)
         assert parallel.stats.events_executed > 0
 
-        rerun_executor = ParallelExecutor(jobs=4, cache=cache)
+        rerun_executor = make_executor(jobs=4, cache_dir=cache.root)
         rerun = _sweep(factory, rerun_executor, rates=rates)
         assert [p.metrics for p in rerun.points] == \
             [p.metrics for p in serial.points]
@@ -133,11 +166,11 @@ class TestCacheHits:
     def test_cache_hit_returns_identical_metrics(self, tmp_path,
                                                  name, factory):
         cache = ResultCache(tmp_path)
-        first_executor = SerialExecutor(cache=cache)
+        first_executor = make_executor(cache_dir=cache.root)
         first = _sweep(factory, first_executor)
         assert first_executor.stats.points_run == len(RATES)
 
-        second_executor = SerialExecutor(cache=cache)
+        second_executor = make_executor(cache_dir=cache.root)
         second = _sweep(factory, second_executor)
         assert second_executor.stats.points_cached == len(RATES)
         assert second_executor.stats.events_executed == 0
@@ -148,8 +181,8 @@ class TestCacheHits:
         """Cache entries written serially serve a parallel re-run."""
         factory = ALL_SYSTEM_FACTORIES[0][1]
         cache = ResultCache(tmp_path)
-        filled = _sweep(factory, SerialExecutor(cache=cache))
-        reader = ParallelExecutor(jobs=JOBS, cache=cache)
+        filled = _sweep(factory, make_executor(cache_dir=cache.root))
+        reader = make_executor(jobs=JOBS, cache_dir=cache.root)
         reread = _sweep(factory, reader)
         assert reader.stats.events_executed == 0
         assert [p.metrics for p in filled.points] == \
@@ -166,11 +199,11 @@ class TestCacheHits:
         """A damaged cache file reads as a miss, never as bad data."""
         factory = ALL_SYSTEM_FACTORIES[0][1]
         cache = ResultCache(tmp_path)
-        baseline = _sweep(factory, SerialExecutor(cache=cache),
+        baseline = _sweep(factory, make_executor(cache_dir=cache.root),
                           rates=RATES[:2])
         victim = next(cache.root.glob("*/*.json"))
         victim.write_text("GARBAGE{{{")
-        executor = SerialExecutor(cache=cache)
+        executor = make_executor(cache_dir=cache.root)
         rerun = _sweep(factory, executor, rates=RATES[:2])
         assert executor.stats.points_run == 1
         assert executor.stats.points_cached == 1
@@ -180,7 +213,7 @@ class TestCacheHits:
     def test_different_seed_misses(self, tmp_path):
         factory = ALL_SYSTEM_FACTORIES[0][1]
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor(cache=cache)
+        executor = make_executor(cache_dir=cache.root)
         executor.run_points(
             [PointSpec(factory, 100e3, DIST, TINY, label="sut")])
         other = RunConfig(seed=TINY.seed + 1, horizon_ns=TINY.horizon_ns,
@@ -193,14 +226,15 @@ class TestCacheHits:
 
 class TestOpaqueFactories:
     def test_closure_factory_still_runs_in_parallel_executor(self):
-        """Closures can't cross process boundaries; they must still
-        produce correct results (inline), never crash."""
+        """Closures can't be pickled: forked workers inherit them (and
+        spawn-only platforms run them in-process); either way they must
+        produce correct results, never crash."""
         def closure_factory(sim, rngs, metrics):
             return RpcValetSystem(sim, rngs, metrics,
                                   config=RpcValetConfig(workers=2))
 
-        serial = _sweep(closure_factory, SerialExecutor(), rates=RATES[:2])
-        parallel = _sweep(closure_factory, ParallelExecutor(jobs=JOBS),
+        serial = _sweep(closure_factory, make_executor(), rates=RATES[:2])
+        parallel = _sweep(closure_factory, make_executor(jobs=JOBS),
                           rates=RATES[:2])
         assert [p.metrics for p in serial.points] == \
             [p.metrics for p in parallel.points]
@@ -211,7 +245,7 @@ class TestOpaqueFactories:
                                   config=RpcValetConfig(workers=2))
 
         cache = ResultCache(tmp_path)
-        executor = SerialExecutor(cache=cache)
+        executor = make_executor(cache_dir=cache.root)
         spec = PointSpec(closure_factory, 100e3, DIST, TINY, label="sut")
         executor.run_points([spec])
         executor.run_points([spec])

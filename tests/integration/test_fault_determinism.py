@@ -17,10 +17,9 @@ import pytest
 
 from repro.experiments.executor import (
     ConfiguredFactory,
-    ParallelExecutor,
     PointSpec,
     ResultCache,
-    SerialExecutor,
+    make_executor,
     metrics_from_jsonable,
     metrics_to_jsonable,
     spec_cache_key,
@@ -56,7 +55,7 @@ def _spec(name, faults, config=CLEAN, rate=RATE):
 @pytest.mark.parametrize("name", ["shinjuku-offload", "shinjuku", "rss"])
 def test_same_plan_same_seed_bit_identical_serial(name):
     plan = parse_fault_spec(CHAOS_SPEC)
-    executor = SerialExecutor()
+    executor = make_executor()
     first = metrics_to_jsonable(executor.run_point(_spec(name, plan)))
     second = metrics_to_jsonable(executor.run_point(_spec(name, plan)))
     assert first == second
@@ -69,16 +68,16 @@ def test_serial_parallel_and_cache_agree_under_faults(tmp_path):
     specs = [_spec(name, plan) for name in names]
 
     serial = [metrics_to_jsonable(m)
-              for m in SerialExecutor().run_points(specs)]
+              for m in make_executor().run_points(specs)]
     parallel = [metrics_to_jsonable(m)
-                for m in ParallelExecutor(jobs=JOBS).run_points(specs)]
+                for m in make_executor(jobs=JOBS).run_points(specs)]
     assert serial == parallel
 
     cache = ResultCache(tmp_path / "cache")
-    filler = SerialExecutor(cache=cache)
+    filler = make_executor(cache_dir=cache.root)
     filler.run_points(specs)
     assert filler.stats.points_run == len(specs)
-    reader = SerialExecutor(cache=cache)
+    reader = make_executor(cache_dir=cache.root)
     cached = [metrics_to_jsonable(m) for m in reader.run_points(specs)]
     assert reader.stats.points_cached == len(specs)
     assert reader.stats.events_executed == 0
@@ -87,7 +86,7 @@ def test_serial_parallel_and_cache_agree_under_faults(tmp_path):
 
 def test_fault_summary_survives_cache_round_trip():
     plan = parse_fault_spec("link-loss=0.1,retries=1")
-    metrics = SerialExecutor().run_point(_spec("shinjuku-offload", plan))
+    metrics = make_executor().run_point(_spec("shinjuku-offload", plan))
     assert metrics.faults is not None
     clone = metrics_from_jsonable(metrics_to_jsonable(metrics))
     assert clone == metrics
@@ -96,7 +95,7 @@ def test_fault_summary_survives_cache_round_trip():
 
 def test_null_plan_equals_no_plan():
     """An all-defaults FaultPlan wires nothing and perturbs nothing."""
-    executor = SerialExecutor()
+    executor = make_executor()
     clean = metrics_to_jsonable(executor.run_point(
         _spec("shinjuku-offload", None)))
     null = metrics_to_jsonable(executor.run_point(
@@ -112,7 +111,7 @@ def test_null_plan_keeps_golden_fixture_bit_identical():
                        warmup_ns=float.fromhex(GOLDEN["warmup_ns"]),
                        faults=FaultPlan())
     assert repr(DIST) == GOLDEN["distribution"]
-    executor = SerialExecutor()
+    executor = make_executor()
     from repro.config import ShinjukuOffloadConfig
     points = GOLDEN["systems"]["shinjuku-offload"]
     factory = ConfiguredFactory.by_name(
@@ -141,9 +140,9 @@ def test_plans_ride_into_parallel_workers():
     """FaultPlan pickles through the process pool and still injects."""
     plan = parse_fault_spec("link-loss=0.1,retries=1")
     spec = _spec("shinjuku-offload", plan)
-    serial = metrics_to_jsonable(SerialExecutor().run_point(spec))
+    serial = metrics_to_jsonable(make_executor().run_point(spec))
     parallel = metrics_to_jsonable(
-        ParallelExecutor(jobs=2).run_points([spec, spec])[0])
+        make_executor(jobs=2).run_points([spec, spec])[0])
     assert serial == parallel
     assert serial["faults"]["link_drops"] + \
         serial["faults"]["link_corruptions"] > 0

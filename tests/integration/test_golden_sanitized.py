@@ -23,7 +23,7 @@ from repro.config import ShinjukuConfig, ShinjukuOffloadConfig
 from repro.experiments.executor import (
     ConfiguredFactory,
     PointSpec,
-    SerialExecutor,
+    make_executor,
     metrics_to_jsonable,
 )
 from repro.experiments.harness import RunConfig
@@ -98,7 +98,7 @@ def test_fixture_has_the_full_18_point_matrix():
 def test_all_points_bit_identical_under_forced_sanitize(forced_sanitize):
     """Every golden point, sanitized, equals the pre-refactor metrics."""
     pairs = _all_golden_pairs()
-    executor = SerialExecutor()
+    executor = make_executor()
     results = executor.run_points([spec for spec, _want in pairs])
     for (spec, want), metrics in zip(pairs, results):
         got = metrics_to_jsonable(metrics)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.recorder import metrics_digest
 from repro.config import ShinjukuConfig
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SweepFailure
 from repro.experiments.executor import (
     ConfiguredFactory,
     PointSpec,
@@ -104,9 +104,11 @@ class TestExecutorEventStream:
                          distribution=Fixed(us(2.0)), config=_config(),
                          label="doomed")
         events = []
-        executor = make_executor(jobs=1, on_event=events.append)
-        with pytest.raises(RuntimeError):
+        executor = make_executor(jobs=1, max_retries=0,
+                                 on_event=events.append)
+        with pytest.raises(SweepFailure) as excinfo:
             executor.run_points([spec])
+        assert isinstance(excinfo.value.failures[0].cause, RuntimeError)
         assert [e.kind for e in events] == [STARTED, FAILED]
         assert "rigged to fail" in events[1].error
 
@@ -159,6 +161,23 @@ class TestHarnessInlineStream:
         assert len(result.points) == len(RATES)
         assert progress.settled == len(RATES)
         assert len(progress.partial_curve("shinjuku")) == len(RATES)
+
+    def test_executor_less_sweeps_never_share_a_key(self):
+        """Two executor-less sweeps feeding one subscriber keep every
+        ``(batch, index)`` key distinct, so neither hides the other."""
+        factory = ConfiguredFactory.by_name(
+            "shinjuku", ShinjukuConfig(workers=2))
+        events = []
+        progress = SweepProgress()
+        subscriber = multiplex(events.append, progress)
+        for name in ("first", "second"):
+            load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
+                       system_name=name, on_event=subscriber)
+        keys = {name: {(e.batch, e.index) for e in events if e.label == name}
+                for name in ("first", "second")}
+        assert len(keys["first"]) == len(keys["second"]) == len(RATES)
+        assert not keys["first"] & keys["second"]
+        assert progress.expected == progress.settled == 2 * len(RATES)
 
     def test_inline_matches_executor_results(self):
         factory = ConfiguredFactory.by_name(

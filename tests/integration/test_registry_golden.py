@@ -23,10 +23,9 @@ import pytest
 from repro.config import ShinjukuConfig, ShinjukuOffloadConfig
 from repro.experiments.executor import (
     ConfiguredFactory,
-    ParallelExecutor,
     PointSpec,
     ResultCache,
-    SerialExecutor,
+    make_executor,
     metrics_to_jsonable,
 )
 from repro.experiments.harness import RunConfig
@@ -86,7 +85,7 @@ def test_fixture_covers_every_registered_system():
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_registry_build_matches_pre_refactor_serial(name):
     """Serial path: registry-built metrics == pre-refactor metrics."""
-    executor = SerialExecutor()
+    executor = make_executor()
     for spec, want in _golden_specs(name):
         got = metrics_to_jsonable(executor.run_point(spec))
         assert got == want, f"{name} @ {spec.rate_rps} diverged"
@@ -95,7 +94,7 @@ def test_registry_build_matches_pre_refactor_serial(name):
 def test_registry_build_matches_pre_refactor_parallel():
     """All 18 golden points fanned across worker processes at once."""
     pairs = [pair for name in ALL_NAMES for pair in _golden_specs(name)]
-    executor = ParallelExecutor(jobs=JOBS)
+    executor = make_executor(jobs=JOBS)
     results = executor.run_points([spec for spec, _want in pairs])
     for (spec, want), metrics in zip(pairs, results):
         got = metrics_to_jsonable(metrics)
@@ -107,11 +106,11 @@ def test_registry_build_matches_pre_refactor_cached(tmp_path):
     pairs = [pair for name in ALL_NAMES for pair in _golden_specs(name)]
     specs = [spec for spec, _want in pairs]
     cache = ResultCache(tmp_path / "cache")
-    filler = SerialExecutor(cache=cache)
+    filler = make_executor(cache_dir=cache.root)
     filler.run_points(specs)
     assert filler.stats.points_run == len(specs)
 
-    reader = SerialExecutor(cache=cache)
+    reader = make_executor(cache_dir=cache.root)
     results = reader.run_points(specs)
     assert reader.stats.points_cached == len(specs)
     assert reader.stats.events_executed == 0

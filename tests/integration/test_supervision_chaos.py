@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bench.recorder import metrics_digest
+from repro.errors import SweepFailure
 from repro.experiments.executor import (
     ConfiguredFactory,
     PointSpec,
     ResultCache,
-    SerialExecutor,
     SweepExecutor,
     make_executor,
     spec_cache_key,
@@ -38,7 +38,7 @@ from repro.experiments.progress import (
     SWEEP_DONE,
     ledger_path,
 )
-from repro.experiments.supervise import SupervisedExecutor
+from repro.experiments.supervise import supervision_context
 from repro.systems.rpcvalet import RpcValetConfig, RpcValetSystem
 from repro.units import ms, us
 from repro.workload.distributions import Fixed
@@ -87,7 +87,7 @@ def _spec(factory=INNER, rate: float = 100e3, seed: int = 1) -> PointSpec:
 
 
 def _baseline_digest() -> str:
-    return metrics_digest(SerialExecutor().run_points(
+    return metrics_digest(make_executor().run_points(
         [_spec(rate=rate) for rate in RATES]))
 
 
@@ -101,27 +101,28 @@ def _chaos_specs(tmp_path, mode: str, victim: int = 1):
 
 def _fork_only():
     """Kill/hang chaos needs forked (hence killable) workers."""
-    if SupervisedExecutor()._needs_pickle():
+    if supervision_context().get_start_method() != "fork":
         pytest.skip("supervised fork workers unavailable on this platform")
 
 
 class TestKilledWorker:
     def test_sigkill_mid_sweep_retries_to_identical_digest(self, tmp_path):
         _fork_only()
-        supervised = SupervisedExecutor(jobs=2, max_retries=2)
+        supervised = make_executor(jobs=2, max_retries=2)
         results = supervised.run_points(_chaos_specs(tmp_path, "kill"))
         assert metrics_digest(results) == _baseline_digest()
         assert supervised.stats.points_retried == 1
         assert supervised.stats.points_failed == 0
-        assert supervised.failures == []
 
     def test_sigkill_with_no_retries_is_classified_a_crash(self, tmp_path):
         _fork_only()
-        supervised = SupervisedExecutor(jobs=1, max_retries=0,
-                                        failure_policy="skip")
-        results = supervised.run_points(_chaos_specs(tmp_path, "kill"))
-        assert len(results) == len(RATES) - 1  # the rest all landed
-        [failure] = supervised.failures
+        # jobs=2: points run in killable workers, not in this process.
+        supervised = make_executor(jobs=2, max_retries=0)
+        with pytest.raises(SweepFailure) as excinfo:
+            supervised.run_points(_chaos_specs(tmp_path, "kill"))
+        # The rest all landed.
+        assert supervised.stats.points_run == len(RATES) - 1
+        [failure] = excinfo.value.failures
         assert failure.kind == "crash"
         assert "signal 9" in str(failure)
 
@@ -129,8 +130,8 @@ class TestKilledWorker:
 class TestHungWorker:
     def test_deadline_kills_and_retries_to_identical_digest(self, tmp_path):
         _fork_only()
-        supervised = SupervisedExecutor(jobs=2, max_retries=2,
-                                        point_timeout_s=3.0)
+        supervised = make_executor(jobs=2, max_retries=2,
+                                   point_timeout_s=3.0)
         start = time.monotonic()
         results = supervised.run_points(_chaos_specs(tmp_path, "hang"))
         elapsed = time.monotonic() - start
@@ -138,16 +139,16 @@ class TestHungWorker:
         assert supervised.stats.points_retried == 1
         # The 300 s sleep was cut down by the watchdog, not waited out.
         assert elapsed < 60.0
-        assert supervised.failures == []
+        assert supervised.stats.points_failed == 0
 
     def test_timeout_without_retries_is_classified_a_timeout(self, tmp_path):
         _fork_only()
-        supervised = SupervisedExecutor(jobs=1, max_retries=0,
-                                        point_timeout_s=1.5,
-                                        failure_policy="skip")
-        results = supervised.run_points(_chaos_specs(tmp_path, "hang"))
-        assert len(results) == len(RATES) - 1
-        [failure] = supervised.failures
+        supervised = make_executor(jobs=1, max_retries=0,
+                                   point_timeout_s=1.5)
+        with pytest.raises(SweepFailure) as excinfo:
+            supervised.run_points(_chaos_specs(tmp_path, "hang"))
+        assert supervised.stats.points_run == len(RATES) - 1
+        [failure] = excinfo.value.failures
         assert failure.kind == "timeout"
         assert "deadline" in str(failure)
 
@@ -156,19 +157,19 @@ class TestCorruptedCache:
     def test_rerun_over_damaged_cache_recovers_every_point(self, tmp_path):
         cache_dir = tmp_path / "cache"
         specs = [_spec(rate=rate) for rate in RATES]
-        first = make_executor(jobs=1, cache_dir=cache_dir, supervised=True)
+        first = make_executor(jobs=1, cache_dir=cache_dir)
         baseline = metrics_digest(first.run_points(specs))
         cache = ResultCache(cache_dir)
         # Truncate one entry, zero another: both must quarantine.
         cache.path_for(spec_cache_key(specs[0])).write_text("{\"sch")
         cache.path_for(spec_cache_key(specs[2])).write_bytes(b"")
-        again = make_executor(jobs=2, cache_dir=cache_dir, supervised=True)
+        again = make_executor(jobs=2, cache_dir=cache_dir)
         assert metrics_digest(again.run_points(specs)) == baseline
         assert again.stats.points_quarantined == 2
         assert again.stats.points_run == 2
         assert again.stats.points_cached == 2
         # Third run: fully cached, nothing simulated.
-        third = make_executor(jobs=1, cache_dir=cache_dir, supervised=True)
+        third = make_executor(jobs=1, cache_dir=cache_dir)
         assert metrics_digest(third.run_points(specs)) == baseline
         assert third.stats.events_executed == 0
 
@@ -180,7 +181,7 @@ class TestInterruptedSweepResume:
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         ledger = ProgressLedger.in_cache_dir(cache_dir)
-        partial = SerialExecutor(on_event=ledger)
+        partial = make_executor(on_event=ledger)
         partial.run_points([_spec(rate=rate) for rate in RATES[:settle]])
         ledger.close()  # no write_done(): the run was interrupted
         return cache_dir
@@ -217,8 +218,7 @@ class TestInterruptedSweepResume:
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         ledger = ProgressLedger.in_cache_dir(cache_dir)
-        supervised = SupervisedExecutor(jobs=2, max_retries=2,
-                                        on_event=ledger)
+        supervised = make_executor(jobs=2, max_retries=2, on_event=ledger)
         results = supervised.run_points(_chaos_specs(tmp_path, "kill"))
         ledger.write_done()
         assert metrics_digest(results) == _baseline_digest()
@@ -279,29 +279,29 @@ class TestFullScaleFig2Chaos:
 
     def test_survives_a_sigkilled_worker(self):
         _fork_only()
-        executor = SupervisedExecutor(jobs=2, max_retries=3)
+        executor = make_executor(jobs=2, max_retries=3)
         _signal_first_worker(signal.SIGKILL)
         assert _fig2_supervised(executor) == FIG2_DIGEST
         assert executor.stats.points_retried >= 1
-        assert executor.failures == []
+        assert executor.stats.points_failed == 0
 
     def test_survives_a_hung_worker_past_its_deadline(self):
         _fork_only()
         # SIGSTOP freezes a worker mid-point: a true hang.  The
         # watchdog must kill it at the 5 s deadline and retry.
-        executor = SupervisedExecutor(jobs=2, max_retries=3,
-                                      point_timeout_s=5.0)
+        executor = make_executor(jobs=2, max_retries=3,
+                                 point_timeout_s=5.0)
         _signal_first_worker(signal.SIGSTOP)
         assert _fig2_supervised(executor) == FIG2_DIGEST
         assert executor.stats.points_retried >= 1
-        assert executor.failures == []
+        assert executor.stats.points_failed == 0
 
     def test_survives_a_corrupted_cache_entry(self, tmp_path):
-        first = make_executor(jobs=2, cache_dir=tmp_path, supervised=True)
+        first = make_executor(jobs=2, cache_dir=tmp_path)
         assert _fig2_supervised(first) == FIG2_DIGEST
         entries = sorted(tmp_path.glob("*/*.json"))
         entries[0].write_bytes(entries[0].read_bytes()[:30])
-        again = make_executor(jobs=2, cache_dir=tmp_path, supervised=True)
+        again = make_executor(jobs=2, cache_dir=tmp_path)
         assert _fig2_supervised(again) == FIG2_DIGEST
         assert again.stats.points_quarantined == 1
         assert again.stats.points_run == 1
@@ -321,8 +321,7 @@ class TestFullScaleFig2Chaos:
                     raise Interrupt()
 
         ledger = ProgressLedger.in_cache_dir(tmp_path)
-        first = SupervisedExecutor(jobs=1,
-                                   on_event=multiplex(ledger, bomb))
+        first = make_executor(jobs=1, on_event=multiplex(ledger, bomb))
         with pytest.raises(Interrupt):
             _fig2_supervised(first)
         ledger.close()  # interrupted: no done sentinel
@@ -339,8 +338,8 @@ class TestEventStreamUnderChaos:
     def test_every_point_settles_exactly_once(self, tmp_path):
         _fork_only()
         events = []
-        supervised = SupervisedExecutor(jobs=2, max_retries=2,
-                                        on_event=events.append)
+        supervised = make_executor(jobs=2, max_retries=2,
+                                   on_event=events.append)
         supervised.run_points(_chaos_specs(tmp_path, "raise"))
         terminal = [e for e in events if e.terminal]
         assert len(terminal) == len(RATES)

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from repro.experiments.executor import (
     ConfiguredFactory,
-    ParallelExecutor,
     PointSpec,
-    SerialExecutor,
+    make_executor,
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig, load_sweep
@@ -149,7 +148,7 @@ class TestOrdering:
         config = RunConfig(seed=5, horizon_ns=ms(0.5), warmup_ns=ms(0.1))
         sweep = load_sweep(FACTORY, rate_list, Fixed(us(2.0)), config,
                            system_name="sut",
-                           executor=ParallelExecutor(jobs=4))
+                           executor=make_executor(jobs=4))
         assert [p.offered_rps for p in sweep.points] == list(rate_list)
 
     def test_parallel_order_matches_serial_order(self):
@@ -158,9 +157,9 @@ class TestOrdering:
         rate_list = [1600e3, 800e3, 400e3, 200e3, 100e3, 50e3]
         config = RunConfig(seed=5, horizon_ns=ms(0.5), warmup_ns=ms(0.1))
         serial = load_sweep(FACTORY, rate_list, Fixed(us(2.0)), config,
-                            executor=SerialExecutor())
+                            executor=make_executor())
         parallel = load_sweep(FACTORY, rate_list, Fixed(us(2.0)), config,
-                              executor=ParallelExecutor(jobs=4))
+                              executor=make_executor(jobs=4))
         assert [p.offered_rps for p in parallel.points] == rate_list
         assert [p.metrics for p in parallel.points] == \
             [p.metrics for p in serial.points]

@@ -35,7 +35,6 @@ from repro.bench.recorder import (
     validate_artifact,
 )
 from repro.cli import main
-from repro.errors import ExperimentError
 
 #: Small enough for a unit test, large enough to execute real events.
 _OPTIONS = BenchOptions(scale=0.02)
@@ -214,21 +213,19 @@ class TestBaselineSelectionAndFingerprint:
         comparison = compare_records(legacy, first.record.to_jsonable())
         assert comparison.comparable
 
-    def test_fastpath_mode_mismatch_is_informational(self, recorded):
-        """Exact vs fast-path runs get no verdict (different simulated
-        work) but the speedup ratio is still surfaced."""
+    def test_legacy_fastpath_record_is_incomparable(self, recorded):
+        """Records taken with the removed approximate mode did other
+        simulated work: no verdict, and never read as digest drift."""
         first, _second = recorded
         fast = first.record.to_jsonable()
         fast["environment"] = dict(fast["environment"], fastpath="auto")
-        fast["events"] = first.record.events // 3
-        fast["points_per_sec"] = first.record.points_per_sec * 6.0
+        fast["metrics_digest"] = "0" * 64
         comparison = compare_records(first.record.to_jsonable(), fast)
         assert not comparison.comparable
-        assert comparison.fastpath_only
+        assert comparison.differences["fastpath"] == ("off", "auto")
         assert not comparison.regression
-        rendered = render_comparison(comparison)
-        assert "informational" in rendered
-        assert "6.00x" in rendered
+        assert not comparison.drift
+        assert "not comparable" in render_comparison(comparison)
 
     def test_host_mismatch_is_caveat_not_bar(self, recorded):
         first, _second = recorded
@@ -239,26 +236,6 @@ class TestBaselineSelectionAndFingerprint:
         assert comparison.comparable  # same work: verdict stands
         assert set(comparison.host_differences) == {"python", "machine"}
         assert "caveat" in render_comparison(comparison)
-
-    def test_invalid_fastpath_option_rejected(self):
-        with pytest.raises(ExperimentError):
-            BenchOptions(fastpath="maybe")
-
-    def test_fig2_fastpath_detail_reports_provenance_mix(self):
-        """A fast-path fig2 bench records its mode and a per-method
-        provenance census covering every figure point."""
-        record, _payload = measure_suite(
-            "fig2", BenchOptions(scale=0.05, fastpath="auto"))
-        assert record.environment["fastpath"] == "auto"
-        assert record.detail["fastpath"] == "auto"
-        counts = record.detail["provenance"]
-        assert sum(counts.values()) == record.points
-        exact_only, _payload = measure_suite(
-            "fig2", BenchOptions(scale=0.05))
-        assert exact_only.detail["provenance"] == {
-            "exact": exact_only.points}
-        # Approximate points must never count as exact work.
-        assert record.events < exact_only.events
 
 
 class TestArtifactIo:

@@ -1,6 +1,6 @@
 """Cache-integrity tests: corruption is quarantined, never trusted.
 
-The schema-4 :class:`~repro.experiments.executor.ResultCache` stores a
+The :class:`~repro.experiments.executor.ResultCache` stores a
 SHA-256 checksum beside every entry and verifies it on read.  These
 tests damage entries the ways real filesystems do — truncation, bit
 flips, zero-length files, torn JSON — and assert the contract: the
@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.bench.recorder import metrics_digest
-from repro.errors import CacheCorruptionError
 from repro.experiments.executor import (
     CACHE_SCHEMA,
     ConfiguredFactory,
     PointSpec,
     ResultCache,
-    SerialExecutor,
+    make_executor,
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig
@@ -41,8 +38,7 @@ def _spec(rate: float = 100e3, seed: int = 1) -> PointSpec:
 
 def _populate(cache_dir, rates=(100e3, 200e3)):
     """Run a tiny sweep into a fresh cache; return (specs, metrics)."""
-    cache = ResultCache(cache_dir)
-    executor = SerialExecutor(cache=cache)
+    executor = make_executor(cache_dir=cache_dir)
     specs = [_spec(rate=rate) for rate in rates]
     return specs, executor.run_points(specs)
 
@@ -53,8 +49,8 @@ class TestCorruptionKinds:
         specs, baseline = _populate(tmp_path)
         target = ResultCache(tmp_path).path_for(spec_cache_key(specs[0]))
         damage(target)
-        cache = ResultCache(tmp_path)
-        executor = SerialExecutor(cache=cache)
+        executor = make_executor(cache_dir=tmp_path)
+        cache = executor.cache
         again = executor.run_points(specs)
         assert metrics_digest(again) == metrics_digest(baseline)
         assert executor.stats.points_quarantined == 1
@@ -134,15 +130,6 @@ class TestQuarantineMechanics:
         names = sorted(p.name for p in cache.quarantine_dir.iterdir())
         assert names == [f"{key}.corrupt", f"{key}.corrupt.1",
                          f"{key}.corrupt.2"]
-
-    def test_strict_mode_raises_instead_of_quarantining(self, tmp_path):
-        specs, _ = _populate(tmp_path, rates=(100e3,))
-        key = spec_cache_key(specs[0])
-        strict = ResultCache(tmp_path, strict=True)
-        strict.path_for(key).write_bytes(b"junk")
-        with pytest.raises(CacheCorruptionError):
-            strict.get(key)
-        assert strict.path_for(key).exists()  # nothing moved in strict mode
 
     def test_healthy_roundtrip_untouched(self, tmp_path):
         specs, baseline = _populate(tmp_path)
