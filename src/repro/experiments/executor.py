@@ -8,8 +8,9 @@ embarrassingly parallel, and identical inputs always produce identical
 - :class:`SweepExecutor` is the one way a point runs: cache and resume
   lookups first, then every miss through the supervised attempt loop of
   :mod:`repro.experiments.supervise` — in this process at ``jobs=1``
-  without a point deadline, in disposable forked workers otherwise —
-  with one typed progress stream and one failure contract;
+  without a point deadline, otherwise in up to ``jobs`` forked workers
+  per batch, each reused after every success — with one typed progress
+  stream and one failure contract;
 - :class:`ResultCache` is an on-disk content-addressed store keyed by a
   stable SHA-256 over (system name, factory fingerprint, offered rate,
   distribution parameters, :class:`RunConfig`), so re-running a figure
@@ -431,6 +432,8 @@ class ExecutorStats:
     points_resumed: int = 0
     #: Corrupt cache entries quarantined while serving lookups.
     points_quarantined: int = 0
+    #: Worker processes forked (0 when every attempt ran in-process).
+    workers_started: int = 0
 
     def reset(self) -> None:
         """Zero every tally (fresh measurement window)."""
@@ -442,6 +445,7 @@ class ExecutorStats:
         self.points_retried = 0
         self.points_resumed = 0
         self.points_quarantined = 0
+        self.workers_started = 0
 
 
 def _execute_spec(spec: PointSpec) -> Tuple[RunMetrics, int]:
@@ -461,11 +465,13 @@ class SweepExecutor:
     and then from ``resume_from`` (a replayed
     :class:`~repro.experiments.progress.LedgerReplay` of an interrupted
     run, whose hits are written back into the cache).  The rest run
-    through :func:`~repro.experiments.supervise.run_attempts`: in this
-    process when ``jobs == 1`` and no ``point_timeout_s`` is set,
-    otherwise in disposable forked workers, at most ``jobs`` at once,
-    killed past ``point_timeout_s``.  A failed attempt retries up to
-    ``max_retries`` times with bounded backoff.
+    through :func:`~repro.experiments.supervise.run_attempts`,
+    costliest first: in this process when ``jobs == 1`` and no
+    ``point_timeout_s`` is set, otherwise in up to ``jobs`` forked
+    workers per batch, each sent the next ready point after a success
+    and killed past ``point_timeout_s``.  A worker whose attempt
+    crashed, timed out or raised is retired; the attempt retries, in a
+    fresh fork, up to ``max_retries`` times with bounded backoff.
 
     One failure contract holds at every ``jobs`` value: a point whose
     attempts are all exhausted becomes a typed

@@ -101,8 +101,9 @@ class TestSerialParallelEquivalence:
 
 class TestAttemptModes:
     """``jobs=1`` runs attempts in this process unless a point deadline
-    is set; then each attempt runs in a forked worker, one at a time.
-    The two modes of the one executor must agree bit-for-bit."""
+    is set; then they run one at a time in a forked worker, reused
+    after every success.  The two modes of the one executor must agree
+    bit-for-bit."""
 
     @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
     def test_deadline_forked_matches_in_process(self, name, factory):
@@ -110,6 +111,19 @@ class TestAttemptModes:
         forked = _sweep(factory, make_executor(point_timeout_s=60.0))
         assert [p.metrics for p in forked.points] == \
             [p.metrics for p in in_process.points]
+
+    @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
+    def test_reused_worker_leaks_no_state_between_points(self, name,
+                                                         factory):
+        """One worker runs A, B, then A again: the repeat is bit-for-bit
+        the first run and the in-process run."""
+        a, b = (PointSpec(factory, rate, DIST, TINY, label="sut")
+                for rate in RATES[:2])
+        reused = make_executor(point_timeout_s=60.0)
+        results = reused.run_points([a, b, a])
+        assert reused.stats.workers_started == 1
+        assert results[0] == results[2]
+        assert results == make_executor().run_points([a, b, a])
 
 
 class TestLedgerResume:

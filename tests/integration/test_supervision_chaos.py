@@ -127,6 +127,33 @@ class TestKilledWorker:
         assert "signal 9" in str(failure)
 
 
+class TestWorkerCount:
+    """``ExecutorStats.workers_started`` counts forks: ``min(jobs,
+    points)`` per undisturbed batch, plus one per retired worker whose
+    point still had to run."""
+
+    def test_figure2_forks_jobs_workers_per_batch(self):
+        from repro.experiments.figures import figure2
+        executor = make_executor(jobs=2)
+        figure2(config=RunConfig(seed=42), scale=0.05, executor=executor)
+        assert executor.stats.points_failed == 0
+        assert executor.stats.workers_started == 2 * 2  # 2 batches x 2
+
+    def test_sigkill_costs_exactly_one_more_worker(self, tmp_path):
+        _fork_only()
+        # The victim is the cheapest point, so it launches last: its
+        # retry finds no worker to reuse and forks exactly one.
+        clean = make_executor(jobs=1, point_timeout_s=60.0)
+        clean.run_points([_spec(rate=rate) for rate in RATES])
+        chaotic = make_executor(jobs=1, point_timeout_s=60.0, max_retries=1)
+        results = chaotic.run_points(_chaos_specs(tmp_path, "kill",
+                                                  victim=0))
+        assert metrics_digest(results) == _baseline_digest()
+        assert chaotic.stats.points_retried == 1
+        assert chaotic.stats.workers_started \
+            == clean.stats.workers_started + 1 == 2
+
+
 class TestHungWorker:
     def test_deadline_kills_and_retries_to_identical_digest(self, tmp_path):
         _fork_only()

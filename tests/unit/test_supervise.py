@@ -9,7 +9,9 @@ scenarios live in ``tests/integration/test_supervision_chaos.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import signal
 from dataclasses import dataclass
 
 import pytest
@@ -30,7 +32,16 @@ from repro.experiments.executor import (
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig
-from repro.experiments.progress import FAILED, LedgerReplay, point_key
+from repro.experiments.progress import (
+    COMPLETED,
+    FAILED,
+    STARTED,
+    LedgerReplay,
+    ProgressLedger,
+    multiplex,
+    point_key,
+)
+from repro.experiments.report import render_executor_stats
 from repro.experiments.supervise import (
     DEFAULT_BACKOFF_BASE_S,
     DEFAULT_MAX_RETRIES,
@@ -44,12 +55,15 @@ INNER = ConfiguredFactory(RpcValetSystem, RpcValetConfig(workers=2))
 
 
 def _first_time(sentinel: str) -> bool:
-    """True exactly once per *sentinel* path, across any processes."""
+    """True exactly once per *sentinel* path, across any processes; the
+    sentinel then holds the pid of the process that created it."""
     try:
-        os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        return True
+        fd = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         return False
+    os.write(fd, str(os.getpid()).encode())
+    os.close(fd)
+    return True
 
 
 @dataclass(frozen=True)
@@ -79,14 +93,16 @@ class DoomedFactory:
 
 @dataclass(frozen=True)
 class PidRecordingFactory:
-    """Records the pid of every process that builds the system."""
+    """Records every build: one line per build in a file named after
+    the building process's pid."""
 
     directory: str
     inner: ConfiguredFactory
 
     def __call__(self, sim, rngs, metrics):
-        with open(os.path.join(self.directory, str(os.getpid())), "w"):
-            pass
+        with open(os.path.join(self.directory, str(os.getpid())),
+                  "a") as builds:
+            builds.write("build\n")
         return self.inner(sim, rngs, metrics)
 
 
@@ -168,27 +184,125 @@ class TestCleanRuns:
 
 
 class TestAttemptPlacement:
-    @pytest.mark.parametrize("jobs,point_timeout_s,in_process", [
-        (1, None, True),
-        (1, 60.0, False),
-        (2, None, False),
+    @pytest.mark.parametrize("jobs,point_timeout_s,workers", [
+        (1, None, 0),
+        (1, 60.0, 1),
+        (2, None, 2),
     ], ids=["jobs1", "jobs1-deadline", "jobs2"])
     def test_attempts_run_where_the_knobs_say(self, tmp_path, jobs,
-                                              point_timeout_s, in_process):
-        """In this process at ``jobs == 1`` without a deadline, else one
-        forked worker per attempt."""
+                                              point_timeout_s, workers):
+        """In this process at ``jobs == 1`` without a deadline; else in
+        ``min(jobs, points)`` forked workers, each reused after every
+        success, never in this process."""
         factory = PidRecordingFactory(directory=str(tmp_path), inner=INNER)
         specs = [_spec(factory=factory, rate=rate)
-                 for rate in (100e3, 200e3)]
+                 for rate in (100e3, 200e3, 300e3)]
         executor = _fast(make_executor(jobs=jobs,
                                        point_timeout_s=point_timeout_s))
         executor.run_points(specs)
         pids = {int(name) for name in os.listdir(tmp_path)}
-        if in_process:
+        assert executor.stats.workers_started == workers
+        line = render_executor_stats(executor.stats, jobs=jobs)
+        assert [part for part in line.rstrip("]").split()
+                if part.startswith("workers=")] \
+            == ([f"workers={workers}"] if workers else [])
+        if workers == 0:
             assert pids == {os.getpid()}
         else:
             assert os.getpid() not in pids
-            assert len(pids) == len(specs)
+            assert len(pids) == workers
+
+
+class TestLaunchOrder:
+    @pytest.mark.parametrize("jobs,point_timeout_s", [
+        (1, None), (1, 60.0), (2, None),
+    ], ids=["jobs1", "jobs1-deadline", "jobs2"])
+    def test_costliest_points_launch_first(self, tmp_path, jobs,
+                                           point_timeout_s):
+        """``started`` follows descending rate x horizon, ties in
+        submission order; results, completions and ledger keys still
+        follow the submitted indices, so a resume runs nothing."""
+        long = RunConfig(seed=1, horizon_ns=ms(4.0), warmup_ns=ms(0.5))
+        specs = [_spec(rate=100e3), _spec(rate=300e3),
+                 dataclasses.replace(_spec(rate=100e3, label="long"),
+                                     config=long),
+                 _spec(rate=200e3), _spec(rate=300e3, label="twin", seed=2)]
+        # Costs 200, 600, 400, 400, 600: two ties, each kept in order.
+        expected_order = [1, 4, 2, 3, 0]
+        baseline = make_executor().run_points(specs)
+        events = []
+        ledger = ProgressLedger(tmp_path / "progress.jsonl")
+        executor = _fast(make_executor(
+            jobs=jobs, point_timeout_s=point_timeout_s,
+            on_event=multiplex(ledger, events.append)))
+        results = executor.run_points(specs)
+        ledger.write_done()
+        ledger.close()
+        assert [e.index for e in events if e.kind == STARTED] \
+            == expected_order
+        assert results == baseline
+        completed = {e.index: e.metrics for e in events
+                     if e.kind == COMPLETED}
+        assert completed == dict(enumerate(baseline))
+        assert {(e.batch, e.index) for e in events
+                if e.kind == COMPLETED} \
+            == {(0, i) for i in range(len(specs))}
+        resumer = make_executor(
+            resume_from=ProgressLedger.replay(ledger.path))
+        assert resumer.run_points(specs) == baseline
+        assert resumer.stats.points_run == 0
+
+
+class TestWorkerLifecycle:
+    def test_failed_worker_is_retired(self, tmp_path):
+        """The worker whose attempt raised runs nothing more: the other
+        points and the retry all run in other forks."""
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        sentinel = tmp_path / "s"
+        flaky = FlakyFactory(sentinel=str(sentinel), inner=INNER)
+        # The flaky point is the costliest, so it launches first and
+        # its worker would otherwise go on to take the other two.
+        rates = (100e3, 200e3, 300e3)
+        specs = [_spec(factory=PidRecordingFactory(str(pid_dir), inner),
+                       rate=rate)
+                 for inner, rate in zip((INNER, INNER, flaky), rates)]
+        executor = _fast(make_executor(jobs=1, point_timeout_s=60.0,
+                                       max_retries=1))
+        results = executor.run_points(specs)
+        assert results == make_executor().run_points(
+            [_spec(rate=rate) for rate in rates])
+        assert executor.stats.points_retried == 1
+        failed_pid = sentinel.read_text()
+        assert (pid_dir / failed_pid).read_text() == "build\n"
+        assert sum(len((pid_dir / pid).read_text().split())
+                   for pid in os.listdir(pid_dir)) == 4
+
+    def test_worker_killed_while_idle_costs_no_retry(self):
+        """A worker SIGKILLed between points is replaced; no point is
+        charged an attempt for it."""
+        import multiprocessing
+        others = {child.pid for child in multiprocessing.active_children()}
+
+        def kill_on_first_completion(event):
+            if event.kind == COMPLETED and not killed:
+                [worker] = [child for child in
+                            multiprocessing.active_children()
+                            if child.pid not in others]
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join()
+                killed.append(worker.pid)
+
+        killed = []
+        specs = [_spec(rate=rate) for rate in (100e3, 200e3, 300e3)]
+        executor = _fast(make_executor(jobs=1, point_timeout_s=60.0,
+                                       max_retries=0,
+                                       on_event=kill_on_first_completion))
+        results = executor.run_points(specs)
+        assert len(killed) == 1
+        assert results == make_executor().run_points(specs)
+        assert executor.stats.points_retried == 0
+        assert executor.stats.workers_started == 2
 
 
 class TestRetry:
