@@ -50,6 +50,8 @@ from repro.sim.primitives import Signal, Store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
+    from repro.sim.events import Timeout
+    from repro.sim.process import Process
     from repro.sim.trace import Tracer
 
 
@@ -126,6 +128,7 @@ class NicDispatcherPipeline:
         self.completions = 0
         self.preemption_returns = 0
         self._started = False
+        self._tx_process: Optional["Process"] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -135,7 +138,7 @@ class NicDispatcherPipeline:
             raise SchedulingError("dispatcher pipeline already started")
         self._started = True
         self.sim.process(self._queue_manager_loop(), label="nic-qm")
-        self.sim.process(self._tx_loop(), label="nic-tx")
+        self._tx_process = self.sim.process(self._tx_loop(), label="nic-tx")
         self.sim.process(self._rx_loop(), label="nic-rx")
 
     # -- ingress (called by the networking subsystem) ------------------------------
@@ -157,7 +160,6 @@ class NicDispatcherPipeline:
         op = self.costs.queue_op_ns
         thread = self.qm_thread
         sim = self.sim
-        timeout = sim.timeout
         task_queue = self.task_queue
         # The underlying containers never get reassigned, so their
         # truthiness is a call-free emptiness test.
@@ -183,7 +185,7 @@ class NicDispatcherPipeline:
                 assert ok and request is not None
                 # Dequeue + assign op.
                 thread.busy_ns += op
-                yield timeout(op)
+                yield op
                 tracker.credit(worker_id)
                 request.stamp("dispatched", sim.now)
                 self.dispatched += 1
@@ -200,7 +202,7 @@ class NicDispatcherPipeline:
             if ok:
                 # Enqueue op: new or preempted request to the tail.
                 thread.busy_ns += op
-                yield timeout(op)
+                yield op
                 accepted = task_queue.enqueue(request)
                 if not accepted and self.on_drop is not None:
                     self.on_drop(request)
@@ -234,10 +236,10 @@ class NicDispatcherPipeline:
         batch_size = max(1, costs.tx_batch_size)
         flush_timeout = costs.tx_flush_timeout_ns
         sim = self.sim
-        timeout = sim.timeout
         thread = self.tx_thread
         tx_ns = costs.packet_tx_ns
         to_tx_get = self._to_tx.get
+        flush_due = self._flush_due
         build = self._build_work_packet
         transmit = self.tx_port.transmit
         while True:
@@ -248,10 +250,16 @@ class NicDispatcherPipeline:
                     remaining = deadline - sim.now
                     if remaining <= 0:
                         break
+                    # Wait on the get itself; the flush timer cuts the
+                    # wait short if it fires first (see _flush_due).
                     get_ev = to_tx_get()
-                    timeout_ev = timeout(remaining)
-                    yield sim.any_of([get_ev, timeout_ev])
+                    flush = sim.timeout(remaining)
+                    flush.callbacks.append(flush_due)
+                    yield get_ev
+                    # A get that lands at the flush instant, after the
+                    # timer but before the wake-up, still joins the batch.
                     if get_ev.triggered:
+                        flush.cancel()
                         batch.append(get_ev.value)
                     else:
                         self._to_tx.cancel_get(get_ev)
@@ -259,12 +267,22 @@ class NicDispatcherPipeline:
             for request, worker_id in batch:
                 # Construct + send the UDP packet to the worker's VF.
                 thread.busy_ns += tx_ns
-                yield timeout(tx_ns)
+                yield tx_ns
                 transmit(build(request, worker_id))
                 if self.tracer is not None:
                     self.tracer.emit("nic-tx", "send",
                                      request=request.request_id,
                                      worker=worker_id)
+
+    def _flush_due(self, _flush: "Timeout") -> None:
+        """The flush deadline beat the next packet: wake the TX core.
+
+        One schedule push at the deadline, as the AnyOf over the get
+        and the timer used to make; the timer is cancelled whenever the
+        get wins, so this only runs when the timer fires first.
+        """
+        assert self._tx_process is not None
+        self._tx_process.cut_wait()
 
     def _build_work_packet(self, request: Request, worker_id: int) -> Packet:
         # Headers are invariant per worker; frozen dataclasses are safe
@@ -290,7 +308,6 @@ class NicDispatcherPipeline:
     def _rx_loop(self):
         rx_ns = self.costs.packet_rx_ns
         thread = self.rx_thread
-        timeout = self.sim.timeout
         poll = self.rx_port.poll
         debit = self.tracker.debit
         fire = self._work_signal.fire
@@ -298,7 +315,7 @@ class NicDispatcherPipeline:
             packet = yield poll()
             # Poll + parse the notification.
             thread.busy_ns += rx_ns
-            yield timeout(rx_ns)
+            yield rx_ns
             payload = packet.payload
             if not isinstance(payload, NotifyPayload):
                 raise SchedulingError(

@@ -129,7 +129,7 @@ class NicPreemptionScanner:
 
     def _scan_loop(self):
         while True:
-            yield self.sim.timeout(self.scan_period_ns)
+            yield self.scan_period_ns
             now = self.sim.now
             for status in self.board.all():
                 if not status.busy or status.running_since is None:

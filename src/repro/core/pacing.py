@@ -84,7 +84,7 @@ class BacklogAdvertiser:
 
     def _loop(self):
         while True:
-            yield self.sim.timeout(self.period_ns)
+            yield self.period_ns
             sample = self.backlog_fn()
             self.published += 1
 

@@ -134,31 +134,33 @@ class PreemptionDriver:
 
     # -- arm / cancel -----------------------------------------------------------
 
-    def arm(self, cause: Any = None) -> "Timeout":
-        """Arm a slice expiry; returns the arm-cost event to ``yield``.
+    def arm(self, cause: Any = None, *, at: float) -> float:
+        """Arm a slice expiry; returns the arm cost to ``yield``.
 
-        When the slice elapses (and :meth:`cancel` has not run), the
-        interrupt is sent: after :attr:`delivery_latency_ns` it reaches
-        the worker via *deliver*.  Crucially, for the packet mechanisms
-        a cancel() *after* expiry does not recall the in-flight packet.
+        The slice starts at *at* (absolute ns, not before now) and expires
+        at ``at + slice``, so a caller still busy until *at* (context
+        spawn/restore) can arm up front and then wait once, until
+        ``at + cost``, instead of twice.  When the slice elapses (and
+        :meth:`cancel` has not run), the interrupt is sent: after
+        :attr:`delivery_latency_ns` it reaches the worker via *deliver*.
+        Crucially, for the packet mechanisms a cancel() *after* expiry
+        does not recall the in-flight packet.
         """
         self._generation += 1
         self._armed = True
         assert self._slice_ns is not None
-        # A pooled timeout instead of defer(): identical scheduling
-        # arithmetic, priority, and sequence-number consumption (see
-        # Simulator.defer's contract), but the handle lets cancel()
-        # withdraw the expiry eagerly.  The per-arm (generation, cause)
+        # A pooled timeout instead of defer_at(): the same priority and
+        # tie-key consumption, a push at exactly at + slice, and a
+        # handle that lets cancel() withdraw the expiry eagerly.  The per-arm (generation, cause)
         # pair rides in the event's value so a stale expiry racing a
         # re-arm still sees the state it was armed with.
-        expiry = self.sim.timeout(self._slice_ns,
-                                  value=(self._generation, cause))
+        expiry = self.sim.timeout_at(at + self._slice_ns,
+                                     value=(self._generation, cause))
         expiry.callbacks.append(self._expire_cb)
         self._expiry = expiry
         cost = self._arm_cost_ns
-        thread = self.thread
-        thread.busy_ns += cost
-        return self.sim.timeout(cost)
+        self.thread.busy_ns += cost
+        return cost
 
     def _expire(self, event: "Timeout") -> None:
         generation, cause = event._value

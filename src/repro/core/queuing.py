@@ -43,6 +43,8 @@ class OutstandingTracker:
         #: Running sum of outstanding requests (kept in lockstep with
         #: credit/debit so ``total`` never re-sums the dict on hot paths).
         self._total = 0
+        #: ``_total`` when every worker is at target: nobody can take more.
+        self._full = n_workers * target
         #: Round-robin pointer for tie-breaking among equal loads.
         self._rr_next = 0
         #: Peak total outstanding (diagnostics).
@@ -85,6 +87,10 @@ class OutstandingTracker:
         topped up evenly — with round-robin among ties so no worker is
         systematically favoured.
         """
+        if self._total == self._full:
+            # Every worker is at target (credit() caps each one), so the
+            # scan below could only come back empty.
+            return None
         outstanding = self._outstanding
         target = self.target
         n = self.n_workers

@@ -17,7 +17,6 @@ from repro.units import cycles_to_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.events import Timeout
 
 
 class HardwareThread:
@@ -58,20 +57,20 @@ class HardwareThread:
         """The role pinned here, or None while free."""
         return self._pinned
 
-    def execute(self, cost_ns: float) -> "Timeout":
-        """Spend *cost_ns* of CPU time; yield the returned event.
+    def execute(self, cost_ns: float) -> float:
+        """Spend *cost_ns* of CPU time; yield the returned delay.
 
         Busy time is accounted immediately — if the executing process
-        is interrupted mid-timeout, the work was (conservatively) still
+        is interrupted mid-wait, the work was (conservatively) still
         occupying the core, which matches how preemption interrupts
         land between instructions without reclaiming them.
         """
-        if cost_ns < 0:
-            raise HardwareError(f"negative execution cost: {cost_ns}")
+        if not cost_ns >= 0:  # also rejects NaN
+            raise HardwareError(f"negative or NaN execution cost: {cost_ns}")
         self.busy_ns += cost_ns
-        return self.sim.timeout(cost_ns)
+        return cost_ns
 
-    def execute_cycles(self, cycles: float) -> "Timeout":
+    def execute_cycles(self, cycles: float) -> float:
         """Spend *cycles* at this core's clock."""
         return self.execute(cycles_to_ns(cycles, self.clock_ghz))
 

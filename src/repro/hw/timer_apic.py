@@ -106,10 +106,10 @@ class ApicTimer:
         """True while an expiry is pending."""
         return self._armed_event is not None
 
-    def arm(self, delay_ns: float, on_fire: Callable[[], None]) -> "Event":
+    def arm(self, delay_ns: float, on_fire: Callable[[], None]) -> float:
         """Arm a one-shot expiry *delay_ns* from now.
 
-        Returns the arming-cost event the caller should ``yield`` to
+        Returns the arming-cost delay the caller should ``yield`` to
         charge the arm latency to itself; *on_fire* runs when the timer
         expires (unless cancelled or re-armed first).
         """

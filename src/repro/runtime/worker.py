@@ -164,12 +164,13 @@ class WorkerCore:
         if "first_run" not in stamps:
             stamps["first_run"] = self.sim._now
 
-        injector = self.sim.fault_injector
+        sim = self.sim
+        injector = sim.fault_injector
         if injector is not None:
             # A stalled core freezes until its stall window closes.
             stall_ns = injector.stall_penalty_ns(self.worker_id)
             if stall_ns > 0:
-                yield self.sim.timeout(stall_ns)
+                yield stall_ns
                 if self.crashed:
                     return ExecutionOutcome.FAILED
 
@@ -178,20 +179,23 @@ class WorkerCore:
         # affinity argument); crossing workers pays the full cost.
         if request.context is None:
             request.context = ExecutionContext()
-            spawn_ns = self.context_costs.spawn_ns
-            thread.busy_ns += spawn_ns
-            yield self.sim.timeout(spawn_ns)
+            prep_ns = self.context_costs.spawn_ns
         else:
             request.context.record_restore()
             warm = previous_worker == self.worker_id
             if warm:
                 self.warm_restores += 1
-            restore_ns = self.context_costs.restore_cost_ns(warm)
-            thread.busy_ns += restore_ns
-            yield self.sim.timeout(restore_ns)
-
-        if self.preemption is not None:
-            yield self.preemption.arm(cause=request)
+            prep_ns = self.context_costs.restore_cost_ns(warm)
+        thread.busy_ns += prep_ns
+        if self.preemption is None:
+            yield prep_ns
+        else:
+            # Arm the slice for when the spawn/restore ends and wait
+            # once for both costs: the same instants as waiting out the
+            # spawn/restore, arming, then waiting out the arm cost.
+            ready = sim._now + prep_ns
+            cost = self.preemption.arm(cause=request, at=ready)
+            yield sim.timeout_at(ready + cost)
 
         started = self.sim._now
         self._interruptible = True
@@ -203,7 +207,7 @@ class WorkerCore:
         try:
             # The service demand itself; busy time accounted on exit so
             # a preempted episode only charges what actually ran.
-            yield self.sim.timeout(request.remaining_ns * factor)
+            yield request.remaining_ns * factor
         except ProcessInterrupt:
             ran = self.sim._now - started
             thread.busy_ns += ran

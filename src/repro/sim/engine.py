@@ -5,8 +5,11 @@
 hierarchical :class:`~repro.sim.wheel.TimerWheel` for everything beyond
 it.  Time is in nanoseconds (see :mod:`repro.units`).  Events scheduled
 for the same instant are processed in FIFO order of scheduling (a
-strictly increasing sequence number breaks ties), which makes runs
-fully deterministic for a fixed seed.
+strictly increasing tie key breaks ties), which makes runs fully
+deterministic for a fixed seed.  Every push draws its key from one
+source, :attr:`Simulator._next_key`: ``itertools.count(1).__next__``
+for FIFO, or ``map(policy.key, count(1)).__next__`` once
+:meth:`Simulator.set_tiebreak` installs a permutation policy.
 
 Hot-path design
 ---------------
@@ -34,9 +37,14 @@ its constant factors small without ever changing *what* is scheduled:
   conditions) are never pooled.
 - :meth:`defer` / :meth:`defer_at` schedule a bare callback through a
   pooled :class:`_Deferred` cell instead of a Timeout-plus-lambda pair;
-  they consume exactly one sequence number and one schedule push, just
-  like :meth:`call_in` / :meth:`call_at`, so swapping one for the other
-  cannot reorder a run.
+  they consume exactly one tie key and one schedule push, just like
+  :meth:`call_in` / :meth:`call_at`, so swapping one for the other
+  cannot reorder a run.  The run loop dispatches these cells first.
+- A process that yields a bare delay (``yield d``) sleeps on its own
+  :class:`~repro.sim.process._Sleep` cell: the same ``now + d`` push at
+  NORMAL priority with one tie key that ``yield sim.timeout(d)`` makes,
+  but no Timeout, callbacks list or bound method per wait.  Sleep cells
+  are never pooled.
 - Cancelled events (:meth:`Event.cancel`) are eagerly removed from
   wheel buckets; entries already in the near heap or the far-future
   overflow heap are skipped at dispatch — without advancing the event
@@ -53,13 +61,14 @@ from __future__ import annotations
 import gc
 
 from heapq import heapify, heappop, heappush
+from itertools import count as _count
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
-from repro.sim.tiebreak import FIFO, TB_MASK, TieBreakPolicy
+from repro.sim.process import Process, _Sleep
+from repro.sim.tiebreak import FIFO, TieBreakPolicy
 from repro.sim.wheel import GRANULARITY, TimerWheel
 
 #: Priority levels: lower runs first among simultaneous events.
@@ -102,7 +111,7 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> def hello(sim):
-    ...     yield sim.timeout(5.0)
+    ...     yield 5.0  # sleep 5 ns
     ...     return sim.now
     >>> proc = sim.process(hello(sim))
     >>> sim.run()
@@ -110,10 +119,10 @@ class Simulator:
     5.0
     """
 
-    __slots__ = ("_now", "_heap", "_near_end", "_wheel", "_seq",
+    __slots__ = ("_now", "_heap", "_near_end", "_wheel", "_next_key",
                  "_event_count", "_running", "fault_injector",
                  "_timeout_pool", "_event_pool", "_deferred_pool",
-                 "_near_cancelled", "_tiebreak", "_tb_mult", "_tb_add")
+                 "_near_cancelled", "_tiebreak")
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
@@ -123,7 +132,6 @@ class Simulator:
         #: rest to the wheel.  Always equals ``wheel.cur0 *
         #: GRANULARITY`` between batch refills.
         self._near_end = self._wheel.near_end
-        self._seq = 0
         self._event_count = 0
         self._running = False
         #: The run's :class:`~repro.faults.injector.FaultInjector`, set
@@ -138,13 +146,12 @@ class Simulator:
         #: Lazily-cancelled entries believed to ride the near heap.
         self._near_cancelled = 0
         #: Tie-break policy: equal-(when, priority) events dispatch in
-        #: ``(seq * _tb_mult + _tb_add) & TB_MASK`` order.  The default
-        #: identity (mult 1, add 0) is byte-identical FIFO; every push
-        #: site — heap, wheel, and the inlined fast paths in events.py
-        #: and primitives.py — applies the same affine mix.
+        #: tie-key order.  Every push site — heap, wheel, and the inlined
+        #: fast paths in events.py, primitives.py and process.py — takes
+        #: its key from ``_next_key``, the one place that owns the mix.
+        #: FIFO keys are the sequence numbers 1, 2, 3, ... themselves.
         self._tiebreak = FIFO
-        self._tb_mult = 1
-        self._tb_add = 0
+        self._next_key = _count(1).__next__
 
     # -- clock ---------------------------------------------------------------
 
@@ -171,13 +178,15 @@ class Simulator:
         Must be called before anything is scheduled: mixing keys from
         two policies in one schedule would break the total order.
         """
-        if self._seq or self._heap or self._wheel.count:
+        if self._event_count or self._heap or self._wheel.count:
             raise SimulationError(
                 "set_tiebreak() after scheduling began; install the "
                 "policy on a fresh simulator")
         self._tiebreak = policy
-        self._tb_mult = policy.mult
-        self._tb_add = policy.add
+        # The identity policy keeps the plain counter: same keys, no
+        # per-key method call.
+        self._next_key = (_count(1).__next__ if policy.is_identity
+                          else map(policy.key, _count(1)).__next__)
 
     # -- factories -----------------------------------------------------------
 
@@ -195,27 +204,57 @@ class Simulator:
         return Event(self, label=label)
 
     def timeout(self, delay: float, value: Any = None, label: str = "") -> Timeout:
-        """Create an event that fires *delay* ns from now."""
+        """Create an event that fires *delay* ns from now.
+
+        A process that only needs to wait should ``yield delay``
+        instead: the same schedule push, without the event.  Create a
+        Timeout only when its handle is needed: for
+        :meth:`Event.cancel` or callbacks.
+        """
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN timeout delay: {delay}")
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise SchedulingError(f"negative timeout delay: {delay}")
-            ev = pool.pop()
-            ev._value = value
-            ev._ok = True
-            ev._state = 1
-            ev.label = label
-            ev.delay = delay
-            self._seq = seq = self._seq + 1
-            key = (seq * self._tb_mult + self._tb_add) & TB_MASK
-            when = self._now + delay
-            ev.when = when
-            if when < self._near_end:
-                heappush(self._heap, (when, NORMAL, key, ev))
-            else:
-                self._wheel.push((when, NORMAL, key, ev))
-            return ev
+            return self._start_timeout(pool.pop(), self._now + delay, delay,
+                                       value, label)
         return Timeout(self, delay, value=value, label=label)
+
+    def timeout_at(self, when: float, value: Any = None,
+                   label: str = "") -> Timeout:
+        """Create an event that fires at exactly absolute time *when*.
+
+        Unlike :meth:`defer_at` (which keeps :meth:`call_at`'s
+        ``now + (when - now)`` arithmetic), the push lands on *when*
+        itself, so a wait computed as ``t + cost`` ends bit-exactly
+        there.
+        """
+        now = self._now
+        if not when >= now:  # also rejects NaN
+            raise SchedulingError(
+                f"timeout_at({when}) is in the past (now={now})")
+        pool = self._timeout_pool
+        if pool:
+            ev = pool.pop()
+        else:
+            ev = Timeout.__new__(Timeout)
+            ev.sim = self
+            ev.callbacks = []
+        return self._start_timeout(ev, when, when - now, value, label)
+
+    def _start_timeout(self, ev: Timeout, when: float, delay: float,
+                       value: Any, label: str) -> Timeout:
+        """(Re)initialise a pooled or bare Timeout and schedule it."""
+        ev._value = value
+        ev._ok = True
+        ev._state = 1
+        ev.label = label
+        ev.delay = delay
+        ev.when = when
+        if when < self._near_end:
+            heappush(self._heap, (when, NORMAL, self._next_key(), ev))
+        else:
+            self._wheel.push((when, NORMAL, self._next_key(), ev))
+        return ev
 
     def process(self, generator: Generator, label: str = "") -> Process:
         """Start a new :class:`Process` driving *generator*."""
@@ -236,7 +275,7 @@ class Simulator:
         observe it; when the handle is not needed, :meth:`defer_at` is
         the cheaper equivalent.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise SchedulingError(
                 f"call_at({when}) is in the past (now={self._now})")
         ev = self.timeout(when - self._now)
@@ -261,8 +300,8 @@ class Simulator:
         interchangeable without reordering a run — ``defer`` simply
         returns no handle and recycles its schedule cell.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
         pool = self._deferred_pool
         if pool:
             cell = pool.pop()
@@ -270,13 +309,11 @@ class Simulator:
             cell.args = args
         else:
             cell = _Deferred(func, args)
-        self._seq = seq = self._seq + 1
-        key = (seq * self._tb_mult + self._tb_add) & TB_MASK
         when = self._now + delay
         if when < self._near_end:
-            heappush(self._heap, (when, NORMAL, key, cell))
+            heappush(self._heap, (when, NORMAL, self._next_key(), cell))
         else:
-            self._wheel.push((when, NORMAL, key, cell))
+            self._wheel.push((when, NORMAL, self._next_key(), cell))
 
     def defer_at(self, when: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` at absolute time *when*; fire-and-forget.
@@ -285,7 +322,7 @@ class Simulator:
         (``now + (when - now)``), so swapping one for the other cannot
         perturb event timestamps.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise SchedulingError(
                 f"defer_at({when}) is in the past (now={self._now})")
         self.defer(when - self._now, func, *args)
@@ -295,15 +332,13 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
         """Insert a triggered *event* into the schedule (kernel use)."""
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
-        self._seq = seq = self._seq + 1
-        key = (seq * self._tb_mult + self._tb_add) & TB_MASK
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
         when = self._now + delay
         if when < self._near_end:
-            heappush(self._heap, (when, priority, key, event))
+            heappush(self._heap, (when, priority, self._next_key(), event))
         else:
-            self._wheel.push((when, priority, key, event))
+            self._wheel.push((when, priority, self._next_key(), event))
 
     def _refill(self) -> bool:
         """Move the next wheel batch into the (empty) near heap.
@@ -341,7 +376,7 @@ class Simulator:
         """Drop cancelled entries from the near heap in one pass."""
         heap = self._heap
         live = [entry for entry in heap
-                if type(entry[3]) is _Deferred or entry[3]._state != 3]
+                if getattr(entry[3], "_state", 0) != 3]
         if len(live) != len(heap):
             heap[:] = live
             heapify(heap)
@@ -381,8 +416,9 @@ class Simulator:
         while True:
             if not heap and not self._refill():
                 raise SimulationError("step() on an empty schedule")
-            when, _prio, _seq, event = heappop(heap)
-            if type(event) is _Deferred:
+            when, _prio, _key, event = heappop(heap)
+            cls = type(event)
+            if cls is _Deferred:
                 self._now = when
                 self._event_count += 1
                 func, args = event.func, event.args
@@ -391,6 +427,11 @@ class Simulator:
                 if len(pool) < _POOL_CAP:
                     pool.append(event)
                 func(*args)
+                return
+            if cls is _Sleep:
+                self._now = when
+                self._event_count += 1
+                event.wake()
                 return
             if event._state == 3:  # cancelled: drop and keep looking
                 dead = self._near_cancelled
@@ -454,9 +495,26 @@ class Simulator:
                     if heap[0][0] > horizon:
                         self._now = until
                         return
-                    when, _prio, _seq, event = pop(heap)
+                    # Unpack straight off the pop: holding the tuple in
+                    # a local would keep a third reference to the event
+                    # and silently disable the getrefcount recycling.
+                    when, _prio, _key, event = pop(heap)
                     cls = event.__class__
-                    if cls is Timeout:
+                    if cls is _Deferred:
+                        self._now = when
+                        count += 1
+                        func, args = event.func, event.args
+                        event.func = event.args = None
+                        if len(deferred_pool) < _POOL_CAP:
+                            deferred_pool.append(event)
+                        func(*args)
+                    elif cls is _Sleep:
+                        # A process's bare-delay sleep (or the no-op
+                        # left behind by an interrupt): never pooled.
+                        self._now = when
+                        count += 1
+                        event.wake()
+                    elif cls is Timeout:
                         if event._state == 3:  # cancelled: vanish
                             continue
                         self._now = when
@@ -476,14 +534,6 @@ class Simulator:
                             event.callbacks = callbacks
                             event._value = None
                             timeout_pool.append(event)
-                    elif cls is _Deferred:
-                        self._now = when
-                        count += 1
-                        func, args = event.func, event.args
-                        event.func = event.args = None
-                        if len(deferred_pool) < _POOL_CAP:
-                            deferred_pool.append(event)
-                        func(*args)
                     else:
                         if event._state == 3:  # cancelled: vanish
                             continue
@@ -531,8 +581,7 @@ class Simulator:
                             break
                         continue
                     head = heap[0]
-                    event = head[3]
-                    if type(event) is not _Deferred and event._state == 3:
+                    if getattr(head[3], "_state", 0) == 3:
                         heappop(heap)
                         dead = self._near_cancelled
                         if dead > 0:

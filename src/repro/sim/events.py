@@ -20,7 +20,8 @@ events flow through a sweep and enum identity checks are measurably
 slower; the public :attr:`Event.state` property still answers with the
 :class:`EventState` enum.  Triggering pushes straight into the owning
 simulator's schedule — near-heap pushes below ``sim._near_end``, wheel
-pushes at/after it; the schedule tuple layout ``(when, priority, seq,
+pushes at/after it, each with a tie key drawn from
+``sim._next_key()``; the schedule tuple layout ``(when, priority, key,
 event)`` is shared with :mod:`repro.sim.engine` and must never diverge
 from it.
 """
@@ -32,7 +33,6 @@ from heapq import heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.tiebreak import TB_MASK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -122,19 +122,17 @@ class Event:
         """Trigger the event successfully with *value* after *delay* ns."""
         if self._state != _PENDING:
             raise SchedulingError(f"{self!r} already triggered")
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
         sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
         when = sim._now + delay
         if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, key, self))
+            heappush(sim._heap, (when, _NORMAL, sim._next_key(), self))
         else:
-            sim._wheel.push((when, _NORMAL, key, self))
+            sim._wheel.push((when, _NORMAL, sim._next_key(), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -143,19 +141,17 @@ class Event:
             raise SchedulingError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
         self._ok = False
         self._value = exception
         self._state = _TRIGGERED
         sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
         when = sim._now + delay
         if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, key, self))
+            heappush(sim._heap, (when, _NORMAL, sim._next_key(), self))
         else:
-            sim._wheel.push((when, _NORMAL, key, self))
+            sim._wheel.push((when, _NORMAL, sim._next_key(), self))
         return self
 
     def cancel(self) -> bool:
@@ -198,8 +194,8 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  label: str = ""):
-        if delay < 0:
-            raise SchedulingError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN timeout delay: {delay}")
         self.sim = sim
         self.callbacks = []
         self._value = value
@@ -207,15 +203,13 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self.label = label
         self.delay = delay
-        sim._seq = seq = sim._seq + 1
-        key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
         # The absolute deadline is kept on the event so cancel() can
         # locate its wheel bucket without a search.
         self.when = when = sim._now + delay
         if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, key, self))
+            heappush(sim._heap, (when, _NORMAL, sim._next_key(), self))
         else:
-            sim._wheel.push((when, _NORMAL, key, self))
+            sim._wheel.push((when, _NORMAL, sim._next_key(), self))
 
 
 class _Condition(Event):

@@ -16,7 +16,6 @@ from typing import Any, Deque, Optional, TYPE_CHECKING
 
 from repro.errors import QueueFullError, SimulationError
 from repro.sim.events import Event, _NORMAL, _PENDING, _TRIGGERED
-from repro.sim.tiebreak import TB_MASK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -104,9 +103,8 @@ class Store:
                 getter._value = item
                 getter._state = _TRIGGERED
                 sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-                heappush(sim._heap, (sim._now + 0.0, _NORMAL, key, getter))
+                heappush(sim._heap,
+                         (sim._now + 0.0, _NORMAL, sim._next_key(), getter))
                 self.total_put += 1
                 return True
         items = self._items
@@ -144,9 +142,7 @@ class Store:
             ev._value = items.popleft()
             ev._ok = True
             ev._state = _TRIGGERED
-            sim._seq = seq = sim._seq + 1
-            key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-            heappush(sim._heap, (sim._now + 0.0, _NORMAL, key, ev))
+            heappush(sim._heap, (sim._now + 0.0, _NORMAL, sim._next_key(), ev))
             if self._putters:
                 self._admit_putter()
             return ev
@@ -321,6 +317,7 @@ class Signal:
         waiters, self._waiters = self._waiters, deque()
         sim = self.sim
         heap = sim._heap
+        next_key = sim._next_key
         # No callbacks run inside this loop, so the clock is stable.
         when = sim._now + 0.0
         for waiter in waiters:
@@ -330,9 +327,7 @@ class Signal:
                 waiter._ok = True
                 waiter._value = value
                 waiter._state = _TRIGGERED
-                sim._seq = seq = sim._seq + 1
-                key = (seq * sim._tb_mult + sim._tb_add) & TB_MASK
-                heappush(heap, (when, _NORMAL, key, waiter))
+                heappush(heap, (when, _NORMAL, next_key(), waiter))
                 woken += 1
         return woken
 

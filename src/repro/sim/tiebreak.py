@@ -26,10 +26,13 @@ and asserts the metrics digest is invariant — turning "we believe FIFO
 ties don't matter" into a checked property (see
 :mod:`repro.analysis.racecheck`).
 
-Every push site in the kernel honors the policy: the near heap, the
-timer wheel (keys are baked into the schedule tuple before bucketing),
-and the pooled/inlined fast paths in :mod:`repro.sim.engine`,
-:mod:`repro.sim.events`, and :mod:`repro.sim.primitives`.
+Every push site in the kernel honors the policy by drawing its key from
+one source, ``Simulator._next_key``: ``map(policy.key, count(1))``
+under a permutation, a plain ``count(1)`` under the identity.  That
+covers the near heap, the timer wheel (keys are baked into the schedule
+tuple before bucketing), and the inlined fast paths in
+:mod:`repro.sim.engine`, :mod:`repro.sim.events`,
+:mod:`repro.sim.primitives` and :mod:`repro.sim.process`.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ class TieBreakPolicy:
         return self.mult == 1 and self.add == 0
 
     def key(self, seq: int) -> int:
-        """The tie key for sequence number *seq* (reference semantics;
-        hot paths inline this arithmetic)."""
+        """The tie key for sequence number *seq* (the simulator maps
+        this over ``count(1)`` to make its key source)."""
         return (seq * self.mult + self.add) & TB_MASK
 
     def __repr__(self) -> str:

@@ -111,7 +111,7 @@ class ElasticRssSystem(BaseSystem):
         """
         config = self.config
         while True:
-            yield self.sim.timeout(config.epoch_ns)
+            yield config.epoch_ns
             depths = [len(queue) for queue in self.queues]
             max_depth = max(depths)
             for i, depth in enumerate(depths):

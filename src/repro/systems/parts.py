@@ -264,7 +264,6 @@ class HostShinjukuPipeline:
     def _networker_loop(self):
         hop = self.costs.interthread_hop_ns
         sim = self.sim
-        timeout = sim.timeout
         rx_get = self.rx_ring.get
         thread = self.networker_thread
         pkt_ns = self.costs.networker_pkt_ns
@@ -272,7 +271,7 @@ class HostShinjukuPipeline:
         while True:
             request = yield rx_get()
             thread.busy_ns += pkt_ns
-            yield timeout(pkt_ns)
+            yield pkt_ns
             request.stamp("networker_done", sim.now)
             deferred(sim, hop, arrive, request)
 
@@ -292,7 +291,6 @@ class HostShinjukuPipeline:
         """
         op = self.costs.dispatcher_op_ns
         thread = self.dispatcher_thread
-        timeout = self.sim.timeout
         notif_get = self.notifications.try_get
         ingest_get = self.ingest.try_get
         task_queue = self.task_queue
@@ -314,7 +312,7 @@ class HostShinjukuPipeline:
             ok, message = notif_get()
             if ok:
                 thread.busy_ns += op
-                yield timeout(op)
+                yield op
                 self._handle_notification(message)
                 continue
             if (tq_fifo or tq_heap) and \
@@ -322,13 +320,13 @@ class HostShinjukuPipeline:
                 ok, request = task_queue.try_dequeue()
                 assert ok and request is not None
                 thread.busy_ns += op
-                yield timeout(op)
+                yield op
                 self._dispatch(request, worker_id)
                 continue
             ok, request = ingest_get()
             if ok:
                 thread.busy_ns += op
-                yield timeout(op)
+                yield op
                 self._enqueue(request)
                 continue
             yield wait()
@@ -360,7 +358,6 @@ class HostShinjukuPipeline:
     def _worker_loop(self, local_id: int, worker: WorkerCore):
         mailbox = self.mailboxes[local_id]
         thread = worker.thread
-        timeout = self.sim.timeout
         mailbox_get = mailbox.get
         run_request = worker.run_request
         rx_ns = self.costs.worker_rx_ns
@@ -371,7 +368,7 @@ class HostShinjukuPipeline:
             request = yield mailbox_get()
             worker.end_wait()
             thread.busy_ns += rx_ns
-            yield timeout(rx_ns)
+            yield rx_ns
             outcome = yield from run_request(request)
             if worker.crashed:
                 # Dead core: orphan the episode (no notify — the credit
@@ -385,19 +382,19 @@ class HostShinjukuPipeline:
                 return
             if outcome is ExecutionOutcome.FINISHED:
                 thread.busy_ns += response_tx_ns
-                yield timeout(response_tx_ns)
+                yield response_tx_ns
                 self.respond(request)
                 thread.busy_ns += notify_ns
-                yield timeout(notify_ns)
+                yield notify_ns
                 self._notify(local_id, "finished", request)
             elif outcome is ExecutionOutcome.SKIPPED:
                 # Already reaped while queued: just release the credit.
                 thread.busy_ns += notify_ns
-                yield timeout(notify_ns)
+                yield notify_ns
                 self._notify(local_id, "cancelled", request)
             else:
                 thread.busy_ns += notify_ns
-                yield timeout(notify_ns)
+                yield notify_ns
                 self._notify(local_id, "preempted", request)
 
     def _notify(self, worker_id: int, outcome: str, request: Request) -> None:

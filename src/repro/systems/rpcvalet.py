@@ -101,7 +101,7 @@ class RpcValetSystem(BaseSystem):
             worker.begin_wait()
             request = yield self.task_queue.dequeue()
             worker.end_wait()
-            yield self.sim.timeout(hw_delay)
+            yield hw_delay
             yield thread.execute(self.costs.worker_rx_ns)
             outcome = yield from worker.run_request(request)
             if outcome is ExecutionOutcome.FINISHED:

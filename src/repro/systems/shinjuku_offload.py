@@ -197,7 +197,6 @@ class ShinjukuOffloadSystem(BaseSystem):
         pkt_ns = costs.networker_pkt_ns
         hop = costs.intercore_hop_ns
         sim = self.sim
-        timeout = sim.timeout
         defer = sim.defer
         thread = self.networker_thread
         poll = self.service_port.poll
@@ -205,7 +204,7 @@ class ShinjukuOffloadSystem(BaseSystem):
         while True:
             packet = yield poll()
             thread.busy_ns += pkt_ns
-            yield timeout(pkt_ns)
+            yield pkt_ns
             payload = packet.payload
             assert isinstance(payload, RequestPayload)
             request = payload.request
@@ -228,7 +227,6 @@ class ShinjukuOffloadSystem(BaseSystem):
         rx_parse_ns = costs.rx_parse_ns
         response_tx_ns = costs.response_tx_ns
         notify_tx_ns = costs.notify_tx_ns
-        timeout = self.sim.timeout
         poll = port.poll
         run_request = worker.run_request
         worker_id = worker.worker_id
@@ -237,7 +235,7 @@ class ShinjukuOffloadSystem(BaseSystem):
             packet = yield poll()
             worker.end_wait()
             thread.busy_ns += rx_parse_ns
-            yield timeout(rx_parse_ns)
+            yield rx_parse_ns
             payload = packet.payload
             assert isinstance(payload, RequestPayload)
             request = payload.request
@@ -260,21 +258,21 @@ class ShinjukuOffloadSystem(BaseSystem):
                 return
             if outcome is ExecutionOutcome.FINISHED:
                 thread.busy_ns += response_tx_ns
-                yield timeout(response_tx_ns)
+                yield response_tx_ns
                 self._send_response(port, request)
                 thread.busy_ns += notify_tx_ns
-                yield timeout(notify_tx_ns)
+                yield notify_tx_ns
                 self._send_notify(port, worker_id, "finished", request)
             elif outcome is ExecutionOutcome.SKIPPED:
                 # Reaped while queued: release the credit, nothing ran.
                 thread.busy_ns += notify_tx_ns
-                yield timeout(notify_tx_ns)
+                yield notify_tx_ns
                 self._send_notify(port, worker_id, "cancelled", request)
             else:
                 # Preempted: the request travels back to the dispatcher
                 # inside the notification (§3.4.5).
                 thread.busy_ns += notify_tx_ns
-                yield timeout(notify_tx_ns)
+                yield notify_tx_ns
                 self._send_notify(port, worker_id, "preempted", request)
 
     def _send_response(self, port, request: Request) -> None:

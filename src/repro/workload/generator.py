@@ -115,7 +115,6 @@ class OpenLoopLoadGenerator:
         service_rng = self.rngs.stream("service")
         flow_rng = self.rngs.stream("flows")
         sim = self.sim
-        timeout = sim.timeout
         next_gap_ns = self.arrivals.next_gap_ns
         make_request = self.app.make_request
         pick = self.clients.pick
@@ -127,7 +126,7 @@ class OpenLoopLoadGenerator:
             gap = next_gap_ns(arrival_rng)
             if sim._now + gap > horizon_ns:
                 return
-            yield timeout(gap)
+            yield gap
             request = make_request(service_rng, sim._now)
             src_ip, src_port = pick(flow_rng)
             request.src_ip = src_ip

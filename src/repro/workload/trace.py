@@ -184,7 +184,7 @@ class TraceReplayer:
         for entry in self.trace.entries:
             gap = entry.arrival_ns - now
             if gap > 0:
-                yield self.sim.timeout(gap)
+                yield gap
             now = entry.arrival_ns
             request = Request(
                 service_ns=entry.service_ns, arrival_ns=self.sim.now,

@@ -53,7 +53,7 @@ class TestArmCancel:
         driver = _driver(thread, deliver=lambda cause: hits.append(sim.now))
 
         def worker():
-            yield driver.arm()
+            yield driver.arm(at=sim.now)
             yield sim.timeout(us(100.0))
 
         sim.process(worker())
@@ -61,12 +61,25 @@ class TestArmCancel:
         assert hits == [pytest.approx(us(10.0))]
         assert driver.fired == 1
 
+    def test_arm_at_starts_the_slice_later(self, sim, thread):
+        """arm(at=t) lands the expiry on exactly t + slice and returns
+        the arm cost, charged to the thread up front."""
+        hits = []
+        driver = _driver(thread, deliver=lambda cause: hits.append(
+            (sim.now, cause)))
+        ready = 123.4
+        cost = driver.arm(cause="req", at=ready)
+        assert cost == driver.arm_cost_ns
+        assert thread.busy_ns == cost
+        sim.run()
+        assert hits == [(ready + us(10.0), "req")]
+
     def test_cancel_before_expiry(self, sim, thread):
         hits = []
         driver = _driver(thread, deliver=lambda cause: hits.append(sim.now))
 
         def worker():
-            yield driver.arm()
+            yield driver.arm(at=sim.now)
             yield sim.timeout(us(5.0))
             driver.cancel()
             yield sim.timeout(us(100.0))
@@ -81,9 +94,9 @@ class TestArmCancel:
         driver = _driver(thread, deliver=lambda cause: hits.append(sim.now))
 
         def worker():
-            yield driver.arm()
+            yield driver.arm(at=sim.now)
             yield sim.timeout(us(5.0))
-            yield driver.arm()  # re-arm at t=5us: fires at 15us
+            yield driver.arm(at=sim.now)  # re-arm at t=5us: fires at 15us
             yield sim.timeout(us(100.0))
 
         sim.process(worker())
@@ -96,7 +109,7 @@ class TestArmCancel:
         driver = _driver(thread, deliver=causes.append)
 
         def worker():
-            yield driver.arm(cause="the-request")
+            yield driver.arm(cause="the-request", at=sim.now)
             yield sim.timeout(us(100.0))
 
         sim.process(worker())
@@ -107,7 +120,7 @@ class TestArmCancel:
         driver = _driver(thread, deliver=None)
 
         def worker():
-            yield driver.arm()
+            yield driver.arm(at=sim.now)
             yield sim.timeout(us(100.0))
 
         sim.process(worker())
@@ -126,7 +139,7 @@ class TestPacketMechanismArtifact:
                          deliver=lambda cause: hits.append(sim.now))
 
         def worker():
-            yield driver.arm()
+            yield driver.arm(at=sim.now)
             # The slice expires at 10 us; the packet is now in flight.
             yield sim.timeout(us(10.0) + 100.0)
             driver.cancel()  # too late: the packet left the NIC
@@ -142,7 +155,7 @@ class TestPacketMechanismArtifact:
                          deliver=lambda cause: hits.append(sim.now))
 
         def worker():
-            yield driver.arm()
+            yield driver.arm(at=sim.now)
             yield sim.timeout(us(5.0))
             driver.cancel()
             yield sim.timeout(us(100.0))

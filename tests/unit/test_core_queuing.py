@@ -61,6 +61,35 @@ class TestSelection:
         tracker.credit(1)
         assert tracker.select() is None
 
+    def test_full_tracker_returns_none_without_scanning(self, monkeypatch):
+        """At ``n_workers * target`` outstanding nobody can take more:
+        select() answers None in O(1) and leaves the round-robin
+        pointer where it was."""
+        tracker = OutstandingTracker(n_workers=3, target=2)
+        for wid in (1, 2, 0, 1, 2, 0):
+            tracker.credit(wid)
+        tracker._rr_next = 2
+
+        class NoScan(dict):
+            def __getitem__(self, key):
+                raise AssertionError("select() scanned a full tracker")
+
+        monkeypatch.setattr(tracker, "_outstanding",
+                            NoScan(tracker._outstanding))
+        assert tracker.select() is None
+        assert tracker._rr_next == 2
+
+    def test_down_worker_still_scanned_past(self):
+        """Below full, a downed worker's spare credit does not stop the
+        scan: it is skipped and a live worker is found."""
+        tracker = OutstandingTracker(n_workers=3, target=1)
+        tracker.credit(0)
+        tracker.mark_down(1)
+        assert tracker.select() == 2
+        tracker.credit(2)
+        # Only the downed worker has room left: nothing to select.
+        assert tracker.select() is None
+
     def test_round_robin_among_ties(self):
         tracker = OutstandingTracker(n_workers=3, target=10)
         picks = []

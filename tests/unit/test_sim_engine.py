@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event loop."""
 
+import math
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -110,6 +112,80 @@ class TestCallHelpers:
         sim.run()
         with pytest.raises(SchedulingError):
             sim.call_at(5.0, lambda: None)
+
+
+class TestTimeoutAt:
+    def test_fires_at_exactly_when(self, sim):
+        sim.timeout(21.7)
+        sim.run()
+        # 21.7 + (63.9 - 21.7) != 63.9 in binary floating point;
+        # timeout_at must land on 63.9 itself.
+        assert 21.7 + (63.9 - 21.7) != 63.9
+        ev = sim.timeout_at(63.9, value="v")
+        hits = []
+        ev.callbacks.append(lambda e: hits.append((sim.now, e.value)))
+        sim.run()
+        assert hits == [(63.9, "v")]
+
+    def test_past_rejected(self, sim):
+        sim.timeout(10.0)
+        sim.run()
+        with pytest.raises(SchedulingError):
+            sim.timeout_at(5.0)
+
+    def test_can_be_cancelled(self, sim):
+        ev = sim.timeout_at(7.0)
+        hits = []
+        ev.callbacks.append(lambda _e: hits.append(sim.now))
+        assert ev.cancel()
+        sim.run()
+        assert hits == []
+
+
+class TestNanDelays:
+    """NaN (and negative) delays fail at the call site with
+    SchedulingError instead of deep inside the timer wheel."""
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_timeout(self, sim, bad):
+        with pytest.raises(SchedulingError):
+            sim.timeout(bad)
+
+    def test_timeout_after_pool_warmup(self, sim):
+        sim.timeout(1.0)
+        sim.run()
+        assert sim.pool_sizes()["timeout"] == 1
+        with pytest.raises(SchedulingError):
+            sim.timeout(math.nan)
+
+    def test_timeout_at(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.timeout_at(math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_defer(self, sim, bad):
+        with pytest.raises(SchedulingError):
+            sim.defer(bad, lambda: None)
+
+    def test_defer_at(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.defer_at(math.nan, lambda: None)
+
+    def test_succeed_and_fail_delay(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.event().succeed(delay=math.nan)
+        with pytest.raises(SchedulingError):
+            sim.event().fail(RuntimeError("x"), delay=math.nan)
+
+    def test_nan_sleep_fails_its_process_not_the_run(self, sim):
+        def sleeper(sim):
+            yield math.nan
+
+        proc = sim.process(sleeper(sim))
+        sim.run()  # must not raise
+        assert not proc.ok
+        assert isinstance(proc.value, SchedulingError)
+        assert sim.pending_count() == 0
 
 
 class TestRunGuards:

@@ -1,8 +1,11 @@
 """Unit tests for generator-based processes and interrupts."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import ProcessInterrupt, SchedulingError, SimulationError
 from repro.sim.engine import Simulator
 
 
@@ -33,14 +36,103 @@ class TestBasicExecution:
         with pytest.raises(SimulationError):
             sim.process(lambda: None)
 
-    def test_yielding_non_event_fails_process(self, sim):
-        def bad(sim):
-            yield 42
+    @pytest.mark.parametrize("delay", [42, 42.0])
+    def test_yielding_a_delay_sleeps_like_a_timeout(self, delay):
+        """``yield d`` resumes at the same instant, with the same value
+        and after the same number of kernel events as
+        ``yield sim.timeout(d)``."""
+        def trace(use_timeout):
+            sim = Simulator()
+            seen = []
 
-        proc = sim.process(bad(sim))
+            def sleeper(sim):
+                for _ in range(3):
+                    got = yield (sim.timeout(delay) if use_timeout
+                                 else delay)
+                    seen.append((sim.now, got))
+                return sim.now
+
+            proc = sim.process(sleeper(sim))
+            sim.run()
+            return seen, proc.value, sim.event_count
+
+        assert trace(False) == trace(True)
+        assert trace(False)[0] == [(42.0, None), (84.0, None),
+                                   (126.0, None)]
+
+    @pytest.mark.parametrize("delay", [3.0, 50_000.0, 5e9])
+    def test_every_sleep_push_matches_a_timeout(self, delay):
+        """The three places a sleep is pushed — inline after an Event
+        wait (``_resume``), after a sleep (``_wake``) and the slow path
+        for other reals (``_wait_on``) — order same-instant ties and
+        count events exactly as ``yield sim.timeout(d)``, on the near
+        heap, the wheel and its overflow alike.  Process ``t`` always
+        waits on Timeouts and ties with the sleepers at every step."""
+        def trace(use_timeout):
+            sim = Simulator()
+            go = sim.event()
+            seen = []
+
+            def sleeper(sim, name):
+                yield go
+                # Pushed by _resume, then _wake, then _wait_on.
+                for step, kind in enumerate(("inline", "wake", "slow")):
+                    if use_timeout or name == "t":
+                        yield sim.timeout(delay)
+                    elif kind == "slow":
+                        yield Fraction(delay)
+                    else:
+                        yield delay
+                    seen.append((sim.now, name, step))
+
+            for name in "tab":
+                sim.process(sleeper(sim, name))
+            sim.call_in(1.0, go.succeed)
+            sim.run()
+            return seen, sim.event_count
+
+        assert trace(False) == trace(True)
+        assert [t for t, _, _ in trace(False)[0]] == [
+            1.0 + k * delay for k in (1, 1, 1, 2, 2, 2, 3, 3, 3)]
+
+    def test_yielding_non_event_fails_process(self):
+        """Anything but an Event or a real delay >= 0 fails the process
+        (bools are not delays)."""
+        for target, error in [(True, SimulationError),
+                              (None, SimulationError),
+                              ("x", SimulationError),
+                              (-1.0, SchedulingError),
+                              (math.nan, SchedulingError)]:
+            sim = Simulator()
+
+            def bad(sim):
+                yield target
+
+            proc = sim.process(bad(sim))
+            sim.run()
+            assert not proc.ok, target
+            assert isinstance(proc.value, error), target
+
+    @pytest.mark.parametrize("delay", [Fraction(7, 2), 3.5])
+    def test_other_real_delays_sleep_as_float(self, sim, delay):
+        def sleeper(sim):
+            yield delay
+            return sim.now
+
+        proc = sim.process(sleeper(sim))
         sim.run()
-        assert not proc.ok
-        assert isinstance(proc.value, SimulationError)
+        assert proc.value == 3.5
+
+    def test_numpy_float_delay_sleeps(self, sim):
+        np = pytest.importorskip("numpy")
+
+        def sleeper(sim):
+            yield np.float64(2.5)
+            return sim.now
+
+        proc = sim.process(sleeper(sim))
+        sim.run()
+        assert proc.value == 2.5
 
     def test_yielding_foreign_event_fails_process(self, sim):
         other = Simulator()
@@ -178,6 +270,57 @@ class TestInterrupts:
         # it must not corrupt the second wait.
         assert resumed == ["interrupt", "second-wait"]
         assert proc.ok
+
+    def test_interrupt_during_sleep(self, sim):
+        """An interrupted bare-delay sleep never resumes the process;
+        its stale cell still fires and counts, like an orphaned
+        Timeout."""
+        log = []
+
+        def worker(sim):
+            try:
+                yield 50.0
+                log.append("slept")
+            except ProcessInterrupt:
+                log.append(("interrupt", sim.now))
+            yield 100.0
+            log.append(("second-sleep", sim.now))
+
+        proc = sim.process(worker(sim))
+        sim.call_in(10.0, lambda: proc.interrupt())
+        sim.run()
+        assert log == [("interrupt", 10.0), ("second-sleep", 110.0)]
+        assert proc.ok
+        # bootstrap, call_in, poke, stale cell at 50, sleep end, exit
+        assert sim.event_count == 6
+
+    def test_cut_wait_resumes_now_and_detaches(self, sim):
+        log = []
+        never = sim.event()
+
+        def worker(sim):
+            got = yield never
+            log.append((sim.now, got, never.triggered))
+            got = yield 20.0
+            log.append((sim.now, got))
+
+        proc = sim.process(worker(sim))
+        sim.call_in(5.0, lambda: proc.cut_wait())
+        sim.call_in(6.0, lambda: never.succeed("late"))
+        sim.run()
+        assert log == [(5.0, None, False), (25.0, None)]
+        assert proc.ok
+
+    def test_cut_wait_during_sleep(self, sim):
+        def worker(sim):
+            got = yield 50.0
+            return (sim.now, got)
+
+        proc = sim.process(worker(sim))
+        sim.call_in(5.0, lambda: proc.cut_wait())
+        sim.run()
+        assert proc.value == (5.0, None)
+        assert sim.now == 50.0  # the stale cell still fired
 
     def test_interrupt_is_alive_property(self, sim):
         def worker(sim):
