@@ -20,7 +20,7 @@ terminal::
     repro fig2 --progress --cache-dir d   # stream per-point progress
     repro watch --cache-dir d  # live scoreboard of that sweep
     repro fig2 --point-timeout 120   # killable workers, per-point deadline
-    repro fig2 --cache-dir d --resume     # finish an interrupted sweep
+    repro fig2 --cache-dir d  # re-run with the same --cache-dir to resume
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd_parser.add_argument(
             "--cache-dir", default=None, metavar="DIR",
             help="on-disk result cache; re-runs skip already-measured "
-                 "points")
+                 "points (re-run with the same DIR to resume an "
+                 "interrupted sweep)")
         cmd_parser.add_argument(
             "--sanitize", action="store_true",
             help="run every point on the observation-only sanitizing "
@@ -125,12 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="max_retries",
             help="extra attempts after a point's first failure "
                  "(default: 2)")
-        cmd_parser.add_argument(
-            "--resume", action="store_true",
-            help="resume an interrupted sweep: serve points already "
-                 "settled in the result cache or the progress.jsonl "
-                 "ledger, re-execute only the remainder (requires "
-                 "--cache-dir)")
 
     for fig_id, description in _FIGURE_DESCRIPTIONS.items():
         fig_parser = sub.add_parser(fig_id, help=description)
@@ -421,44 +416,25 @@ def _make_executor(args: argparse.Namespace,
     """The executor (and progress ledger) the flags ask for.
 
     ``--progress`` attaches a console printer and — when a cache
-    directory exists to anchor it — opens the ``progress.jsonl`` ledger
-    that ``repro watch`` tails; ``--resume`` replays (and appends to)
-    that ledger.  The caller owns the returned ledger and must
-    ``write_done()`` it when the sweep finishes.
+    directory exists to anchor it — opens a fresh ``progress.jsonl``
+    ledger that ``repro watch`` tails.  The caller owns the returned
+    ledger and must ``write_done()`` it when the sweep finishes.
     """
     from repro.experiments.progress import (
         ConsoleProgress,
         ProgressLedger,
-        clear_ledger,
-        ledger_path,
         multiplex,
     )
-    cache_dir = args.cache_dir
-    resume = args.resume
-    if resume and cache_dir is None:
-        raise ExperimentError("--resume requires --cache-dir (the cache "
-                              "and its progress ledger are the "
-                              "checkpoint being resumed)")
-    resume_replay = None
-    if resume:
-        resume_replay = ProgressLedger.replay(ledger_path(cache_dir))
-        print(f"[resume: {len(resume_replay.completed)} point(s) settled "
-              f"by the previous run"
-              + ("" if resume_replay.finished
-                 else " (interrupted: no done sentinel)") + "]")
     ledger = None
-    if cache_dir is not None and (args.progress or resume):
-        if not resume:
-            clear_ledger(cache_dir)  # stale ledgers would confuse watchers
-        # A resumed sweep appends to the existing ledger (its replay is
-        # already in hand), so a second interruption still resumes.
-        ledger = ProgressLedger.in_cache_dir(cache_dir)
-    console = ConsoleProgress() if args.progress else None
-    return make_executor(jobs=args.jobs, cache_dir=cache_dir,
+    console = None
+    if args.progress:
+        console = ConsoleProgress()
+        if args.cache_dir is not None:
+            ledger = ProgressLedger.in_cache_dir(args.cache_dir)
+    return make_executor(jobs=args.jobs, cache_dir=args.cache_dir,
                          on_event=multiplex(console, ledger),
                          point_timeout_s=args.point_timeout,
-                         max_retries=args.max_retries,
-                         resume_from=resume_replay), ledger
+                         max_retries=args.max_retries), ledger
 
 
 def _apply_sanitize_flag(args: argparse.Namespace) -> None:

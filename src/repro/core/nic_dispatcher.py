@@ -277,9 +277,9 @@ class NicDispatcherPipeline:
     def _flush_due(self, _flush: "Timeout") -> None:
         """The flush deadline beat the next packet: wake the TX core.
 
-        One schedule push at the deadline, as the AnyOf over the get
-        and the timer used to make; the timer is cancelled whenever the
-        get wins, so this only runs when the timer fires first.
+        Costs one schedule push at the deadline (the relay event
+        ``cut_wait`` triggers).  The timer is cancelled whenever the get
+        wins, so this only runs when the timer fires first.
         """
         assert self._tx_process is not None
         self._tx_process.cut_wait()

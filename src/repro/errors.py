@@ -133,7 +133,8 @@ class SweepFailure(ExperimentError):
     """A sweep finished with one or more permanently failed points.
 
     Raised *after* every other point has completed (and been cached),
-    so a re-run or ``--resume`` only pays for the failed points.
+    so a re-run with the same ``--cache-dir`` (which is how a sweep
+    resumes) only pays for the failed points.
     ``failures`` holds the per-point :class:`SweepPointError`\\ s.
     """
 

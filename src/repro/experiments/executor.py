@@ -1,12 +1,12 @@
-"""Sweep execution: one executor, with a result cache and resume.
+"""Sweep execution: one executor, with a result cache.
 
 Every figure and study in this repro bottoms out in points that each
 build a fresh, independently seeded :class:`Simulator` — so points are
 embarrassingly parallel, and identical inputs always produce identical
 :class:`RunMetrics`.  This module exploits both facts:
 
-- :class:`SweepExecutor` is the one way a point runs: cache and resume
-  lookups first, then every miss through the supervised attempt loop of
+- :class:`SweepExecutor` is the one way a point runs: a cache lookup
+  first, then every miss through the supervised attempt loop of
   :mod:`repro.experiments.supervise` — in this process at ``jobs=1``
   without a point deadline, otherwise in up to ``jobs`` forked workers
   per batch, each reused after every success — with one typed progress
@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -74,9 +73,6 @@ from repro.metrics.summary import (
 )
 from repro.systems import registry
 from repro.workload.distributions import ServiceTimeDistribution
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.progress import LedgerReplay
 
 #: Bump when the cache key payload or the stored schema changes shape;
 #: old entries then simply miss instead of deserializing wrongly.
@@ -428,8 +424,6 @@ class ExecutorStats:
     points_failed: int = 0
     #: Extra attempts made beyond each point's first.
     points_retried: int = 0
-    #: Points served from a previous run's progress ledger (--resume).
-    points_resumed: int = 0
     #: Corrupt cache entries quarantined while serving lookups.
     points_quarantined: int = 0
     #: Worker processes forked (0 when every attempt ran in-process).
@@ -443,7 +437,6 @@ class ExecutorStats:
         self.events_executed = 0
         self.points_failed = 0
         self.points_retried = 0
-        self.points_resumed = 0
         self.points_quarantined = 0
         self.workers_started = 0
 
@@ -459,17 +452,16 @@ def _execute_spec(spec: PointSpec) -> Tuple[RunMetrics, int]:
 
 
 class SweepExecutor:
-    """Runs sweep points: cache, resume, progress, supervised attempts.
+    """Runs sweep points: cache, progress, supervised attempts.
 
-    :meth:`run_points` serves every point it can from the result cache
-    and then from ``resume_from`` (a replayed
-    :class:`~repro.experiments.progress.LedgerReplay` of an interrupted
-    run, whose hits are written back into the cache).  The rest run
-    through :func:`~repro.experiments.supervise.run_attempts`,
-    costliest first: in this process when ``jobs == 1`` and no
-    ``point_timeout_s`` is set, otherwise in up to ``jobs`` forked
-    workers per batch, each sent the next ready point after a success
-    and killed past ``point_timeout_s``.  A worker whose attempt
+    :meth:`run_points` serves every point it can from the result cache;
+    that is also how an interrupted sweep resumes — re-run it with the
+    same cache directory.  The rest run through
+    :func:`~repro.experiments.supervise.run_attempts`, costliest first:
+    in this process when ``jobs == 1`` and no ``point_timeout_s`` is
+    set, otherwise in up to ``jobs`` forked workers per batch, each
+    sent the next ready point after a success and killed past
+    ``point_timeout_s``.  A worker whose attempt
     crashed, timed out or raised is retired; the attempt retries, in a
     fresh fork, up to ``max_retries`` times with bounded backoff.
 
@@ -485,15 +477,14 @@ class SweepExecutor:
     :class:`RunMetrics` — from *this* process, even when the points ran
     in workers.  Results are bit-identical in every case: points are
     independent and slot by index, so neither completion order,
-    retries, nor resume can move a single measured bit.
+    retries, nor cache hits can move a single measured bit.
     """
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
                  on_event: Optional[ProgressCallback] = None,
                  point_timeout_s: Optional[float] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 resume_from: Optional["LedgerReplay"] = None):
+                 max_retries: int = DEFAULT_MAX_RETRIES):
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1: {jobs}")
         if point_timeout_s is not None and point_timeout_s <= 0:
@@ -507,7 +498,6 @@ class SweepExecutor:
         self.on_event = on_event
         self.point_timeout_s = point_timeout_s
         self.max_retries = max_retries
-        self.resume_from = resume_from
         self.stats = ExecutorStats()
         self._seq = 0
         self._batches = 0
@@ -519,10 +509,11 @@ class SweepExecutor:
                    ) -> List[RunMetrics]:
         """Run every spec, returning metrics in the order given.
 
-        Cached and resumed points are served without simulating; the
-        rest run under supervision.  Each fresh point is written back to
-        the cache the moment it completes — not at the end of the batch
-        — so an interrupted sweep resumes from every finished point.
+        Cached points are served without simulating; the rest run under
+        supervision.  Each fresh point is written to the cache the
+        moment it completes — before its ``completed`` event, not at the
+        end of the batch — so an interrupted sweep, re-run with the same
+        cache, resumes from every finished point.
 
         *on_event* subscribes to this batch's progress stream on top of
         the executor-wide :attr:`on_event`; both see every event.
@@ -556,10 +547,6 @@ class SweepExecutor:
             key = spec_cache_key(spec) if self.cache is not None else None
             keys[i] = key
             hit = self.cache.get(key) if key is not None else None
-            if hit is None:
-                hit = self._lookup_resume(spec, key)
-                if hit is not None:
-                    self.stats.points_resumed += 1
             if hit is not None:
                 results[i] = hit
                 self.stats.points_cached += 1
@@ -602,28 +589,12 @@ class SweepExecutor:
         """Convenience wrapper for a single point."""
         return self.run_points([spec])[0]
 
-    def _lookup_resume(self, spec: PointSpec,
-                       key: Optional[str]) -> Optional[RunMetrics]:
-        """Serve *spec* from the replayed ledger, repairing the cache.
-
-        Only consulted on a cache miss, so the content-addressed cache
-        always wins when it has a healthy entry; the ledger covers
-        uncacheable specs, lost entries, and quarantined corruption.
-        """
-        if self.resume_from is None:
-            return None
-        hit = self.resume_from.lookup(spec.label, spec.rate_rps)
-        if hit is not None and self.cache is not None and key is not None:
-            self.cache.put(key, hit)
-        return hit
-
 
 def make_executor(jobs: int = 1,
                   cache_dir: Optional[Union[str, Path]] = None,
                   on_event: Optional[ProgressCallback] = None,
                   point_timeout_s: Optional[float] = None,
                   max_retries: Optional[int] = None,
-                  resume_from: Optional["LedgerReplay"] = None,
                   ) -> SweepExecutor:
     """Build the executor the CLI/benches ask for.
 
@@ -632,18 +603,18 @@ def make_executor(jobs: int = 1,
     ``cache_dir`` (optional) enables the on-disk result cache,
     ``on_event`` (optional) subscribes a progress callback to every
     sweep, ``point_timeout_s`` sets a per-point wall-clock deadline,
-    ``max_retries`` (default
+    and ``max_retries`` (default
     :data:`~repro.experiments.supervise.DEFAULT_MAX_RETRIES`) bounds
-    extra attempts, and ``resume_from`` replays an interrupted run's
-    ledger.  Results are bit-identical under every combination.
+    extra attempts.  An interrupted sweep resumes by building its
+    executor over the same ``cache_dir`` again.  Results are
+    bit-identical under every combination.
     """
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     return SweepExecutor(
         jobs=jobs, cache=cache, on_event=on_event,
         point_timeout_s=point_timeout_s,
         max_retries=(DEFAULT_MAX_RETRIES if max_retries is None
-                     else max_retries),
-        resume_from=resume_from)
+                     else max_retries))
 
 
 @functools.lru_cache(maxsize=None)

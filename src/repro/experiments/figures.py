@@ -155,8 +155,9 @@ def figure3(config: Optional[RunConfig] = None, scale: float = 1.0,
     # One batch for the whole grid, so a multi-worker executor fans the
     # cells out instead of seeing fourteen single-point sweeps.  The
     # outstanding target joins the label: every grid cell runs at the
-    # same overload rate, and (label, rate) is the identity resume
-    # reconstructs completed points by — two cells must never alias.
+    # same overload rate, and (label, rate) is how progress streams and
+    # ``repro watch`` curves tell points apart — two cells must never
+    # alias.
     specs = [PointSpec(factory=factories[cell], rate_rps=overload_rps,
                        distribution=Fixed(us(1.0)), config=run_config,
                        label=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}")

@@ -16,9 +16,9 @@ Three consumers live here:
   a rendered scoreboard;
 - :class:`ConsoleProgress` — a line-per-event printer for ``--progress``
   runs;
-- :class:`ProgressLedger` — an append-only ``progress.jsonl`` written
-  next to a sweep's result cache, which ``repro watch`` tails from
-  another process.
+- :class:`ProgressLedger` — the ``progress.jsonl`` a sweep writes next
+  to its result cache, which ``repro watch`` tails from another
+  process.
 
 Ledger lines carry a monotone sequence number, never a wall-clock
 timestamp — the stream must not introduce nondeterminism into anything
@@ -28,8 +28,7 @@ that could feed back into results.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -149,116 +148,30 @@ def event_from_jsonable(data: Dict[str, Any]) -> PointEvent:
 # The on-disk ledger (what `repro watch` tails)
 # ---------------------------------------------------------------------------
 
-#: Rotation threshold for ``progress.jsonl``: at open time, an existing
-#: ledger at or past this size is archived to ``progress.jsonl.1``
-#: (replacing any earlier archive) so an append-forever cache directory
-#: cannot grow one without bound.  Override per-ledger via
-#: ``max_bytes``.
-DEFAULT_LEDGER_MAX_BYTES = 32 * 1024 * 1024
-
-
-def point_key(label: str, rate_rps: float) -> Tuple[str, str]:
-    """The resume identity of a sweep point: exact label and rate.
-
-    The rate goes in as ``float.hex()`` — the same exactness contract
-    as the result-cache key — so two rates differing in the last ulp
-    never alias.
-    """
-    return (label, float(rate_rps).hex())
-
-
-@dataclass
-class LedgerReplay:
-    """What a previous (possibly interrupted) sweep already settled.
-
-    Built by :meth:`ProgressLedger.replay` from the on-disk ledger:
-    ``completed`` maps each :func:`point_key` to the exact
-    :class:`~repro.metrics.summary.RunMetrics` its ``completed`` /
-    ``cache-hit`` event carried (later events win), ``failed`` holds
-    keys whose latest terminal event was a failure, and ``finished``
-    says whether the done sentinel was seen — an interrupted run has
-    none, which replay tolerates by design.
-    """
-
-    completed: Dict[Tuple[str, str], RunMetrics] = field(
-        default_factory=dict)
-    failed: Dict[Tuple[str, str], str] = field(default_factory=dict)
-    events_seen: int = 0
-    finished: bool = False
-
-    def lookup(self, label: str, rate_rps: float) -> Optional[RunMetrics]:
-        """The completed metrics for (*label*, *rate_rps*), if any."""
-        return self.completed.get(point_key(label, rate_rps))
-
-
 class ProgressLedger:
-    """Append-only JSONL event log next to a sweep's result cache.
+    """JSONL event log next to a sweep's result cache.
 
     One writer (the sweeping process), any number of tailing readers.
     Each event is one line, flushed on write, so a reader never sees a
     torn line except possibly the final one — which :meth:`read_events`
     skips.  Use the instance itself as an executor subscriber.
 
-    Opening a ledger whose file is already at or past *max_bytes*
-    rotates it to ``<path>.1`` first (one archived generation is kept),
-    so long-lived cache directories cannot accrete an unbounded log;
-    :meth:`replay` reads the archive too, so rotation never loses
-    resume information.
+    Opening a ledger truncates any file already at *path*: one sweep,
+    one ledger.  The ledger is a progress feed, not a checkpoint — an
+    interrupted sweep resumes from the result cache, by re-running with
+    the same cache directory.
     """
 
-    def __init__(self, path: Union[str, Path],
-                 max_bytes: int = DEFAULT_LEDGER_MAX_BYTES):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.rotated = False
-        try:
-            if max_bytes > 0 and self.path.stat().st_size >= max_bytes:
-                os.replace(self.path, self.rotated_path(self.path))
-                self.rotated = True
-        except OSError:
-            pass  # no existing ledger (or unreadable): start fresh
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = open(self.path, "w", encoding="utf-8")
         self._seq = 0
 
     @classmethod
-    def in_cache_dir(cls, cache_dir: Union[str, Path],
-                     max_bytes: int = DEFAULT_LEDGER_MAX_BYTES,
-                     ) -> "ProgressLedger":
+    def in_cache_dir(cls, cache_dir: Union[str, Path]) -> "ProgressLedger":
         """The canonical ledger for the sweep caching into *cache_dir*."""
-        return cls(Path(cache_dir) / LEDGER_FILENAME, max_bytes=max_bytes)
-
-    @staticmethod
-    def rotated_path(path: Union[str, Path]) -> Path:
-        """Where *path*'s archived generation lives after rotation."""
-        path = Path(path)
-        return path.with_name(path.name + ".1")
-
-    @classmethod
-    def replay(cls, path: Union[str, Path]) -> LedgerReplay:
-        """Fold the ledger at *path* (plus its rotated archive) into a
-        :class:`LedgerReplay`.
-
-        Tolerant by construction: a missing file replays as nothing
-        settled, a torn final line is skipped, and a missing done
-        sentinel — the signature of an interrupted sweep — simply
-        leaves ``finished`` False.
-        """
-        events = (cls.read_events(cls.rotated_path(path))
-                  + cls.read_events(path))
-        replay = LedgerReplay()
-        for event in events:
-            replay.events_seen += 1
-            if event.kind == SWEEP_DONE:
-                replay.finished = True
-                continue
-            key = point_key(event.label, event.rate_rps)
-            if event.kind in (COMPLETED, CACHE_HIT) \
-                    and event.metrics is not None:
-                replay.completed[key] = event.metrics
-                replay.failed.pop(key, None)
-            elif event.kind == FAILED and key not in replay.completed:
-                replay.failed[key] = event.error or "unknown failure"
-        return replay
+        return cls(Path(cache_dir) / LEDGER_FILENAME)
 
     def __call__(self, event: PointEvent) -> None:
         """Append one event (executor-subscriber entry point)."""
@@ -487,20 +400,3 @@ def ledger_path(cache_dir: Union[str, Path, None]) -> Optional[Path]:
         return None
     return Path(cache_dir) / LEDGER_FILENAME
 
-
-def latest_ledger(directory: Union[str, Path]) -> Optional[Path]:
-    """The ledger in *directory*, or None when none has been written."""
-    path = Path(directory) / LEDGER_FILENAME
-    return path if path.exists() else None
-
-
-def clear_ledger(cache_dir: Union[str, Path]) -> None:
-    """Remove a previous sweep's ledger (and its rotated archive) so a
-    new, non-resumed sweep starts fresh."""
-    path = ledger_path(cache_dir)
-    if path is not None:
-        for target in (path, ProgressLedger.rotated_path(path)):
-            try:
-                os.unlink(target)
-            except OSError:
-                pass

@@ -68,16 +68,16 @@ def render_executor_stats(stats: ExecutorStats, jobs: int = 1) -> str:
     """One-line summary of where a run's points came from.
 
     Forked workers and the robustness tallies (retries, failures,
-    ledger-resumed points, quarantined cache entries) are appended only
-    when nonzero, so an undisturbed in-process run renders exactly as
-    it always has.
+    quarantined cache entries) are appended only when nonzero, so an
+    undisturbed in-process run renders exactly as it always has.
+    ``cached=`` counts the points a re-run with the same cache
+    directory resumed from.
     """
     line = (f"[executor: jobs={jobs} points={stats.points_total} "
             f"run={stats.points_run} cached={stats.points_cached} "
             f"events={stats.events_executed}")
     extras = [(label, value) for label, value in (
         ("workers", stats.workers_started),
-        ("resumed", stats.points_resumed),
         ("retried", stats.points_retried),
         ("failed", stats.points_failed),
         ("quarantined", stats.points_quarantined)) if value]

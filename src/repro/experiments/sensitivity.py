@@ -13,11 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.experiments.executor import (
-    ConfiguredFactory,
-    PointSpec,
-    default_executor,
-)
+from repro.experiments.executor import PointSpec, default_executor
 from repro.experiments.harness import RunConfig, SystemFactory
 from repro.metrics.summary import RunMetrics
 from repro.workload.distributions import ServiceTimeDistribution
@@ -118,24 +114,3 @@ def sweep_parameter(parameter: str, values: Sequence[Any],
     points = [SensitivityPoint(value=value, metrics=metrics)
               for value, metrics in zip(values, all_metrics)]
     return SensitivityResult(parameter=parameter, points=points)
-
-
-def sweep_system_parameter(system: str, parameter: str,
-                           values: Sequence[Any],
-                           config_for: Callable[[Any], Any],
-                           rate_rps: float,
-                           distribution: ServiceTimeDistribution,
-                           config: Optional[RunConfig] = None,
-                           executor: Optional["SweepExecutor"] = None,
-                           ) -> SensitivityResult:
-    """:func:`sweep_parameter` with the system resolved by registry name.
-
-    ``config_for`` maps each swept value to a system config; every
-    point then runs ``ConfiguredFactory.by_name(system, config)``, so
-    the sweep is picklable (parallel-executor safe) and cache-stable
-    without the caller importing any system class.
-    """
-    return sweep_parameter(
-        parameter, values,
-        lambda value: ConfiguredFactory.by_name(system, config_for(value)),
-        rate_rps, distribution, config=config, executor=executor)

@@ -1,7 +1,7 @@
 """Supervised attempts: crash-safe workers, deadlines, bounded retries.
 
 :class:`~repro.experiments.executor.SweepExecutor` hands every point
-its cache and resume lookups miss to :func:`run_attempts`, the one loop
+its cache lookups miss to :func:`run_attempts`, the one loop
 that runs point attempts:
 
 - points launch costliest first (descending offered rate times
@@ -379,7 +379,7 @@ def run_attempts(specs: Sequence["PointSpec"],
     except BaseException:
         # Ctrl-C or an unexpected supervisor bug: never orphan live
         # workers.  Completed points are already recorded (and cached),
-        # so a re-run (or --resume) picks up from them.
+        # so a re-run with the same cache picks up from them.
         for worker in [*busy.values(), *idle]:
             worker.process.kill()
             worker.conn.close()

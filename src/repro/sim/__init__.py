@@ -15,7 +15,7 @@ simpy, written from scratch for this reproduction.  The public surface:
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout, AnyOf, AllOf, EventState
+from repro.sim.events import Event, Timeout, EventState
 from repro.sim.process import Process
 from repro.sim.primitives import Store, Resource, Channel, Signal
 from repro.sim.rng import RngRegistry
@@ -29,8 +29,6 @@ __all__ = [
     "permutation_policy",
     "Event",
     "Timeout",
-    "AnyOf",
-    "AllOf",
     "EventState",
     "Process",
     "Store",

@@ -33,8 +33,8 @@ its constant factors small without ever changing *what* is scheduled:
   :class:`~repro.sim.events.Event` objects are recycled through small
   per-simulator freelists — but only when the kernel holds the *last*
   reference (checked via ``sys.getrefcount``), so an event is never
-  reused while user code can still see it.  Subclasses (processes,
-  conditions) are never pooled.
+  reused while user code can still see it.  Subclasses such as
+  processes are never pooled.
 - :meth:`defer` / :meth:`defer_at` schedule a bare callback through a
   pooled :class:`_Deferred` cell instead of a Timeout-plus-lambda pair;
   they consume exactly one tie key and one schedule push, just like
@@ -66,7 +66,7 @@ from sys import getrefcount
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, _Sleep
 from repro.sim.tiebreak import FIFO, TieBreakPolicy
 from repro.sim.wheel import GRANULARITY, TimerWheel
@@ -259,14 +259,6 @@ class Simulator:
     def process(self, generator: Generator, label: str = "") -> Process:
         """Start a new :class:`Process` driving *generator*."""
         return Process(self, generator, label=label)
-
-    def any_of(self, events) -> AnyOf:
-        """Composite event: fires when any of *events* fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events) -> AllOf:
-        """Composite event: fires when all of *events* have fired."""
-        return AllOf(self, events)
 
     def call_at(self, when: float, func: Callable[[], None]) -> Event:
         """Run *func* (no args) at absolute time *when*.

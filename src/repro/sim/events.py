@@ -210,70 +210,3 @@ class Timeout(Event):
             heappush(sim._heap, (when, _NORMAL, sim._next_key(), self))
         else:
             sim._wheel.push((when, _NORMAL, sim._next_key(), self))
-
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
-
-    __slots__ = ("events", "_n_done")
-
-    def __init__(self, sim: "Simulator", events):
-        super().__init__(sim)
-        self.events = tuple(events)
-        self._n_done = 0
-        if any(ev.sim is not sim for ev in self.events):
-            raise SimulationError("condition mixes events from different simulators")
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        for ev in self.events:
-            if ev._state == _PROCESSED:
-                self._child_done(ev)
-            else:
-                ev.callbacks.append(self._child_done)
-
-    def _collect(self) -> dict:
-        """Results of all triggered child events, in declaration order."""
-        return {ev: ev._value for ev in self.events if ev._state != _PENDING}
-
-    def _child_done(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers when *any* child event triggers.
-
-    The value is a dict mapping the already-triggered events to their
-    values (there may be more than one if several fire at the same
-    instant).  A failing child fails the condition.
-    """
-
-    __slots__ = ()
-
-    def _child_done(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers when *all* child events have triggered.
-
-    The value is a dict mapping every event to its value.  A failing
-    child fails the condition immediately.
-    """
-
-    __slots__ = ()
-
-    def _child_done(self, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._n_done += 1
-        if self._n_done == len(self.events):
-            self.succeed(self._collect())

@@ -111,11 +111,11 @@ class Process(Event):
     def cut_wait(self) -> None:
         """End the current wait early: resume with None at this instant.
 
-        The resume goes through the schedule (one event at the current
-        time), like an :class:`~repro.sim.events.AnyOf` firing.  The
-        event the process was waiting on is left as it is — it may still
-        trigger later — but it no longer resumes the process.  A no-op
-        on a finished process.
+        The resume goes through the schedule: one relay event triggered
+        at the current time, ordered against same-instant events by its
+        tie key like any other.  The event the process was waiting on is
+        left as it is — it may still trigger later — but it no longer
+        resumes the process.  A no-op on a finished process.
         """
         if self._state != _PENDING:
             return

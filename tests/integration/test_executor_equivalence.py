@@ -26,7 +26,7 @@ from repro.experiments.executor import (
     make_executor,
 )
 from repro.experiments.harness import RunConfig, load_sweep
-from repro.experiments.progress import ProgressLedger
+from repro.experiments.progress import COMPLETED, ProgressLedger
 from repro.systems.elastic_rss import ElasticRssConfig, ElasticRssSystem
 from repro.systems.ideal_offload import IdealOffloadSystem
 from repro.systems.mica_system import MicaSystem, MicaSystemConfig
@@ -126,24 +126,31 @@ class TestAttemptModes:
         assert results == make_executor().run_points([a, b, a])
 
 
-class TestLedgerResume:
+class TestCacheResume:
     @pytest.mark.parametrize("name,factory", ALL_SYSTEM_FACTORIES, ids=IDS)
-    def test_resume_from_ledger_matches_fresh_run(self, tmp_path,
-                                                  name, factory):
-        """Every system's metrics survive the progress ledger's JSON
-        round trip: a resumed sweep re-runs nothing and changes no bit."""
-        ledger = ProgressLedger(tmp_path / "progress.jsonl")
-        fresh = _sweep(factory, make_executor(on_event=ledger))
+    def test_resume_from_cache_matches_fresh_run(self, tmp_path,
+                                                 name, factory):
+        """Every system's metrics survive the result cache's and the
+        progress ledger's JSON round trips: a sweep re-run over the same
+        cache re-runs nothing and changes no bit, and the ledger's
+        ``completed`` events (what ``repro watch`` draws) carry the
+        exact fresh metrics."""
+        ledger = ProgressLedger.in_cache_dir(tmp_path)
+        fresh = _sweep(factory, make_executor(cache_dir=tmp_path,
+                                              on_event=ledger))
         ledger.write_done()
-        ledger.close()
-        replay = ProgressLedger.replay(tmp_path / "progress.jsonl")
-        resumer = make_executor(resume_from=replay)
+        fresh_metrics = [p.metrics for p in fresh.points]
+        completed = sorted(
+            (event.index, event.metrics)
+            for event in ProgressLedger.read_events(ledger.path)
+            if event.kind == COMPLETED)
+        assert [metrics for _, metrics in completed] == fresh_metrics
+        resumer = make_executor(cache_dir=tmp_path)
         resumed = _sweep(factory, resumer)
-        assert resumer.stats.points_resumed == len(RATES)
+        assert resumer.stats.points_cached == len(RATES)
         assert resumer.stats.points_run == 0
         assert resumer.stats.events_executed == 0
-        assert [p.metrics for p in resumed.points] == \
-            [p.metrics for p in fresh.points]
+        assert [p.metrics for p in resumed.points] == fresh_metrics
 
 
 class TestAcceptance:

@@ -3,10 +3,10 @@
 Each scenario injects a genuine fault into a live supervised sweep —
 a worker SIGKILLed mid-point, a worker sleeping past its wall-clock
 deadline, cache entries truncated between runs, a sweep interrupted
-before its done sentinel — and asserts the robustness contract from
-``experiments/supervise.py``: the sweep completes, the casualty costs
-at most one retried point, and the final metrics are bit-for-bit
-identical to an undisturbed serial run.
+before its done sentinel and resumed from its result cache — and
+asserts the robustness contract from ``experiments/supervise.py``: the
+sweep completes, the casualty costs at most one retried point, and the
+final metrics are bit-for-bit identical to an undisturbed serial run.
 
 Faults fire on the first attempt only: a sentinel file created with
 ``O_CREAT | O_EXCL`` is exact across worker processes, so the retry
@@ -34,9 +34,12 @@ from repro.experiments.executor import (
 )
 from repro.experiments.harness import RunConfig
 from repro.experiments.progress import (
-    ProgressLedger,
+    COMPLETED,
+    FAILED,
     SWEEP_DONE,
+    ProgressLedger,
     ledger_path,
+    multiplex,
 )
 from repro.experiments.supervise import supervision_context
 from repro.systems.rpcvalet import RpcValetConfig, RpcValetSystem
@@ -201,64 +204,91 @@ class TestCorruptedCache:
         assert third.stats.events_executed == 0
 
 
+class _Interrupt(BaseException):
+    """Stands in for the operator's ctrl-C."""
+
+
 class TestInterruptedSweepResume:
     def _interrupt_after(self, tmp_path, settle: int):
-        """A sweep that died after settling *settle* points: a ledger
-        with those completions and no done sentinel."""
+        """A cached sweep that died after settling *settle* points: its
+        ledger has no done sentinel.  Returns the cache directory."""
         cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
         ledger = ProgressLedger.in_cache_dir(cache_dir)
-        partial = make_executor(on_event=ledger)
-        partial.run_points([_spec(rate=rate) for rate in RATES[:settle]])
+        cache = ResultCache(cache_dir)
+        keys = {spec.rate_rps: spec_cache_key(spec)
+                for spec in (_spec(rate=rate) for rate in RATES)}
+        settled = []
+
+        def bomb(event):
+            if event.terminal:
+                # Written to the cache before its completed event.
+                assert cache.get(keys[event.rate_rps]) == event.metrics
+                settled.append(event)
+                if len(settled) == settle:
+                    raise _Interrupt()
+
+        partial = make_executor(cache_dir=cache_dir,
+                                on_event=multiplex(ledger, bomb))
+        with pytest.raises(_Interrupt):
+            partial.run_points([_spec(rate=rate) for rate in RATES])
         ledger.close()  # no write_done(): the run was interrupted
         return cache_dir
 
     def test_resume_runs_only_the_remainder(self, tmp_path):
         cache_dir = self._interrupt_after(tmp_path, settle=2)
-        replay = ProgressLedger.replay(ledger_path(cache_dir))
-        assert not replay.finished  # the interruption is visible
-        assert len(replay.completed) == 2
-        resumed = make_executor(jobs=1, resume_from=replay)
+        events = ProgressLedger.read_events(ledger_path(cache_dir))
+        # The interruption is visible to watchers: no done sentinel.
+        assert SWEEP_DONE not in [event.kind for event in events]
+        assert len(ResultCache(cache_dir)) == 2
+        resumed = make_executor(jobs=1, cache_dir=cache_dir)
         specs = [_spec(rate=rate) for rate in RATES]
         results = resumed.run_points(specs)
         assert metrics_digest(results) == _baseline_digest()
-        assert resumed.stats.points_resumed == 2
+        assert resumed.stats.points_cached == 2
         assert resumed.stats.points_run == len(RATES) - 2
 
-    def test_resume_with_cache_repairs_missing_entries(self, tmp_path):
+    def test_resumed_sweep_completes_the_cache(self, tmp_path):
         cache_dir = self._interrupt_after(tmp_path, settle=3)
-        replay = ProgressLedger.replay(ledger_path(cache_dir))
-        # The interrupted run never cached (ledger only); resuming with
-        # a cache writes the replayed points into it.
-        resumed = make_executor(jobs=1, cache_dir=cache_dir,
-                                resume_from=replay)
         specs = [_spec(rate=rate) for rate in RATES]
+        resumed = make_executor(jobs=2, cache_dir=cache_dir)
         assert metrics_digest(resumed.run_points(specs)) \
             == _baseline_digest()
+        assert resumed.stats.points_run == 1
         cache = ResultCache(cache_dir)
         for spec in specs:
             assert cache.get(spec_cache_key(spec)) is not None
+        # A third run simulates nothing.
+        third = make_executor(jobs=1, cache_dir=cache_dir)
+        assert metrics_digest(third.run_points(specs)) \
+            == _baseline_digest()
+        assert third.stats.events_executed == 0
 
-    def test_chaotic_run_streams_a_resumable_ledger(self, tmp_path):
-        """Kill chaos + ledger: the stream a real --resume would read."""
+    def test_chaotic_run_streams_a_ledger_and_resumes_from_its_cache(
+            self, tmp_path):
+        """Kill chaos + ledger + cache: the ledger reports every point
+        once, and a re-run serves every cacheable point from the cache."""
         _fork_only()
         cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
         ledger = ProgressLedger.in_cache_dir(cache_dir)
-        supervised = make_executor(jobs=2, max_retries=2, on_event=ledger)
-        results = supervised.run_points(_chaos_specs(tmp_path, "kill"))
+        specs = _chaos_specs(tmp_path, "kill")
+        supervised = make_executor(jobs=2, max_retries=2,
+                                   cache_dir=cache_dir, on_event=ledger)
+        results = supervised.run_points(specs)
         ledger.write_done()
         assert metrics_digest(results) == _baseline_digest()
-        replay = ProgressLedger.replay(ledger_path(cache_dir))
-        assert replay.finished
-        assert len(replay.completed) == len(RATES)
-        assert replay.failed == {}
-        # Replaying a finished ledger resumes every point instantly.
-        resumed = make_executor(jobs=1, resume_from=replay)
-        again = resumed.run_points(
-            [_spec(rate=rate) for rate in RATES])
-        assert metrics_digest(again) == _baseline_digest()
-        assert resumed.stats.events_executed == 0
+        events = ProgressLedger.read_events(ledger_path(cache_dir))
+        assert events[-1].kind == SWEEP_DONE
+        completed = sorted(event.index for event in events
+                           if event.kind == COMPLETED)
+        assert completed == list(range(len(RATES)))
+        assert FAILED not in [event.kind for event in events]
+        # The chaos point's factory is opaque (no cache token), so it
+        # is the only one the re-run simulates; its sentinel is spent.
+        resumed = make_executor(jobs=1, cache_dir=cache_dir)
+        assert metrics_digest(resumed.run_points(specs)) \
+            == _baseline_digest()
+        assert resumed.stats.points_cached == len(RATES) - 1
+        assert resumed.stats.points_run == 1
 
 
 #: The committed full-scale fig2 golden (see test_progress_digest.py).
@@ -334,30 +364,26 @@ class TestFullScaleFig2Chaos:
         assert again.stats.points_run == 1
 
     def test_interrupted_sweep_resumes_to_the_golden_digest(self, tmp_path):
-        from repro.experiments.progress import multiplex
-
-        class Interrupt(BaseException):
-            """Stands in for the operator's ctrl-C."""
-
         settled = []
 
         def bomb(event):
             if event.terminal:
                 settled.append(event)
                 if len(settled) == 5:
-                    raise Interrupt()
+                    raise _Interrupt()
 
         ledger = ProgressLedger.in_cache_dir(tmp_path)
-        first = make_executor(jobs=1, on_event=multiplex(ledger, bomb))
-        with pytest.raises(Interrupt):
+        first = make_executor(jobs=1, cache_dir=tmp_path,
+                              on_event=multiplex(ledger, bomb))
+        with pytest.raises(_Interrupt):
             _fig2_supervised(first)
         ledger.close()  # interrupted: no done sentinel
-        replay = ProgressLedger.replay(ledger_path(tmp_path))
-        assert not replay.finished
-        assert len(replay.completed) == 5
-        resumed = make_executor(jobs=2, resume_from=replay)
+        events = ProgressLedger.read_events(ledger_path(tmp_path))
+        assert SWEEP_DONE not in [event.kind for event in events]
+        assert len(ResultCache(tmp_path)) == 5
+        resumed = make_executor(jobs=2, cache_dir=tmp_path)
         assert _fig2_supervised(resumed) == FIG2_DIGEST
-        assert resumed.stats.points_resumed == 5
+        assert resumed.stats.points_cached == 5
         assert resumed.stats.points_run == 18 - 5
 
 

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments.progress import (
+    CACHE_HIT,
+    COMPLETED,
+    SWEEP_DONE,
+    ProgressLedger,
+)
 
 #: Every command that sweeps points, with the arguments it requires.
 SWEEP_COMMANDS = [
@@ -60,12 +66,83 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", SWEEP_COMMANDS, ids=SWEEP_IDS)
     @pytest.mark.parametrize("flag", [["--fastpath", "auto"],
-                                      ["--supervised"]],
-                             ids=["fastpath", "supervised"])
+                                      ["--supervised"], ["--resume"]],
+                             ids=["fastpath", "supervised", "resume"])
     def test_removed_executor_flags_are_rejected(self, capsys, argv, flag):
         """Every point is an exact simulation under one executor: the
-        approximate mode and the executor selector are gone."""
+        approximate mode and the executor selector are gone, and a sweep
+        resumes by re-running with the same --cache-dir."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv + flag)
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+
+def _figure_lines(out):
+    """The printed figure alone: the ``[progress ...]``, ``[executor:
+    ...]`` and ``[... regenerated in ...]`` lines vary between runs."""
+    return [line for line in out.splitlines() if not line.startswith("[")]
+
+
+def _executor_stats(out):
+    """The ``[executor: ...]`` fields, as ints keyed by name."""
+    [line] = [line for line in out.splitlines()
+              if line.startswith("[executor:")]
+    fields = line.strip("[]").split()[1:]
+    return {name: int(value)
+            for name, value in (field.split("=") for field in fields)}
+
+
+def _ledger_terminal_kinds(cache_dir):
+    events = ProgressLedger.read_events(cache_dir / "progress.jsonl")
+    assert events[-1].kind == SWEEP_DONE
+    return {event.kind for event in events if event.terminal}
+
+
+class TestCacheResume:
+    """Re-running with the same --cache-dir resumes a sweep; the cache
+    key covers the seed and the horizon, so a run with other settings
+    over the same directory measures every point afresh."""
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "7"),
+                                            ("--scale", "0.05")],
+                             ids=["seed", "scale"])
+    def test_another_run_over_the_cache_matches_a_fresh_run(
+            self, tmp_path, capsys, flag, value):
+        first = ["fig6", "--scale", "0.02", "--seed", "42"]
+        other = list(first)
+        other[other.index(flag) + 1] = value
+        cached = ["--cache-dir", str(tmp_path), "--progress"]
+
+        assert main(first + cached) == 0
+        capsys.readouterr()
+        assert main(other) == 0
+        fresh = _figure_lines(capsys.readouterr().out)
+
+        assert main(other + cached) == 0
+        out = capsys.readouterr().out
+        stats = _executor_stats(out)
+        assert stats["run"] == stats["points"] and stats["cached"] == 0
+        assert _figure_lines(out) == fresh
+        assert _ledger_terminal_kinds(tmp_path) == {COMPLETED}
+
+        assert main(other + cached) == 0
+        out = capsys.readouterr().out
+        stats = _executor_stats(out)
+        assert stats["cached"] == stats["points"] and stats["run"] == 0
+        assert _figure_lines(out) == fresh
+        assert _ledger_terminal_kinds(tmp_path) == {CACHE_HIT}
+
+    def test_resume_needs_no_ledger(self, tmp_path, capsys):
+        """Without --progress no ledger is written, and a re-run over the
+        same --cache-dir still serves every point from the cache."""
+        argv = ["fig6", "--scale", "0.02", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert not (tmp_path / "progress.jsonl").exists()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        stats = _executor_stats(out)
+        assert stats["cached"] == stats["points"] and stats["run"] == 0
+        assert _figure_lines(out) == _figure_lines(first)
+        assert not (tmp_path / "progress.jsonl").exists()

@@ -12,16 +12,13 @@ from repro.experiments.progress import (
     STARTED,
     SWEEP_DONE,
     ConsoleProgress,
-    LedgerReplay,
     PointEvent,
     ProgressLedger,
     SweepProgress,
-    clear_ledger,
     event_from_jsonable,
     event_to_jsonable,
     ledger_path,
     multiplex,
-    point_key,
     sweep_done_event,
 )
 from repro.metrics.summary import LatencySummary, RunMetrics, \
@@ -112,96 +109,19 @@ class TestProgressLedger:
         assert ledger_path(None) is None
         assert ledger_path(tmp_path).name == "progress.jsonl"
 
-    def test_rotation_at_size_cap(self, tmp_path):
-        first = ProgressLedger.in_cache_dir(tmp_path, max_bytes=10)
-        first(_event(seq=1, metrics=_metrics()))
-        first.close()
-        assert first.path.stat().st_size >= 10
-        second = ProgressLedger.in_cache_dir(tmp_path, max_bytes=10)
-        assert second.rotated
-        second(_event(seq=1, index=1, metrics=_metrics()))
-        second.close()
-        archive = ProgressLedger.rotated_path(second.path)
-        assert archive.exists()
-        assert len(ProgressLedger.read_events(archive)) == 1
-        assert len(ProgressLedger.read_events(second.path)) == 1
-
-    def test_no_rotation_under_cap(self, tmp_path):
+    def test_opening_over_an_existing_ledger_starts_it_empty(self,
+                                                             tmp_path):
         first = ProgressLedger.in_cache_dir(tmp_path)
-        first(_event(seq=1, metrics=_metrics()))
-        first.close()
+        first(_event(kind=STARTED, seq=1))
+        first(_event(kind=COMPLETED, seq=2, metrics=_metrics()))
+        first.close()  # an interrupted sweep: no done sentinel
         second = ProgressLedger.in_cache_dir(tmp_path)
-        second.close()
-        assert not second.rotated
-        assert not ProgressLedger.rotated_path(second.path).exists()
-
-    def test_clear_ledger_removes_archive_too(self, tmp_path):
-        ledger = ProgressLedger.in_cache_dir(tmp_path, max_bytes=10)
-        ledger(_event(seq=1, metrics=_metrics()))
-        ledger.close()
-        ProgressLedger.in_cache_dir(tmp_path, max_bytes=10).close()
-        assert ProgressLedger.rotated_path(ledger.path).exists()
-        clear_ledger(tmp_path)
-        assert not ledger.path.exists()
-        assert not ProgressLedger.rotated_path(ledger.path).exists()
-
-
-class TestLedgerReplay:
-    def test_replay_tolerates_missing_done_sentinel(self, tmp_path):
-        ledger = ProgressLedger.in_cache_dir(tmp_path)
-        ledger(_event(kind=STARTED, seq=1))
-        ledger(_event(kind=COMPLETED, seq=2, metrics=_metrics()))
-        ledger(_event(kind=STARTED, seq=3, index=1))
-        ledger.close()  # interrupted: no write_done()
-        replay = ProgressLedger.replay(ledger.path)
-        assert not replay.finished
-        assert replay.events_seen == 3
-        assert replay.lookup("Shinjuku", 100e3) == _metrics()
-        assert replay.lookup("Shinjuku", 999e3) is None
-
-    def test_replay_missing_file_is_empty(self, tmp_path):
-        replay = ProgressLedger.replay(tmp_path / "nope.jsonl")
-        assert replay.completed == {} and not replay.finished
-
-    def test_replay_sees_done_sentinel(self, tmp_path):
-        ledger = ProgressLedger.in_cache_dir(tmp_path)
-        ledger(_event(kind=CACHE_HIT, seq=1, metrics=_metrics()))
-        ledger.write_done()
-        replay = ProgressLedger.replay(ledger.path)
-        assert replay.finished
-        assert len(replay.completed) == 1
-
-    def test_completion_wins_over_earlier_failure(self, tmp_path):
-        ledger = ProgressLedger.in_cache_dir(tmp_path)
-        ledger(_event(kind=FAILED, seq=1, error="flaky"))
-        ledger(_event(kind=COMPLETED, seq=2, metrics=_metrics()))
-        ledger(_event(kind=FAILED, seq=3, index=1, rate=200e3,
-                      error="permanent"))
-        ledger.close()
-        replay = ProgressLedger.replay(ledger.path)
-        assert replay.lookup("Shinjuku", 100e3) == _metrics()
-        assert point_key("Shinjuku", 100e3) not in replay.failed
-        assert replay.failed[point_key("Shinjuku", 200e3)] == "permanent"
-
-    def test_replay_spans_a_rotation(self, tmp_path):
-        first = ProgressLedger.in_cache_dir(tmp_path, max_bytes=10)
-        first(_event(seq=1, metrics=_metrics()))
-        first.close()
-        second = ProgressLedger.in_cache_dir(tmp_path, max_bytes=10)
-        second(_event(seq=2, index=1, rate=200e3,
-                      metrics=_metrics(achieved=190e3)))
-        second.close()
-        replay = ProgressLedger.replay(second.path)
-        assert len(replay.completed) == 2  # one archived, one current
-
-    def test_lookup_distinguishes_last_ulp_rates(self):
-        import math
-        rate = 100e3
-        nudged = math.nextafter(rate, rate + 1)
-        replay = LedgerReplay(completed={
-            point_key("sut", rate): _metrics()})
-        assert replay.lookup("sut", rate) is not None
-        assert replay.lookup("sut", nudged) is None
+        assert ProgressLedger.read_events(second.path) == []
+        second(_event(kind=STARTED, seq=1, index=1))
+        second.write_done()
+        events = ProgressLedger.read_events(second.path)
+        assert [e.kind for e in events] == [STARTED, SWEEP_DONE]
+        assert events[0].index == 1
 
 
 class TestSweepProgress:
@@ -308,6 +228,21 @@ class TestWatchCommand:
         assert main(["watch", "--cache-dir", str(tmp_path),
                      "--interval", "0.01"]) == 0
         assert "sweep complete" in capsys.readouterr().out
+
+    def test_watch_once_renders_an_interrupted_ledger(self, tmp_path,
+                                                      capsys):
+        """A sweep cut before its done sentinel still shows its settled
+        points and partial curve, and is not reported complete."""
+        from repro.cli import main
+        ledger = ProgressLedger.in_cache_dir(tmp_path)
+        ledger(_event(seq=1, index=0, metrics=_metrics(), total=2))
+        ledger(_event(kind=STARTED, seq=2, index=1, total=2))
+        ledger.close()
+        assert main(["watch", "--cache-dir", str(tmp_path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "1/2 points settled" in out and "1 in flight" in out
+        assert "curve: 100k:95.0k/12.3us" in out
+        assert "sweep complete" not in out
 
     def test_watch_rejects_bad_interval(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,9 +1,8 @@
-"""Unit tests for events and composite conditions."""
+"""Unit tests for one-shot events and timeouts."""
 
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.engine import Simulator
 from repro.sim.events import EventState
 
 
@@ -84,74 +83,3 @@ class TestTimeout:
         proc = sim.process(waiter(sim))
         sim.run()
         assert proc.value == 99
-
-
-class TestAnyOf:
-    def test_fires_on_first(self, sim):
-        fast = sim.timeout(5.0, value="fast")
-        slow = sim.timeout(50.0, value="slow")
-        cond = sim.any_of([fast, slow])
-
-        def waiter(sim):
-            result = yield cond
-            return result
-
-        proc = sim.process(waiter(sim))
-        sim.run()
-        assert fast in proc.value
-        assert proc.value[fast] == "fast"
-
-    def test_simultaneous_children_both_reported(self, sim):
-        a = sim.timeout(5.0, value="a")
-        b = sim.timeout(5.0, value="b")
-        cond = sim.any_of([a, b])
-        sim.run()
-        # Both are triggered at t=5; the condition resolves with at
-        # least the first and collects all already-triggered children.
-        assert cond.triggered
-        assert a in cond.value
-
-    def test_empty_anyof_fires_immediately(self, sim):
-        cond = sim.any_of([])
-        assert cond.triggered
-
-    def test_failed_child_fails_condition(self, sim):
-        good = sim.timeout(50.0)
-        bad = sim.event()
-        cond = sim.any_of([good, bad])
-        bad.fail(ValueError("child failed"))
-        sim.run(until=10.0)
-        assert cond.triggered
-        assert not cond.ok
-
-    def test_cross_simulator_rejected(self, sim):
-        other = Simulator()
-        foreign = other.timeout(1.0)
-        local = sim.timeout(1.0)
-        with pytest.raises(SimulationError):
-            sim.any_of([local, foreign])
-
-
-class TestAllOf:
-    def test_waits_for_all(self, sim):
-        a = sim.timeout(5.0, value=1)
-        b = sim.timeout(20.0, value=2)
-        cond = sim.all_of([a, b])
-        done_at = []
-        cond.callbacks.append(lambda _e: done_at.append(sim.now))
-        sim.run()
-        assert done_at == [20.0]
-        assert cond.value == {a: 1, b: 2}
-
-    def test_empty_allof_fires_immediately(self, sim):
-        cond = sim.all_of([])
-        assert cond.triggered
-
-    def test_failure_short_circuits(self, sim):
-        slow = sim.timeout(100.0)
-        bad = sim.event()
-        cond = sim.all_of([slow, bad])
-        bad.fail(RuntimeError("nope"))
-        sim.run(until=1.0)
-        assert cond.triggered
-        assert not cond.ok

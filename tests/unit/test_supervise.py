@@ -1,4 +1,4 @@
-"""Unit tests for supervised execution (retry, taxonomy, resume).
+"""Unit tests for supervised execution (retry, taxonomy, cache resume).
 
 Chaos here is injected through flaky system factories that misbehave
 on their first attempt only — a sentinel file created with
@@ -10,6 +10,7 @@ scenarios live in ``tests/integration/test_supervision_chaos.py``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import signal
 from dataclasses import dataclass
@@ -32,14 +33,13 @@ from repro.experiments.executor import (
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig
+from repro.faults import FaultPlan, LinkFaults
 from repro.experiments.progress import (
     COMPLETED,
     FAILED,
     STARTED,
-    LedgerReplay,
     ProgressLedger,
     multiplex,
-    point_key,
 )
 from repro.experiments.report import render_executor_stats
 from repro.experiments.supervise import (
@@ -150,16 +150,13 @@ class TestConstruction:
             make_executor(jobs=jobs)
 
     def test_make_executor_passes_every_knob_through(self, tmp_path):
-        replay = LedgerReplay()
         executor = make_executor(jobs=3, cache_dir=tmp_path,
-                                 point_timeout_s=5.0, max_retries=0,
-                                 resume_from=replay)
+                                 point_timeout_s=5.0, max_retries=0)
         assert type(executor) is SweepExecutor
         assert executor.jobs == 3
         assert executor.cache is not None
         assert executor.point_timeout_s == 5.0
         assert executor.max_retries == 0
-        assert executor.resume_from is replay
         assert make_executor().max_retries == DEFAULT_MAX_RETRIES
 
 
@@ -220,8 +217,9 @@ class TestLaunchOrder:
     def test_costliest_points_launch_first(self, tmp_path, jobs,
                                            point_timeout_s):
         """``started`` follows descending rate x horizon, ties in
-        submission order; results, completions and ledger keys still
-        follow the submitted indices, so a resume runs nothing."""
+        submission order; results, completions, ledger keys and cache
+        entries still follow the submitted indices, so a cached re-run
+        runs nothing."""
         long = RunConfig(seed=1, horizon_ns=ms(4.0), warmup_ns=ms(0.5))
         specs = [_spec(rate=100e3), _spec(rate=300e3),
                  dataclasses.replace(_spec(rate=100e3, label="long"),
@@ -231,9 +229,9 @@ class TestLaunchOrder:
         expected_order = [1, 4, 2, 3, 0]
         baseline = make_executor().run_points(specs)
         events = []
-        ledger = ProgressLedger(tmp_path / "progress.jsonl")
+        ledger = ProgressLedger.in_cache_dir(tmp_path)
         executor = _fast(make_executor(
-            jobs=jobs, point_timeout_s=point_timeout_s,
+            jobs=jobs, point_timeout_s=point_timeout_s, cache_dir=tmp_path,
             on_event=multiplex(ledger, events.append)))
         results = executor.run_points(specs)
         ledger.write_done()
@@ -247,10 +245,14 @@ class TestLaunchOrder:
         assert {(e.batch, e.index) for e in events
                 if e.kind == COMPLETED} \
             == {(0, i) for i in range(len(specs))}
-        resumer = make_executor(
-            resume_from=ProgressLedger.replay(ledger.path))
-        assert resumer.run_points(specs) == baseline
-        assert resumer.stats.points_run == 0
+        assert [(e.index, e.metrics)
+                for e in ProgressLedger.read_events(ledger.path)
+                if e.kind == COMPLETED] \
+            == [(e.index, e.metrics) for e in events if e.kind == COMPLETED]
+        rerun = make_executor(cache_dir=tmp_path)
+        assert rerun.run_points(specs) == baseline
+        assert rerun.stats.points_cached == len(specs)
+        assert rerun.stats.points_run == 0
 
 
 class TestWorkerLifecycle:
@@ -367,39 +369,60 @@ class TestRetry:
 
 
 class TestResume:
-    def test_resume_serves_settled_points_without_simulating(self):
-        specs = [_spec(rate=rate) for rate in (100e3, 200e3)]
+    """An interrupted sweep resumes from the result cache alone."""
+
+    def test_rerun_over_the_cache_runs_only_the_remainder(self, tmp_path):
+        specs = [_spec(rate=rate) for rate in (100e3, 200e3, 300e3)]
         baseline = make_executor().run_points(specs)
-        replay = LedgerReplay(completed={
-            point_key(spec.label, spec.rate_rps): metrics
-            for spec, metrics in zip(specs, baseline)})
-        supervised = _fast(make_executor(jobs=1, resume_from=replay))
-        results = supervised.run_points(specs)
+        make_executor(cache_dir=tmp_path).run_points(specs[:2])
+        resumed = _fast(make_executor(jobs=1, cache_dir=tmp_path))
+        results = resumed.run_points(specs)
         assert metrics_digest(results) == metrics_digest(baseline)
-        assert supervised.stats.points_resumed == 2
-        assert supervised.stats.points_run == 0
-        assert supervised.stats.events_executed == 0
+        assert resumed.stats.points_cached == 2
+        assert resumed.stats.points_run == 1
 
-    def test_resume_repairs_the_cache(self, tmp_path):
-        specs = [_spec()]
-        baseline = make_executor().run_points(specs)
-        replay = LedgerReplay(completed={
-            point_key(specs[0].label, specs[0].rate_rps): baseline[0]})
-        supervised = _fast(make_executor(jobs=1, cache_dir=tmp_path,
-                                         resume_from=replay))
-        supervised.run_points(specs)
-        # The ledger hit was written back: a fresh cache over the same
-        # directory now serves it without the ledger.
-        assert ResultCache(tmp_path).get(spec_cache_key(specs[0])) \
-            == baseline[0]
+    @pytest.mark.parametrize("change", [
+        {"seed": 7},
+        {"config": RunConfig(seed=1, horizon_ns=ms(3.0), warmup_ns=ms(0.5))},
+        {"config": RunConfig(seed=1, horizon_ns=ms(2.0), warmup_ns=ms(0.4))},
+        {"config": RunConfig(seed=1, horizon_ns=ms(2.0), warmup_ns=ms(0.5),
+                             faults=FaultPlan(
+                                 link=LinkFaults(loss_prob=0.1)))},
+        {"factory": ConfiguredFactory(RpcValetSystem,
+                                      RpcValetConfig(workers=3))},
+        {"rate_rps": math.nextafter(100e3, math.inf)},
+    ], ids=["seed", "horizon", "warmup", "faults", "factory", "rate_ulp"])
+    def test_resume_never_serves_another_run(self, tmp_path, change):
+        """Same label, different run: the point is a miss, and the
+        re-run measures exactly what a fresh run does."""
+        make_executor(cache_dir=tmp_path).run_points([_spec()])
+        seed = change.pop("seed", None)
+        other = dataclasses.replace(
+            _spec() if seed is None else _spec(seed=seed), **change)
+        resumed = _fast(make_executor(jobs=1, cache_dir=tmp_path))
+        assert resumed.run_points([other]) \
+            == make_executor().run_points([other])
+        assert resumed.stats.points_cached == 0
+        assert resumed.stats.points_run == 1
 
-    def test_resume_misses_unknown_points(self):
-        supervised = _fast(make_executor(
-            jobs=1, resume_from=LedgerReplay()))
-        results = supervised.run_points([_spec()])
-        assert len(results) == 1
-        assert supervised.stats.points_resumed == 0
-        assert supervised.stats.points_run == 1
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_completed_event_follows_the_cache_write(self, tmp_path, jobs):
+        """A point's ``completed`` event goes out only once its result is
+        in the cache, so a sweep interrupted after any event resumes
+        every point that event reported."""
+        specs = [_spec(rate=rate) for rate in (100e3, 200e3)]
+        cache = ResultCache(tmp_path)
+        cached_at_completion = {}
+
+        def on_event(event):
+            if event.kind == COMPLETED:
+                cached_at_completion[event.index] = \
+                    cache.get(spec_cache_key(specs[event.index]))
+
+        executor = _fast(make_executor(jobs=jobs, cache_dir=tmp_path,
+                                       on_event=on_event))
+        results = executor.run_points(specs)
+        assert cached_at_completion == dict(enumerate(results))
 
 
 class TestFailureContract:
