@@ -65,21 +65,3 @@ def test_toeplitz_hash_rate(benchmark):
 
     hashes = benchmark(hash_all)
     assert len(set(hashes)) > 200  # well spread
-
-
-def test_engine_suite_recorded():
-    """The kernel microbench suite, through the shared recorder.
-
-    Appends to the same ``BENCH_engine.json`` trajectory as
-    ``repro bench engine``, with identical counters and witness digest
-    for identical ``REPRO_BENCH_*`` knobs.
-    """
-    from conftest import emit, record_bench
-
-    run = record_bench("engine")
-    emit(f"bench record -> {run.path}\n"
-         f"  {run.record.events:,} events in {run.record.wall_s:.2f}s "
-         f"({run.record.events_per_sec:,.0f} events/sec), digest "
-         f"{run.record.metrics_digest[:16]}")
-    assert run.record.events > 0
-    assert run.artifact["runs"], "record did not land in the artifact"

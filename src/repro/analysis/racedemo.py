@@ -18,9 +18,10 @@ Nothing in the production tree imports this module.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import List, Optional
 
-from repro.bench.recorder import values_digest
 from repro.sim.engine import Simulator
 from repro.sim.tiebreak import TieBreakPolicy
 
@@ -76,4 +77,5 @@ def run_injected(policy: Optional[TieBreakPolicy] = None) -> str:
     for round_index in range(ROUNDS):
         sim.defer(float(round_index), model.arm)
     sim.run()
-    return values_digest([model.order, model.mix.hex()])
+    payload = json.dumps([model.order, model.mix.hex()], sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

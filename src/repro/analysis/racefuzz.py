@@ -46,9 +46,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.recorder import metrics_digest
 from repro.errors import ExperimentError
-from repro.experiments.executor import ConfiguredFactory, metrics_to_jsonable
+from repro.experiments.executor import (
+    ConfiguredFactory,
+    metrics_digest,
+    metrics_to_jsonable,
+)
 from repro.experiments.harness import RunConfig, run_point_with_events
 from repro.sim.tiebreak import permutation_policy
 from repro.systems import registry

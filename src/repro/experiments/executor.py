@@ -37,6 +37,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -246,6 +247,18 @@ def metrics_from_jsonable(data: Dict[str, Any]) -> RunMetrics:
         worker_wait_fraction=data["worker_wait_fraction"],
         faults=faults,
     )
+
+
+def metrics_digest(metrics: Iterable[RunMetrics]) -> str:
+    """SHA-256 over the exact JSON images of *metrics*, in order.
+
+    Uses the :func:`metrics_to_jsonable` image the result cache stores,
+    so the digest covers every measured bit (floats via ``repr``
+    round-trip exactly in JSON).  The fig2 golden is taken in this form.
+    """
+    payload = json.dumps([metrics_to_jsonable(m) for m in metrics],
+                         sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,18 @@ class Simulator:
             heapify(heap)
         self._near_cancelled = 0
 
+    def _forget_cancelled(self) -> None:
+        """Uncount one cancelled entry popped off the near heap.
+
+        Every loop that skips a cancelled entry calls this, so the count
+        that triggers :meth:`_compact_near` tracks the dead entries still
+        queued.  It may already be 0 when the entry was counted before a
+        compaction reset it (an entry cancelled while in the wheel).
+        """
+        dead = self._near_cancelled
+        if dead > 0:
+            self._near_cancelled = dead - 1
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle.
 
@@ -426,9 +438,7 @@ class Simulator:
                 event.wake()
                 return
             if event._state == 3:  # cancelled: drop and keep looking
-                dead = self._near_cancelled
-                if dead > 0:
-                    self._near_cancelled = dead - 1
+                self._forget_cancelled()
                 continue
             self._now = when
             self._event_count += 1
@@ -508,6 +518,7 @@ class Simulator:
                         event.wake()
                     elif cls is Timeout:
                         if event._state == 3:  # cancelled: vanish
+                            self._forget_cancelled()
                             continue
                         self._now = when
                         count += 1
@@ -528,6 +539,7 @@ class Simulator:
                             timeout_pool.append(event)
                     else:
                         if event._state == 3:  # cancelled: vanish
+                            self._forget_cancelled()
                             continue
                         self._now = when
                         count += 1
@@ -575,9 +587,7 @@ class Simulator:
                     head = heap[0]
                     if getattr(head[3], "_state", 0) == 3:
                         heappop(heap)
-                        dead = self._near_cancelled
-                        if dead > 0:
-                            self._near_cancelled = dead - 1
+                        self._forget_cancelled()
                         head = None
                         continue
                     break

@@ -24,6 +24,7 @@ from repro.experiments.executor import (
     ConfiguredFactory,
     PointSpec,
     make_executor,
+    metrics_digest,
     metrics_to_jsonable,
 )
 from repro.experiments.harness import RunConfig
@@ -138,7 +139,6 @@ def test_golden_point_invariant_to_wheel_granularity(forced_sanitize,
     tie-break keys baked into each entry.
     """
     import repro.sim.wheel as wheel_mod
-    from repro.bench.recorder import metrics_digest
     from repro.experiments.harness import run_point_with_events
 
     name = "shinjuku"

@@ -21,8 +21,7 @@ import os
 
 import pytest
 
-from repro.bench.recorder import metrics_digest
-from repro.experiments.executor import make_executor
+from repro.experiments.executor import make_executor, metrics_digest
 from repro.experiments.figures import figure2
 from repro.experiments.harness import RunConfig
 from repro.experiments.progress import (

@@ -11,13 +11,13 @@ import os
 
 import pytest
 
-from repro.bench.recorder import metrics_digest
 from repro.config import ShinjukuConfig
 from repro.errors import ExperimentError, SweepFailure
 from repro.experiments.executor import (
     ConfiguredFactory,
     PointSpec,
     make_executor,
+    metrics_digest,
 )
 from repro.experiments.figures import figure2
 from repro.experiments.harness import RunConfig, load_sweep

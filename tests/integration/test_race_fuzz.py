@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.racedemo import run_injected
 from repro.analysis.racefuzz import (
     VERDICT_DIVERGENT,
     VERDICT_INVARIANT,
@@ -19,13 +20,16 @@ from repro.analysis.racefuzz import (
     fuzz_injected,
     fuzz_system,
 )
-from repro.bench.recorder import metrics_digest
 from repro.errors import ExperimentError
-from repro.experiments.executor import ConfiguredFactory
+from repro.experiments.executor import ConfiguredFactory, metrics_digest
 from repro.experiments.harness import RunConfig, run_point_with_events
 from repro.sim.tiebreak import TIEBREAK_ENV, permutation_policy
 from repro.units import us
 from repro.workload.distributions import Fixed
+
+#: ``run_injected()`` under the identity tie-break.
+INJECTED_DIGEST = ("ef9019a6a52d0b8d7ca8ff9eae361ab1f0e575a8e10eaf2fa5ad7a29"
+                   "d7bff0d3")
 
 
 class TestCompareImages:
@@ -119,6 +123,13 @@ class TestFuzzSystems:
         assert not report.ok()
         assert [o.verdict for o in report.outcomes] \
             == [VERDICT_DIVERGENT] * 3
+
+    def test_injected_digest_under_default_order_is_pinned(
+            self, monkeypatch):
+        """The demo's digest (SHA-256 over the JSON of its dispatch
+        order and mix) is stable under the kernel's own tie-break."""
+        monkeypatch.delenv(TIEBREAK_ENV, raising=False)
+        assert run_injected() == INJECTED_DIGEST
 
     def test_injection_needs_two_permutations(self):
         with pytest.raises(ExperimentError):

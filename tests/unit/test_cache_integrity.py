@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.recorder import metrics_digest
 from repro.experiments.executor import (
     CACHE_SCHEMA,
     ConfiguredFactory,
     PointSpec,
     ResultCache,
     make_executor,
+    metrics_digest,
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig

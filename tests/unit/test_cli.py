@@ -13,7 +13,7 @@ from repro.experiments.progress import (
 #: Every command that sweeps points, with the arguments it requires.
 SWEEP_COMMANDS = [
     ["fig2"], ["fig3"], ["fig4"], ["fig5"], ["fig6"], ["all"],
-    ["run", "--system", "rpcvalet"], ["bench", "fig2"],
+    ["run", "--system", "rpcvalet"],
 ]
 SWEEP_IDS = [argv[0] for argv in SWEEP_COMMANDS]
 
@@ -25,6 +25,16 @@ class TestCli:
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "table-t1",
                      "all"):
             assert name in out
+        assert not any(line.split()[:1] == ["bench"]
+                       for line in out.splitlines())
+
+    def test_bench_command_is_gone(self, capsys):
+        """perfbench/ is the one benchmark; argparse rejects the old
+        recorder's subcommand as an unknown choice."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "fig2"])
+        assert excinfo.value.code == 2
+        assert "bench" in capsys.readouterr().err
 
     def test_no_command_defaults_to_list(self, capsys):
         assert main([]) == 0

@@ -7,6 +7,8 @@ timers, watchdogs) grew the schedule without bound: every cancelled
 entry sat in the heap until its original deadline arrived.
 """
 
+import pytest
+
 from repro.sim.engine import Simulator, _COMPACT_MIN
 from repro.sim.wheel import GRANULARITY
 
@@ -78,3 +80,101 @@ class TestCancelledEntriesAreReclaimed:
         tail.callbacks.append(lambda _e: fired.append("tail"))
         sim.run()
         assert fired == ["tail"]
+
+    def test_run_drains_the_near_heap_cancel_count(self):
+        """run() must forget each cancelled near-heap entry it skips,
+        as step() does; a stale count would fire compaction on a heap
+        that is mostly live."""
+        sim = Simulator()
+        live = [sim.timeout(float(i % 7)) for i in range(4 * _COMPACT_MIN)]
+        for i in range(2 * _COMPACT_MIN):
+            sim.timeout(float(i % 7)).cancel()
+        # Below the compaction trigger: the dead entries stay queued.
+        assert sim._near_cancelled == 2 * _COMPACT_MIN
+        sim.run()
+        assert all(ev.processed for ev in live)
+        assert sim._near_cancelled == 0
+
+
+class _StepwiseSimulator(Simulator):
+    """Overrides step(), so run() takes the one-step-per-event loop."""
+
+    def step(self):
+        super().step()
+
+
+def _drain_with_step(sim):
+    while sim.peek() != float("inf"):
+        sim.step()
+
+
+def _drain_until_event(sim, last):
+    sim.run_until_event(last)
+
+
+class TestNearCancelCount:
+    """The count that triggers near-heap compaction tracks the dead
+    entries still queued, whichever loop pops them."""
+
+    @staticmethod
+    def _arm(sim):
+        """Queue live and cancelled near-heap entries, both Timeouts
+        and plain events, below the compaction trigger."""
+        live = [sim.timeout(float(i % 7)) for i in range(4 * _COMPACT_MIN)]
+        for i in range(_COMPACT_MIN):
+            sim.timeout(float(i % 7)).cancel()
+            sim.event().succeed(delay=float(i % 5)).cancel()
+        assert sim._near_cancelled == 2 * _COMPACT_MIN
+        last = sim.timeout(8.0)
+        return live + [last]
+
+    @pytest.mark.parametrize("simulator, drain", [
+        (Simulator, lambda sim, last: sim.run()),
+        (Simulator, lambda sim, last: _drain_with_step(sim)),
+        (Simulator, _drain_until_event),
+        (_StepwiseSimulator, lambda sim, last: sim.run()),
+    ], ids=["run", "step", "run-until-event", "run-stepwise"])
+    def test_every_drain_path_uncounts_skipped_entries(self, simulator,
+                                                       drain):
+        sim = simulator()
+        live = self._arm(sim)
+        drain(sim, live[-1])
+        assert all(ev.processed for ev in live)
+        assert sim._near_cancelled == 0
+
+    def test_partial_run_leaves_count_of_dead_entries_queued(self):
+        sim = Simulator()
+        self._arm(sim)
+        sim.run(until=2.5)
+        dead = sum(1 for entry in sim._heap if entry[3].cancelled)
+        assert dead > 0
+        assert sim._near_cancelled == dead
+
+    def test_compaction_fires_only_on_a_mostly_dead_heap(self):
+        """A retry-guard loop that arms a near timeout per request and
+        cancels most of them: every compaction must find more than half
+        the near heap dead, as its trigger intends."""
+        fractions = []
+
+        class Recording(Simulator):
+            def _compact_near(self):
+                heap = self._heap
+                dead = sum(1 for entry in heap if entry[3].cancelled)
+                fractions.append(dead / len(heap))
+                super()._compact_near()
+
+        sim = Recording()
+
+        def client(sim, offset):
+            for i in range(2_000):
+                guard = sim.timeout(50.0 + offset)
+                yield sim.timeout(1.0)
+                if i % 4:
+                    guard.cancel()
+
+        for offset in range(8):
+            sim.process(client(sim, float(offset)))
+        sim.run()
+        assert fractions, "the loop should trigger compaction"
+        assert min(fractions) > 0.5
+        assert sim._near_cancelled == 0

@@ -1,11 +1,14 @@
 """Unit tests for the discrete-event loop."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.primitives import Store
 
 
 class TestClock:
@@ -229,3 +232,87 @@ class TestRunGuards:
         sim.run()
         assert not proc.ok
         assert isinstance(proc.value, SimulationError)
+
+
+def _timeout_storm(n):
+    """Raw schedule/dispatch with heavy heap churn."""
+    sim = Simulator()
+    for i in range(n):
+        sim.timeout(float(i % 97))
+    sim.run()
+    return ["timeouts", sim.event_count, sim.now]
+
+
+def _store_pingpong(n_pairs):
+    """The generator trampoline every worker/dispatcher loop runs."""
+    sim = Simulator()
+    store = Store(sim)
+
+    def producer(sim):
+        for i in range(n_pairs):
+            yield sim.timeout(1.0)
+            store.put(i)
+
+    def consumer(sim):
+        total = 0
+        for _ in range(n_pairs):
+            total += yield store.get()
+        return total
+
+    sim.process(producer(sim))
+    consumer_proc = sim.process(consumer(sim))
+    sim.run()
+    return ["pingpong", sim.event_count, sim.now, consumer_proc.value]
+
+
+def _defer_drain(n):
+    """Many same-instant callbacks, FIFO within each batch."""
+    sim = Simulator()
+    fired = []
+    for i in range(n):
+        sim.defer(float(i % 13), (lambda k: (lambda: fired.append(k)))(i))
+    sim.run()
+    return ["defer", sim.event_count, sim.now, len(fired), fired[0],
+            fired[-1]]
+
+
+#: Each witness with its input and the exact result it must give.
+WITNESSES = [
+    (_timeout_storm, 20_000, ["timeouts", 20000, 96.0]),
+    (_store_pingpong, 4_000, ["pingpong", 12004, 4000.0, 7998000]),
+    (_defer_drain, 10_000, ["defer", 10000, 12.0, 10000, 0, 9996]),
+]
+WITNESS_IDS = ["timeout-storm", "store-pingpong", "defer-drain"]
+
+
+class TestKernelWitness:
+    """Three kernel workloads with no system model, no workload and no
+    RNG: their event counts, end clocks and results are exact, so any
+    change to dispatch order or event accounting moves the digest."""
+
+    #: SHA-256 over the JSON of the three witnesses below.
+    DIGEST = ("a11b7b238d8aaf466c174e276a670d509305f3bad188f4003e5e4d80"
+              "d1f0f41c")
+
+    def test_microbench_witnesses(self):
+        witnesses = [_timeout_storm(20_000), _store_pingpong(4_000),
+                     _defer_drain(10_000)]
+        assert witnesses == [
+            ["timeouts", 20000, 96.0],
+            ["pingpong", 12004, 4000.0, 7998000],
+            ["defer", 10000, 12.0, 10000, 0, 9996],
+        ]
+        payload = json.dumps(witnesses, sort_keys=True)
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() \
+            == self.DIGEST
+
+    @pytest.mark.parametrize("workload, size, expected", WITNESSES,
+                             ids=WITNESS_IDS)
+    def test_witness_is_exact(self, workload, size, expected):
+        assert workload(size) == expected
+
+    @pytest.mark.parametrize("workload, size, expected", WITNESSES,
+                             ids=WITNESS_IDS)
+    def test_perturbed_size_moves_witness(self, workload, size, expected):
+        """The pins witness their inputs: one more unit of work shows."""
+        assert workload(size + 1) != expected

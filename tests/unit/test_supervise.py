@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.bench.recorder import metrics_digest
 from repro.errors import (
     ExperimentError,
     PointExecutionError,
@@ -30,6 +29,7 @@ from repro.experiments.executor import (
     ResultCache,
     SweepExecutor,
     make_executor,
+    metrics_digest,
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig
