@@ -84,8 +84,8 @@ def classify_delay(node: Optional[ast.AST]) -> str:
 
 
 def _is_now_expr(node: ast.AST) -> bool:
-    """Does *node* read the simulation clock (``*.now`` / ``*._now``)?"""
-    return isinstance(node, ast.Attribute) and node.attr in ("now", "_now")
+    """Does *node* read the simulation clock (``*.now``)?"""
+    return isinstance(node, ast.Attribute) and node.attr == "now"
 
 
 @dataclass(frozen=True)

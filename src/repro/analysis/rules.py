@@ -249,7 +249,7 @@ class WallClockRule(Rule):
 
 #: Call targets that feed the event schedule or a queue decision.
 _SCHEDULING_CALLS = frozenset({
-    "_schedule", "schedule", "enqueue", "dequeue", "try_dequeue",
+    "_push", "_schedule", "schedule", "enqueue", "dequeue", "try_dequeue",
     "succeed", "fail", "timeout", "process", "call_at", "call_in",
     "defer", "defer_at", "heappush", "push", "interrupt", "send",
 })
@@ -283,7 +283,7 @@ class UnorderedIterationRule(Rule):
     """Flag scheduling decisions driven by set/dict iteration order.
 
     Iterating a ``set`` visits elements in hash order — which for
-    strings depends on ``PYTHONHASHSEED`` — so any ``_schedule()``,
+    strings depends on ``PYTHONHASHSEED`` — so any ``_push()``,
     ``enqueue()`` or queue selection inside such a loop dispatches in a
     different order on a different run.  ``dict`` iteration is
     insertion-ordered but still encodes incidental history, so feeding

@@ -5,7 +5,7 @@ this module checks, at runtime and strictly observation-only, the
 invariants it cannot:
 
 - **clock monotonicity** — the simulated clock never moves backwards
-  across :meth:`Simulator.step`;
+  from one event to the next;
 - **queue accounting** — every watched
   :class:`~repro.runtime.taskqueue.TaskQueue` keeps a depth in
   ``[0, enqueued]`` and below its own ``max_depth`` high-water mark
@@ -145,9 +145,11 @@ class SanitizedSimulator(Simulator):
 
     Strictly observation-only: it never reorders events, never draws
     randomness, and never mutates watched objects — a sanitized run
-    produces bit-identical metrics to a plain one.  Checks run after
-    each :meth:`step` (between event callbacks, so watched state is
-    quiescent) and at :meth:`finalize`.
+    produces bit-identical metrics to a plain one.  It installs
+    :meth:`_observe` as the loop's :attr:`~Simulator.observer`, so the
+    checks run after each event (between event callbacks, so watched
+    state is quiescent) on the same loop a plain run uses, and again
+    at :meth:`finalize`.
     """
 
     def __init__(self, start_time: float = 0.0,
@@ -156,11 +158,14 @@ class SanitizedSimulator(Simulator):
         self._rngs = rngs
         self._watched_queues: List[TaskQueue] = []
         self._tracked_requests: List[Request] = []
+        #: The clock at the last observed event.
+        self._clock = self.now
+        self.observer = self._observe
 
     # -- wiring ------------------------------------------------------------
 
     def watch_queue(self, queue: TaskQueue) -> None:
-        """Check *queue*'s accounting invariants after every step."""
+        """Check *queue*'s accounting invariants after every event."""
         self._watched_queues.append(queue)
 
     def watch_system(self, system: Any, max_depth: int = 4) -> int:
@@ -239,27 +244,27 @@ class SanitizedSimulator(Simulator):
             if depth < 0:
                 raise SanitizerError(
                     f"queue {queue.name!r} reports negative depth "
-                    f"{depth} at t={self._now}{self._draw_context()}")
+                    f"{depth} at t={self.now}{self._draw_context()}")
             if depth > queue.enqueued:
                 raise SanitizerError(
                     f"queue {queue.name!r} holds {depth} requests but "
                     f"only {queue.enqueued} were ever enqueued "
-                    f"(accounting corrupted) at t={self._now}"
+                    f"(accounting corrupted) at t={self.now}"
                     f"{self._draw_context()}")
             if depth > queue.max_depth:
                 raise SanitizerError(
                     f"queue {queue.name!r} depth {depth} exceeds its "
                     f"own high-water mark {queue.max_depth} at "
-                    f"t={self._now}{self._draw_context()}")
+                    f"t={self.now}{self._draw_context()}")
 
-    def step(self) -> None:
-        """Process one event, then check clock and queue invariants."""
-        before = self._now
-        super().step()
-        if self._now < before:
+    def _observe(self) -> None:
+        """The loop's per-event hook: check clock and queue invariants."""
+        now = self.now
+        if now < self._clock:
             raise SanitizerError(
-                f"clock regressed across step(): {before} -> "
-                f"{self._now}{self._draw_context()}")
+                f"clock regressed between events: {self._clock} -> "
+                f"{now}{self._draw_context()}")
+        self._clock = now
         if self._watched_queues:
             self._check_queues()
 
@@ -273,7 +278,7 @@ class SanitizedSimulator(Simulator):
         """
         self._check_queues()
         report = SanitizerReport(
-            events=self._event_count,
+            events=self.event_count,
             draws=self._rngs.draw_counts() if self._rngs else {},
             tracked=len(self._tracked_requests),
             queues_watched=len(self._watched_queues),

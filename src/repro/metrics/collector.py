@@ -176,7 +176,7 @@ class MetricsCollector:
         """Record one response delivery and its latency sample."""
         completion_ns = request.completion_ns
         if completion_ns is None:
-            request.complete(self.sim._now)
+            request.complete(self.sim.now)
             completion_ns = request.completion_ns
         self._completed_all += 1
         if completion_ns >= self.warmup_ns:

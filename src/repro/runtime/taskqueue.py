@@ -57,7 +57,7 @@ class TaskQueue:
         self.capacity = capacity
         self.name = name
         self._fifo: Deque[Request] = deque()
-        self._heap: List[Tuple[float, int, Request]] = []
+        self._srpt: List[Tuple[float, int, Request]] = []
         self._tiebreak = itertools.count()
         self._getters: Deque["Event"] = deque()
         self._deq_label = f"deq:{name}"
@@ -69,7 +69,7 @@ class TaskQueue:
     def __len__(self) -> int:
         if self.policy is QueuePolicy.FIFO:
             return len(self._fifo)
-        return len(self._heap)
+        return len(self._srpt)
 
     def restrict_capacity(self, capacity: int) -> None:
         """Tighten the capacity bound (fault injection). Never loosens."""
@@ -93,7 +93,7 @@ class TaskQueue:
                 request.state = RequestState.QUEUED
                 stamps = request.stamps
                 if "queued" not in stamps:
-                    stamps["queued"] = self.sim._now
+                    stamps["queued"] = self.sim.now
                 self.enqueued += 1
                 # Same-instant handoffs to symmetric dispatch workers:
                 # acquitted by 'repro race' (digest-invariant across
@@ -102,7 +102,7 @@ class TaskQueue:
                 getter.succeed(request)  # repro: allow[race/zero-delay-shared]
                 return True
         container = (self._fifo if self.policy is QueuePolicy.FIFO
-                     else self._heap)
+                     else self._srpt)
         if self.capacity is not None and len(container) >= self.capacity:
             self.dropped += 1
             request.state = RequestState.DROPPED
@@ -110,12 +110,12 @@ class TaskQueue:
         request.state = RequestState.QUEUED
         stamps = request.stamps
         if "queued" not in stamps:
-            stamps["queued"] = self.sim._now
+            stamps["queued"] = self.sim.now
         self.enqueued += 1
         if container is self._fifo:
             container.append(request)
         else:
-            heapq.heappush(self._heap, (request.remaining_ns,
+            heapq.heappush(self._srpt, (request.remaining_ns,
                                         next(self._tiebreak), request))
         depth = len(container)
         if depth > self.max_depth:
@@ -140,8 +140,8 @@ class TaskQueue:
             if self._fifo:
                 return True, self._fifo.popleft()
             return False, None
-        if self._heap:
-            _remaining, _tie, request = heapq.heappop(self._heap)
+        if self._srpt:
+            _remaining, _tie, request = heapq.heappop(self._srpt)
             return True, request
         return False, None
 
@@ -156,7 +156,7 @@ class TaskQueue:
         """The request that would be dequeued next, or None."""
         if self.policy is QueuePolicy.FIFO:
             return self._fifo[0] if self._fifo else None
-        return self._heap[0][2] if self._heap else None
+        return self._srpt[0][2] if self._srpt else None
 
     def __repr__(self) -> str:
         return (f"<TaskQueue {self.name!r} {self.policy.value} "

@@ -102,12 +102,12 @@ class WorkerCore:
     def begin_wait(self) -> None:
         """Mark the start of a waiting-for-work interval."""
         if self._wait_started is None:
-            self._wait_started = self.sim._now
+            self._wait_started = self.sim.now
 
     def end_wait(self) -> None:
         """Close the current waiting interval and accrue it."""
         if self._wait_started is not None:
-            self.wait_ns += self.sim._now - self._wait_started
+            self.wait_ns += self.sim.now - self._wait_started
             self._wait_started = None
 
     # -- interrupt plumbing -----------------------------------------------------
@@ -162,7 +162,7 @@ class WorkerCore:
         request.worker_id = self.worker_id
         stamps = request.stamps
         if "first_run" not in stamps:
-            stamps["first_run"] = self.sim._now
+            stamps["first_run"] = self.sim.now
 
         sim = self.sim
         injector = sim.fault_injector
@@ -193,11 +193,11 @@ class WorkerCore:
             # Arm the slice for when the spawn/restore ends and wait
             # once for both costs: the same instants as waiting out the
             # spawn/restore, arming, then waiting out the arm cost.
-            ready = sim._now + prep_ns
+            ready = sim.now + prep_ns
             cost = self.preemption.arm(cause=request, at=ready)
             yield sim.timeout_at(ready + cost)
 
-        started = self.sim._now
+        started = self.sim.now
         self._interruptible = True
         # A straggler window dilates the service demand; factor 1.0 is
         # the exact identity (x * 1.0 and x / 1.0 are bit-exact), so a
@@ -209,7 +209,7 @@ class WorkerCore:
             # a preempted episode only charges what actually ran.
             yield request.remaining_ns * factor
         except ProcessInterrupt:
-            ran = self.sim._now - started
+            ran = self.sim.now - started
             thread.busy_ns += ran
             self.service_ns += ran
             self._interruptible = False
@@ -239,7 +239,7 @@ class WorkerCore:
             self.preempted += 1
             return ExecutionOutcome.PREEMPTED
 
-        ran = self.sim._now - started
+        ran = self.sim.now - started
         thread.busy_ns += ran
         self.service_ns += ran
         self._interruptible = False

@@ -11,24 +11,31 @@ source, :attr:`Simulator._next_key`: ``itertools.count(1).__next__``
 for FIFO, or ``map(policy.key, count(1)).__next__`` once
 :meth:`Simulator.set_tiebreak` installs a permutation policy.
 
+This module is the only one that knows how an entry is scheduled and
+dispatched: every push in the kernel goes through
+:meth:`Simulator._push`, and :meth:`Simulator.run`,
+:meth:`Simulator.step` and :meth:`Simulator.run_until_event` all
+dispatch through one loop.
+
 Hot-path design
 ---------------
 A fig2-scale sweep dispatches millions of events, so the kernel keeps
 its constant factors small without ever changing *what* is scheduled:
 
+- A schedule entry is the 3-tuple ``(when, key, item)``: tuple
+  comparison orders by time, then by tie key, and never reaches the
+  item because keys are unique.
 - The schedule is split at ``_near_end``: entries below the boundary
-  ride the near heap (identical semantics to the old single-heap
-  kernel), entries at/after it are O(1) bucket appends on the wheel.
-  Batches drain whole slot windows at a time, so heap sifts act on
-  tens of entries instead of the full pending set.  The boundary split
-  cannot reorder anything: equal timestamps never straddle it, so the
-  merged pop order is exactly the single-heap (time, priority, seq)
-  total order — pinned by the golden differential tests and the
-  wheel-vs-heap property suite.
-- :meth:`Simulator.run` inlines the dispatch loop (no per-event
-  :meth:`step` call) whenever ``step`` has not been overridden;
-  instrumented subclasses such as the sanitizer's automatically get the
-  legacy step-by-step loop instead, with identical semantics.
+  ride the near heap, entries at/after it are O(1) bucket appends on
+  the wheel.  Batches drain whole slot windows at a time, so heap
+  sifts act on tens of entries instead of the full pending set.  The
+  boundary split cannot reorder anything: equal timestamps never
+  straddle it, so the merged pop order is exactly the single-heap
+  ``(when, key)`` total order — pinned by the golden differential
+  tests and the wheel-vs-heap property suite.
+- One loop dispatches every event.  Instrumentation such as the
+  sanitizer observes through :attr:`Simulator.observer`, a hook the
+  loop calls after each counted event, instead of a second loop.
 - Processed :class:`~repro.sim.events.Timeout` and
   :class:`~repro.sim.events.Event` objects are recycled through small
   per-simulator freelists — but only when the kernel holds the *last*
@@ -41,10 +48,10 @@ its constant factors small without ever changing *what* is scheduled:
   :meth:`call_in` / :meth:`call_at`, so swapping one for the other
   cannot reorder a run.  The run loop dispatches these cells first.
 - A process that yields a bare delay (``yield d``) sleeps on its own
-  :class:`~repro.sim.process._Sleep` cell: the same ``now + d`` push at
-  NORMAL priority with one tie key that ``yield sim.timeout(d)`` makes,
-  but no Timeout, callbacks list or bound method per wait.  Sleep cells
-  are never pooled.
+  :class:`~repro.sim.process._Sleep` cell: the same ``now + d`` push
+  with one tie key that ``yield sim.timeout(d)`` makes, but no
+  Timeout, callbacks list or bound method per wait.  Sleep cells are
+  never pooled.
 - Cancelled events (:meth:`Event.cancel`) are eagerly removed from
   wheel buckets; entries already in the near heap or the far-future
   overflow heap are skipped at dispatch — without advancing the event
@@ -69,11 +76,7 @@ from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, _Sleep
 from repro.sim.tiebreak import FIFO, TieBreakPolicy
-from repro.sim.wheel import GRANULARITY, TimerWheel
-
-#: Priority levels: lower runs first among simultaneous events.
-URGENT = 0
-NORMAL = 1
+from repro.sim.wheel import TimerWheel
 
 #: Freelist bound per pool: big enough to absorb steady-state churn,
 #: small enough that an idle simulator holds no meaningful memory.
@@ -107,6 +110,19 @@ class Simulator:
     start_time:
         Initial clock value in nanoseconds (default 0).
 
+    Attributes
+    ----------
+    now:
+        Current simulated time in nanoseconds.  Only the loop writes it.
+    event_count:
+        Events processed so far (cancelled entries skipped at dispatch
+        do not count).  Written back when the loop returns.
+    observer:
+        ``None`` or a no-argument callable the loop calls after every
+        counted event — never for a skipped cancelled entry.  It must
+        only observe: scheduling from it, or raising anything but a
+        diagnostic, breaks the run it watches.
+
     Examples
     --------
     >>> sim = Simulator()
@@ -119,21 +135,22 @@ class Simulator:
     5.0
     """
 
-    __slots__ = ("_now", "_heap", "_near_end", "_wheel", "_next_key",
-                 "_event_count", "_running", "fault_injector",
+    __slots__ = ("now", "_heap", "_near_end", "_wheel", "_next_key",
+                 "event_count", "_running", "observer", "fault_injector",
                  "_timeout_pool", "_event_pool", "_deferred_pool",
                  "_near_cancelled", "_tiebreak")
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        self.now = float(start_time)
         self._heap: list = []
-        self._wheel = TimerWheel(self._now)
+        self._wheel = TimerWheel(self.now)
         #: Entries with ``when < _near_end`` go to the near heap; the
         #: rest to the wheel.  Always equals ``wheel.cur0 *
         #: GRANULARITY`` between batch refills.
         self._near_end = self._wheel.near_end
-        self._event_count = 0
+        self.event_count = 0
         self._running = False
+        self.observer: Optional[Callable[[], None]] = None
         #: The run's :class:`~repro.faults.injector.FaultInjector`, set
         #: by its ``attach()``; None in a fault-free run.  Lives on the
         #: simulator so dataplane hooks (links, workers, feedback
@@ -145,25 +162,12 @@ class Simulator:
         self._deferred_pool: list = []
         #: Lazily-cancelled entries believed to ride the near heap.
         self._near_cancelled = 0
-        #: Tie-break policy: equal-(when, priority) events dispatch in
-        #: tie-key order.  Every push site — heap, wheel, and the inlined
-        #: fast paths in events.py, primitives.py and process.py — takes
-        #: its key from ``_next_key``, the one place that owns the mix.
-        #: FIFO keys are the sequence numbers 1, 2, 3, ... themselves.
+        #: Tie-break policy: equal-``when`` events dispatch in tie-key
+        #: order.  :meth:`_push` takes every key from ``_next_key``, the
+        #: one place that owns the mix.  FIFO keys are the sequence
+        #: numbers 1, 2, 3, ... themselves.
         self._tiebreak = FIFO
         self._next_key = _count(1).__next__
-
-    # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
-    @property
-    def event_count(self) -> int:
-        """Total number of events processed so far (diagnostics)."""
-        return self._event_count
 
     # -- tie-break policy ----------------------------------------------------
 
@@ -178,7 +182,7 @@ class Simulator:
         Must be called before anything is scheduled: mixing keys from
         two policies in one schedule would break the total order.
         """
-        if self._event_count or self._heap or self._wheel.count:
+        if self.event_count or self._heap or self._wheel.count:
             raise SimulationError(
                 "set_tiebreak() after scheduling began; install the "
                 "policy on a fresh simulator")
@@ -215,7 +219,7 @@ class Simulator:
             raise SchedulingError(f"negative or NaN timeout delay: {delay}")
         pool = self._timeout_pool
         if pool:
-            return self._start_timeout(pool.pop(), self._now + delay, delay,
+            return self._start_timeout(pool.pop(), self.now + delay, delay,
                                        value, label)
         return Timeout(self, delay, value=value, label=label)
 
@@ -228,7 +232,7 @@ class Simulator:
         itself, so a wait computed as ``t + cost`` ends bit-exactly
         there.
         """
-        now = self._now
+        now = self.now
         if not when >= now:  # also rejects NaN
             raise SchedulingError(
                 f"timeout_at({when}) is in the past (now={now})")
@@ -250,10 +254,7 @@ class Simulator:
         ev.label = label
         ev.delay = delay
         ev.when = when
-        if when < self._near_end:
-            heappush(self._heap, (when, NORMAL, self._next_key(), ev))
-        else:
-            self._wheel.push((when, NORMAL, self._next_key(), ev))
+        self._push(when, ev)
         return ev
 
     def process(self, generator: Generator, label: str = "") -> Process:
@@ -267,10 +268,10 @@ class Simulator:
         observe it; when the handle is not needed, :meth:`defer_at` is
         the cheaper equivalent.
         """
-        if not when >= self._now:
+        if not when >= self.now:
             raise SchedulingError(
-                f"call_at({when}) is in the past (now={self._now})")
-        ev = self.timeout(when - self._now)
+                f"call_at({when}) is in the past (now={self.now})")
+        ev = self.timeout(when - self.now)
         ev.callbacks.append(lambda _ev: func())
         return ev
 
@@ -287,10 +288,10 @@ class Simulator:
     def defer(self, delay: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` after *delay* ns; fire-and-forget.
 
-        The scheduling arithmetic, priority, and sequence-number
-        consumption are identical to :meth:`call_in`, so the two are
-        interchangeable without reordering a run — ``defer`` simply
-        returns no handle and recycles its schedule cell.
+        The scheduling arithmetic and tie-key consumption are identical
+        to :meth:`call_in`, so the two are interchangeable without
+        reordering a run — ``defer`` simply returns no handle and
+        recycles its schedule cell.
         """
         if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"negative or NaN delay: {delay}")
@@ -301,11 +302,7 @@ class Simulator:
             cell.args = args
         else:
             cell = _Deferred(func, args)
-        when = self._now + delay
-        if when < self._near_end:
-            heappush(self._heap, (when, NORMAL, self._next_key(), cell))
-        else:
-            self._wheel.push((when, NORMAL, self._next_key(), cell))
+        self._push(self.now + delay, cell)
 
     def defer_at(self, when: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` at absolute time *when*; fire-and-forget.
@@ -314,23 +311,24 @@ class Simulator:
         (``now + (when - now)``), so swapping one for the other cannot
         perturb event timestamps.
         """
-        if not when >= self._now:
+        if not when >= self.now:
             raise SchedulingError(
-                f"defer_at({when}) is in the past (now={self._now})")
-        self.defer(when - self._now, func, *args)
+                f"defer_at({when}) is in the past (now={self.now})")
+        self.defer(when - self.now, func, *args)
 
     # -- scheduling core -------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = NORMAL) -> None:
-        """Insert a triggered *event* into the schedule (kernel use)."""
-        if not delay >= 0:  # also rejects NaN
-            raise SchedulingError(f"negative or NaN delay: {delay}")
-        when = self._now + delay
+    def _push(self, when: float, item: Any) -> None:
+        """Schedule *item* at absolute time *when* (kernel use).
+
+        The only code that builds a schedule entry or picks its tier:
+        below ``_near_end`` the near heap, at/after it the wheel.
+        Callers validate *when* (never in the past, never NaN).
+        """
         if when < self._near_end:
-            heappush(self._heap, (when, priority, self._next_key(), event))
+            heappush(self._heap, (when, self._next_key(), item))
         else:
-            self._wheel.push((when, priority, self._next_key(), event))
+            self._wheel.push((when, self._next_key(), item))
 
     def _refill(self) -> bool:
         """Move the next wheel batch into the (empty) near heap.
@@ -368,7 +366,7 @@ class Simulator:
         """Drop cancelled entries from the near heap in one pass."""
         heap = self._heap
         live = [entry for entry in heap
-                if getattr(entry[3], "_state", 0) != 3]
+                if getattr(entry[2], "_state", 0) != 3]
         if len(live) != len(heap):
             heap[:] = live
             heapify(heap)
@@ -377,10 +375,11 @@ class Simulator:
     def _forget_cancelled(self) -> None:
         """Uncount one cancelled entry popped off the near heap.
 
-        Every loop that skips a cancelled entry calls this, so the count
-        that triggers :meth:`_compact_near` tracks the dead entries still
-        queued.  It may already be 0 when the entry was counted before a
-        compaction reset it (an entry cancelled while in the wheel).
+        The loop calls this for every cancelled entry it skips, so the
+        count that triggers :meth:`_compact_near` tracks the dead
+        entries still queued.  It may already be 0 when the entry was
+        counted before a compaction reset it (an entry cancelled while
+        in the wheel).
         """
         dead = self._near_cancelled
         if dead > 0:
@@ -410,43 +409,16 @@ class Simulator:
         yield from self._heap
         yield from self._wheel.entries()
 
+    # -- the loop --------------------------------------------------------------
+
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
 
         Cancelled entries encountered on the way vanish silently — they
         do not advance the clock, count as events, or satisfy the step.
         """
-        heap = self._heap
-        while True:
-            if not heap and not self._refill():
-                raise SimulationError("step() on an empty schedule")
-            when, _prio, _key, event = heappop(heap)
-            cls = type(event)
-            if cls is _Deferred:
-                self._now = when
-                self._event_count += 1
-                func, args = event.func, event.args
-                event.func = event.args = None
-                pool = self._deferred_pool
-                if len(pool) < _POOL_CAP:
-                    pool.append(event)
-                func(*args)
-                return
-            if cls is _Sleep:
-                self._now = when
-                self._event_count += 1
-                event.wake()
-                return
-            if event._state == 3:  # cancelled: drop and keep looking
-                self._forget_cancelled()
-                continue
-            self._now = when
-            self._event_count += 1
-            callbacks, event.callbacks = event.callbacks, None
-            event._mark_processed()
-            for callback in callbacks:
-                callback(event)
-            return
+        if not self._loop(None, self.event_count + 1):
+            raise SimulationError("step() on an empty schedule")
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -462,15 +434,44 @@ class Simulator:
             this many events are processed in this call (guards against
             accidental infinite simulations in tests).
         """
+        if until is not None and until < self.now:
+            raise SchedulingError(f"until={until} is in the past (now={self.now})")
+        stop = (float("inf") if max_events is None
+                else self.event_count + max_events + 1)
+        if self._loop(until, stop):
+            raise SimulationError(f"run() exceeded max_events={max_events}")
+
+    def run_until_event(self, event: Event,
+                        max_events: Optional[int] = None) -> Any:
+        """Run until *event* is processed; return its value.
+
+        Raises the event's exception if it failed, and
+        :class:`SimulationError` if the schedule drains first.
+        """
+        processed = 0
+        while not event.processed:
+            if not self._loop(None, self.event_count + 1):
+                raise SimulationError(
+                    f"schedule drained before {event!r} was processed")
+            processed += 1
+            if max_events is not None and processed > max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
+        if not event.ok:
+            raise event.value
+        return event.value
+
+    def _loop(self, until: Optional[float], stop: float) -> bool:
+        """Dispatch events until the schedule drains, the clock would
+        pass *until*, or ``event_count`` reaches *stop*.
+
+        Returns True only in the last case.  Raises
+        :class:`SimulationError` when called from inside a callback of
+        a loop already running: the simulator is not reentrant.
+        """
         if self._running:
-            raise SimulationError("run() re-entered; the simulator is not reentrant")
-        if until is not None and until < self._now:
-            raise SchedulingError(f"until={until} is in the past (now={self._now})")
-        if type(self).step is not Simulator.step:
-            # An instrumented subclass (e.g. the sanitizer) overrode
-            # step(): dispatch through it, one event at a time.
-            self._run_stepwise(until, max_events)
-            return
+            raise SimulationError(
+                "run()/step() re-entered from a callback; the simulator "
+                "is not reentrant")
         self._running = True
         # Pause cyclic GC for the duration of the loop: the hot path
         # allocates heap tuples, packets, and requests at event rate,
@@ -483,27 +484,27 @@ class Simulator:
         heap = self._heap
         pop = heappop
         refill = self._refill
+        observe = self.observer
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         deferred_pool = self._deferred_pool
-        # Hoist the per-iteration None checks: an unbounded run compares
-        # against +inf, which no event time or budget ever exceeds.
+        # Hoist the per-iteration None check: an unbounded run compares
+        # against +inf, which no event time ever exceeds.
         horizon = float("inf") if until is None else until
-        count = self._event_count
-        limit = float("inf") if max_events is None else count + max_events
+        count = self.event_count
         try:
             while True:
                 while heap:
                     if heap[0][0] > horizon:
-                        self._now = until
-                        return
+                        self.now = until
+                        return False
                     # Unpack straight off the pop: holding the tuple in
                     # a local would keep a third reference to the event
                     # and silently disable the getrefcount recycling.
-                    when, _prio, _key, event = pop(heap)
+                    when, _key, event = pop(heap)
                     cls = event.__class__
                     if cls is _Deferred:
-                        self._now = when
+                        self.now = when
                         count += 1
                         func, args = event.func, event.args
                         event.func = event.args = None
@@ -513,14 +514,14 @@ class Simulator:
                     elif cls is _Sleep:
                         # A process's bare-delay sleep (or the no-op
                         # left behind by an interrupt): never pooled.
-                        self._now = when
+                        self.now = when
                         count += 1
                         event.wake()
                     elif cls is Timeout:
                         if event._state == 3:  # cancelled: vanish
                             self._forget_cancelled()
                             continue
-                        self._now = when
+                        self.now = when
                         count += 1
                         callbacks, event.callbacks = event.callbacks, None
                         event._state = 2
@@ -541,7 +542,7 @@ class Simulator:
                         if event._state == 3:  # cancelled: vanish
                             self._forget_cancelled()
                             continue
-                        self._now = when
+                        self.now = when
                         count += 1
                         callbacks, event.callbacks = event.callbacks, None
                         event._state = 2
@@ -554,77 +555,20 @@ class Simulator:
                                 event.callbacks = callbacks
                                 event._value = None
                                 event_pool.append(event)
-                    if count > limit:
-                        raise SimulationError(
-                            f"run() exceeded max_events={max_events}")
+                    if observe is not None:
+                        observe()
+                    if count >= stop:
+                        return True
                 if not refill():
                     break
             if until is not None:
-                self._now = until
+                self.now = until
+            return False
         finally:
-            self._event_count = count
+            self.event_count = count
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-
-    def _run_stepwise(self, until: Optional[float],
-                      max_events: Optional[int]) -> None:
-        """The legacy one-step()-per-event loop, for overridden step()."""
-        self._running = True
-        processed = 0
-        heap = self._heap
-        try:
-            while True:
-                # Clear cancelled entries off the head so the horizon
-                # check below sees the next *live* event (step() would
-                # otherwise skip past the horizon inside one call).
-                head = None
-                while True:
-                    if not heap:
-                        if not self._refill():
-                            break
-                        continue
-                    head = heap[0]
-                    if getattr(head[3], "_state", 0) == 3:
-                        heappop(heap)
-                        self._forget_cancelled()
-                        head = None
-                        continue
-                    break
-                if head is None:
-                    break  # schedule drained
-                if until is not None and head[0] > until:
-                    self._now = until
-                    return
-                self.step()
-                processed += 1
-                if max_events is not None and processed > max_events:
-                    raise SimulationError(
-                        f"run() exceeded max_events={max_events}")
-            if until is not None:
-                self._now = until
-        finally:
-            self._running = False
-
-    def run_until_event(self, event: Event,
-                        max_events: Optional[int] = None) -> Any:
-        """Run until *event* is processed; return its value.
-
-        Raises the event's exception if it failed, and
-        :class:`SimulationError` if the schedule drains first.
-        """
-        processed = 0
-        while not event.processed:
-            if not self._heap and not self._refill():
-                raise SimulationError(
-                    f"schedule drained before {event!r} was processed")
-            self.step()
-            processed += 1
-            if max_events is not None and processed > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-        if not event.ok:
-            raise event.value
-        return event.value
 
     # -- teardown ------------------------------------------------------------
 
@@ -641,6 +585,6 @@ class Simulator:
         self._deferred_pool.clear()
 
     def __repr__(self) -> str:
-        return (f"<Simulator t={self._now:.1f}ns "
+        return (f"<Simulator t={self.now:.1f}ns "
                 f"pending={self.pending_count()} "
-                f"processed={self._event_count}>")
+                f"processed={self.event_count}>")

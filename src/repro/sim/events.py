@@ -18,18 +18,13 @@ Hot-path note: state lives internally as a small int (``_PENDING`` /
 ``_TRIGGERED`` / ``_PROCESSED`` / ``_CANCELLED``) because millions of
 events flow through a sweep and enum identity checks are measurably
 slower; the public :attr:`Event.state` property still answers with the
-:class:`EventState` enum.  Triggering pushes straight into the owning
-simulator's schedule — near-heap pushes below ``sim._near_end``, wheel
-pushes at/after it, each with a tie key drawn from
-``sim._next_key()``; the schedule tuple layout ``(when, priority, key,
-event)`` is shared with :mod:`repro.sim.engine` and must never diverge
-from it.
+:class:`EventState` enum.  Triggering schedules the event through
+``Simulator._push``, the one place that builds schedule entries.
 """
 
 from __future__ import annotations
 
 import enum
-from heapq import heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import SchedulingError, SimulationError
@@ -52,10 +47,6 @@ class EventState(enum.Enum):
 _PENDING, _TRIGGERED, _PROCESSED, _CANCELLED = 0, 1, 2, 3
 _STATES = (EventState.PENDING, EventState.TRIGGERED, EventState.PROCESSED,
            EventState.CANCELLED)
-
-#: Default scheduling priority; mirrors ``engine.NORMAL`` (events.py
-#: cannot import the engine — cycle), pinned by a unit test.
-_NORMAL = 1
 
 
 class Event:
@@ -128,11 +119,7 @@ class Event:
         self._value = value
         self._state = _TRIGGERED
         sim = self.sim
-        when = sim._now + delay
-        if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, sim._next_key(), self))
-        else:
-            sim._wheel.push((when, _NORMAL, sim._next_key(), self))
+        sim._push(sim.now + delay, self)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -147,11 +134,7 @@ class Event:
         self._value = exception
         self._state = _TRIGGERED
         sim = self.sim
-        when = sim._now + delay
-        if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, sim._next_key(), self))
-        else:
-            sim._wheel.push((when, _NORMAL, sim._next_key(), self))
+        sim._push(sim.now + delay, self)
         return self
 
     def cancel(self) -> bool:
@@ -171,11 +154,6 @@ class Event:
         self.sim._cancel(self)
         return True
 
-    # -- kernel hooks --------------------------------------------------------
-
-    def _mark_processed(self) -> None:
-        self._state = _PROCESSED
-
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"<{type(self).__name__}{tag} {_STATES[self._state].value}>"
@@ -184,10 +162,11 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    Construction is flattened (no ``super().__init__`` chain, schedule
-    push inlined): timeouts are the single most allocated object in a
-    sweep, and the engine's freelist (:meth:`Simulator.timeout`)
-    recycles them through exactly this field layout.
+    Construction skips the ``super().__init__`` chain: timeouts are the
+    single most allocated object in a sweep, and
+    ``Simulator._start_timeout`` (re)initialises fresh and pooled ones
+    alike.  The absolute deadline is kept in :attr:`when` so
+    :meth:`cancel` can locate its wheel bucket without a search.
     """
 
     __slots__ = ("delay", "when")
@@ -198,15 +177,4 @@ class Timeout(Event):
             raise SchedulingError(f"negative or NaN timeout delay: {delay}")
         self.sim = sim
         self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._state = _TRIGGERED
-        self.label = label
-        self.delay = delay
-        # The absolute deadline is kept on the event so cancel() can
-        # locate its wheel bucket without a search.
-        self.when = when = sim._now + delay
-        if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, sim._next_key(), self))
-        else:
-            sim._wheel.push((when, _NORMAL, sim._next_key(), self))
+        sim._start_timeout(self, sim.now + delay, delay, value, label)

@@ -11,11 +11,10 @@
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
 from repro.errors import QueueFullError, SimulationError
-from repro.sim.events import Event, _NORMAL, _PENDING, _TRIGGERED
+from repro.sim.events import Event, _PENDING, _TRIGGERED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -103,8 +102,7 @@ class Store:
                 getter._value = item
                 getter._state = _TRIGGERED
                 sim = self.sim
-                heappush(sim._heap,
-                         (sim._now + 0.0, _NORMAL, sim._next_key(), getter))
+                sim._push(sim.now, getter)
                 self.total_put += 1
                 return True
         items = self._items
@@ -130,9 +128,7 @@ class Store:
         if items:
             # Item available: build the event already triggered and
             # schedule it directly — one frame instead of the three-call
-            # event()/succeed() chain on the hottest ring path.  The
-            # arithmetic matches succeed(delay=0.0): now + 0.0 is
-            # bit-identical for the kernel's non-negative clock.
+            # event()/succeed() chain on the hottest ring path.
             pool = sim._event_pool
             if pool:
                 ev = pool.pop()
@@ -142,7 +138,7 @@ class Store:
             ev._value = items.popleft()
             ev._ok = True
             ev._state = _TRIGGERED
-            heappush(sim._heap, (sim._now + 0.0, _NORMAL, sim._next_key(), ev))
+            sim._push(sim.now, ev)
             if self._putters:
                 self._admit_putter()
             return ev
@@ -316,10 +312,9 @@ class Signal:
         woken = 0
         waiters, self._waiters = self._waiters, deque()
         sim = self.sim
-        heap = sim._heap
-        next_key = sim._next_key
+        push = sim._push
         # No callbacks run inside this loop, so the clock is stable.
-        when = sim._now + 0.0
+        when = sim.now
         for waiter in waiters:
             if waiter._state == _PENDING:
                 # succeed() inlined; the pending check guards the
@@ -327,7 +322,7 @@ class Signal:
                 waiter._ok = True
                 waiter._value = value
                 waiter._state = _TRIGGERED
-                heappush(heap, (when, _NORMAL, next_key(), waiter))
+                push(when, waiter)
                 woken += 1
         return woken
 

@@ -21,8 +21,8 @@ Hot-path note: the resume trampoline binds ``generator.send`` /
 ``generator.throw`` once at start (a bound-method lookup per event is
 measurable at fig2 scale), reads event state as the kernel's internal
 int, and tests the yielded value's exact class before anything else.
-A bare ``int``/``float`` delay is the common case: it pushes the same
-``now + d`` entry at NORMAL priority with one tie key that
+A bare ``int``/``float`` delay is the common case: it makes the same
+``Simulator._push`` at ``now + d`` (one tie key) that
 ``sim.timeout(d)`` would, but the entry carries the process's own
 :class:`_Sleep` cell, which the kernel fires straight into
 :meth:`Process._wake` — no Timeout, callbacks list or bound method is
@@ -33,12 +33,11 @@ Timeout) and gives the process a fresh cell.
 
 from __future__ import annotations
 
-from heapq import heappush
 from numbers import Real
 from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import ProcessInterrupt, SchedulingError, SimulationError
-from repro.sim.events import Event, Timeout, _NORMAL, _PENDING, _PROCESSED
+from repro.sim.events import Event, Timeout, _PENDING, _PROCESSED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -180,12 +179,8 @@ class Process(Event):
         if cls is float or cls is int:
             if target >= 0:
                 sim = self.sim
-                when = sim._now + target
                 cell = self._waiting_on = self._cell
-                if when < sim._near_end:
-                    heappush(sim._heap, (when, _NORMAL, sim._next_key(), cell))
-                else:
-                    sim._wheel.push((when, _NORMAL, sim._next_key(), cell))
+                sim._push(sim.now + target, cell)
                 return
         elif (cls is Timeout or cls is Event) and target.sim is self.sim \
                 and target._state != _PROCESSED:
@@ -278,12 +273,8 @@ class Process(Event):
         :meth:`_resume` inlines this body; keep the two in step.
         """
         sim = self.sim
-        when = sim._now + delay
         cell = self._waiting_on = self._cell
-        if when < sim._near_end:
-            heappush(sim._heap, (when, _NORMAL, sim._next_key(), cell))
-        else:
-            sim._wheel.push((when, _NORMAL, sim._next_key(), cell))
+        sim._push(sim.now + delay, cell)
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""

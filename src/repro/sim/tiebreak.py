@@ -1,7 +1,6 @@
 """Tie-break policies: the seam the schedule-permutation fuzzer drives.
 
-Events scheduled for the same ``(when, priority)`` instant are ordered
-by a *tie key*.  Historically that key was the raw scheduling sequence
+Events scheduled for the same instant are ordered by a *tie key*.  Historically that key was the raw scheduling sequence
 number — FIFO order of scheduling — and every consumer of the kernel
 implicitly assumed that order either does not matter or is exactly what
 it wanted.  This module makes that assumption explicit and testable: a
@@ -13,9 +12,8 @@ it wanted.  This module makes that assumption explicit and testable: a
     key = (seq * mult + add) mod 2**64        (mult odd => bijection)
 
 so equal-timestamp events are dispatched in a deterministically
-*permuted* order, while events at different timestamps (or priorities)
-are untouched — ``when`` and ``priority`` still dominate the schedule
-tuple comparison.  Because the mix is a bijection, distinct sequence
+*permuted* order, while events at different timestamps are untouched —
+``when`` still dominates the schedule tuple comparison.  Because the mix is a bijection, distinct sequence
 numbers always yield distinct keys and the schedule keeps a total
 order; tuple comparison never falls through to the event objects.
 
@@ -26,13 +24,11 @@ and asserts the metrics digest is invariant — turning "we believe FIFO
 ties don't matter" into a checked property (see
 :mod:`repro.analysis.racecheck`).
 
-Every push site in the kernel honors the policy by drawing its key from
-one source, ``Simulator._next_key``: ``map(policy.key, count(1))``
-under a permutation, a plain ``count(1)`` under the identity.  That
-covers the near heap, the timer wheel (keys are baked into the schedule
-tuple before bucketing), and the inlined fast paths in
-:mod:`repro.sim.engine`, :mod:`repro.sim.events`,
-:mod:`repro.sim.primitives` and :mod:`repro.sim.process`.
+Every push in the kernel goes through ``Simulator._push``, which draws
+its key from one source, ``Simulator._next_key``:
+``map(policy.key, count(1))`` under a permutation, a plain ``count(1)``
+under the identity.  That covers the near heap and the timer wheel
+(keys are baked into the schedule tuple before bucketing).
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ classification can never disagree with heap ordering):
 
 Ordering contract
 -----------------
-Entries are the engine's schedule tuples ``(when, priority, seq,
-event)``.  :meth:`next_batch` returns the full contents of the earliest
-occupied slot — a half-open time window ``[.., end)`` — which the engine
+Entries are the engine's schedule tuples ``(when, key, item)``.
+:meth:`next_batch` returns the full contents of the earliest occupied
+slot — a half-open time window ``[.., end)`` — which the engine
 heapifies into its near heap.  Because every entry left on the wheel has
 ``when >= end`` and every near entry has ``when < end``, the merged pop
 order is exactly the single-heap total order, tie-breaks included (equal
@@ -260,7 +260,7 @@ class TimerWheel:
         else:  # pragma: no cover - excluded by the overflow_from check
             return False
         for i, entry in enumerate(bucket):
-            if entry[3] is event:
+            if entry[2] is event:
                 del bucket[i]
                 self.count -= 1
                 if on_l0:
@@ -273,7 +273,7 @@ class TimerWheel:
     def _compact_overflow(self) -> None:
         """Drop cancelled entries from the overflow heap in one pass."""
         live = [entry for entry in self.overflow
-                if getattr(entry[3], "_state", 0) != 3]
+                if getattr(entry[2], "_state", 0) != 3]
         dropped = len(self.overflow) - len(live)
         if dropped:
             heapify(live)

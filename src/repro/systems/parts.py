@@ -297,7 +297,7 @@ class HostShinjukuPipeline:
         # The underlying containers never get reassigned, so their
         # truthiness is a call-free emptiness test.
         tq_fifo = task_queue._fifo
-        tq_heap = task_queue._heap
+        tq_heap = task_queue._srpt
         tracker = self.tracker
         # The default policy ignores the queue head and just asks the
         # tracker; skip the delegation (and the peek) on the hot path.

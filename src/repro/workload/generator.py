@@ -124,10 +124,10 @@ class OpenLoopLoadGenerator:
         request_bytes = self.request_bytes
         while True:
             gap = next_gap_ns(arrival_rng)
-            if sim._now + gap > horizon_ns:
+            if sim.now + gap > horizon_ns:
                 return
             yield gap
-            request = make_request(service_rng, sim._now)
+            request = make_request(service_rng, sim.now)
             src_ip, src_port = pick(flow_rng)
             request.src_ip = src_ip
             request.src_port = src_port

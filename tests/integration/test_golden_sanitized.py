@@ -1,14 +1,13 @@
 """Golden differential with the sanitizer force-enabled.
 
-The hot-path work (pooled events, the fast ``run()`` loop, inlined
-primitives) is only acceptable if a sanitized run — which bypasses the
-fast loop entirely and dispatches through ``SanitizedSimulator.step``
-one event at a time, checking invariants live — still reproduces the
-pre-refactor golden fixture bit for bit.  Unlike the CI-env-driven
-golden suite, these tests force ``REPRO_SANITIZE=1`` themselves, so
-they prove the contract in any environment, and they verify the
-sanitizer really engaged (it is no differential if both sides ran the
-fast loop).
+The hot-path work (pooled events, the one ``run()`` loop, inlined
+primitives) is only acceptable if a sanitized run — the same loop with
+``SanitizedSimulator``'s observer checking invariants after every
+event — still reproduces the pre-refactor golden fixture bit for bit.
+Unlike the CI-env-driven golden suite, these tests force
+``REPRO_SANITIZE=1`` themselves, so they prove the contract in any
+environment, and they verify the sanitizer really engaged (it is no
+differential if neither side ran the checks).
 """
 
 from __future__ import annotations
@@ -112,8 +111,8 @@ def test_all_points_bit_identical_under_forced_sanitize(forced_sanitize):
 
 
 def test_sanitized_and_fast_loop_agree_point_by_point(monkeypatch):
-    """The stepwise sanitized loop and the pooled fast loop are the
-    same simulation: identical metrics JSON for a spot-checked system."""
+    """The observed (sanitized) loop and the plain loop are the same
+    simulation: identical metrics JSON for a spot-checked system."""
     from repro.experiments.harness import run_point_with_events
     name = "shinjuku-offload"
     factory = ConfiguredFactory.by_name(name, GOLDEN_CONFIGS[name])
@@ -168,8 +167,8 @@ def test_golden_point_invariant_to_wheel_granularity(forced_sanitize,
     assert metrics_digest([wheel_metrics]) \
         == metrics_digest([default_metrics])
 
-    # And the pooled fast loop agrees with the stepwise sanitized loop
-    # under the squeezed wheel too.
+    # And the plain loop agrees with the observed sanitized loop under
+    # the squeezed wheel too.
     fast_metrics, fast_events = run_point_with_events(
         factory, rate, DIST, CONFIG, sanitize=False)
     assert metrics_to_jsonable(fast_metrics) == point["metrics"]

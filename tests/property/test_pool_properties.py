@@ -82,7 +82,7 @@ class TestNoReuseWhileScheduled:
         sim = Simulator()
 
         def check():
-            scheduled = {id(entry[3]) for entry in sim.pending_entries()}
+            scheduled = {id(entry[2]) for entry in sim.pending_entries()}
             pooled = ({id(ev) for ev in sim._timeout_pool}
                       | {id(ev) for ev in sim._event_pool}
                       | {id(cell) for cell in sim._deferred_pool})

@@ -2,14 +2,14 @@
 
 A process may wait with ``yield d`` instead of ``yield sim.timeout(d)``.
 The two must be indistinguishable to the rest of the run: the same
-schedule push (``now + d``, NORMAL priority, one tie key), the same
+schedule push (``now + d``, one tie key), the same
 resume value, and — when an interrupt cuts the wait short — the same
 stale schedule entry that still fires and counts.  These tests generate
 random process programs with same-instant ties and interrupts landing
 during waits, and replay each one with every wait spelled as a timeout
 and with the generated mix of spellings, under FIFO and two permuted
-tie-break policies, on the plain run loop and on the sanitizer's
-stepwise loop.
+tie-break policies, on a plain simulator and with the loop's per-event
+observer installed (the sanitizer's checks, or a counting hook).
 """
 
 from hypothesis import given, settings
@@ -37,11 +37,24 @@ interrupts = st.lists(st.tuples(st.integers(min_value=0, max_value=8),
 POLICIES = (FIFO, permutation_policy(1), permutation_policy(2))
 
 
-def run(sim_cls, policy, program, hits, mixed):
+def counting_simulator():
+    """A plain simulator whose observer counts the events it sees;
+    returns it with the one-cell count."""
+    sim = Simulator()
+    seen = [0]
+
+    def observe():
+        seen[0] += 1
+    sim.observer = observe
+    return sim, seen
+
+
+def run(sim_cls, policy, program, hits, mixed, sim=None):
     """Run *program*; return its ``(now, process, step)`` trace (plus
     each resume's value and interrupt marks), the processes' outcomes,
     the event count and the final clock."""
-    sim = sim_cls()
+    if sim is None:
+        sim = sim_cls()
     sim.set_tiebreak(policy)
     trace = []
 
@@ -75,10 +88,15 @@ class TestSleepMatchesTimeout:
 
     @given(programs, interrupts)
     @settings(max_examples=40, deadline=None)
-    def test_stepwise_loop_matches_run_loop(self, program, hits):
-        """The sanitizer's one-step()-per-event loop dispatches sleep
-        cells exactly like the inlined run loop."""
+    def test_observed_loop_matches_plain_loop(self, program, hits):
+        """An installed observer sees every counted event and changes
+        nothing: the sanitizer's run and a counting hook's run replay
+        the plain run exactly."""
         for policy in POLICIES:
+            plain = run(Simulator, policy, program, hits, mixed=True)
             assert run(SanitizedSimulator, policy, program, hits,
-                       mixed=True) == run(Simulator, policy, program, hits,
-                                          mixed=True)
+                       mixed=True) == plain
+            sim, seen = counting_simulator()
+            assert run(None, policy, program, hits, mixed=True,
+                       sim=sim) == plain
+            assert seen == [sim.event_count]

@@ -43,7 +43,7 @@ class _Stub:
         self._state = 0
 
 
-#: (op, raw, scale-index, priority) tuples.  The raw value doubles as a
+#: (op, raw, scale-index) tuples.  The raw value doubles as a
 #: timestamp seed (scaled to land on L0 / L1 / overflow) and as the
 #: pick index for cancels.  Small raw ranges make equal timestamps
 #: common, exercising the tie-break contract.
@@ -52,8 +52,7 @@ _SCALES = (1.0, 16.0, 300.0, 4099.0, 70000.0)
 ops_strategy = st.lists(
     st.tuples(st.sampled_from(["push", "push", "push", "cancel", "drain"]),
               st.integers(min_value=0, max_value=60),
-              st.integers(min_value=0, max_value=len(_SCALES) - 1),
-              st.integers(min_value=0, max_value=1)),
+              st.integers(min_value=0, max_value=len(_SCALES) - 1)),
     min_size=1, max_size=160)
 
 
@@ -75,23 +74,23 @@ class TestWheelMatchesHeapOrder:
             boundary = wheel.near_end
             if with_inf:  # idle-watchdog sentinel rides the overflow
                 seq += 1
-                entry = (float("inf"), 1, seq, _Stub())
+                entry = (float("inf"), seq, _Stub())
                 wheel.push(entry)
                 reference.append(entry)
-            for op, raw, scale_idx, prio in ops:
+            for op, raw, scale_idx in ops:
                 if op == "push":
                     when = max(float(raw) * _SCALES[scale_idx],
                                boundary, wheel.near_end)
                     seq += 1
-                    entry = (when, prio, seq, _Stub())
+                    entry = (when, seq, _Stub())
                     wheel.push(entry)
                     reference.append(entry)
                 elif op == "cancel" and reference:
                     entry = reference.pop(raw % len(reference))
-                    entry[3]._state = 3
+                    entry[2]._state = 3
                     # Eager removal or lazy mark — either way the entry
                     # must never reach the popped order.
-                    wheel.discard(entry[3], entry[0])
+                    wheel.discard(entry[2], entry[0])
                 else:  # drain one batch
                     batch = wheel.next_batch()
                     if batch is None:
@@ -99,7 +98,7 @@ class TestWheelMatchesHeapOrder:
                         continue
                     entries, end = batch
                     boundary = end
-                    live = sorted(e for e in entries if e[3]._state != 3)
+                    live = sorted(e for e in entries if e[2]._state != 3)
                     popped.extend(live)
                     for e in live:
                         # Half-open window, except the terminal batch
@@ -112,7 +111,7 @@ class TestWheelMatchesHeapOrder:
                 if batch is None:
                     break
                 entries, _end = batch
-                live = sorted(e for e in entries if e[3]._state != 3)
+                live = sorted(e for e in entries if e[2]._state != 3)
                 popped.extend(live)
                 for e in live:
                     reference.remove(e)
@@ -132,8 +131,9 @@ class TestWheelMatchesHeapOrder:
                     min_size=2, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_equal_timestamp_batches_pop_in_seq_order(self, sizes):
-        """Entries sharing a timestamp come back in (priority, seq)
-        order, and one instant's batch never splits across windows."""
+        """Entries sharing a timestamp come back in tie-key order (keys
+        permuted against insertion order, as a tie-break policy does),
+        and one instant's batch never splits across windows."""
         with granularity(16.0):
             wheel = TimerWheel()
             seq = 0
@@ -142,7 +142,9 @@ class TestWheelMatchesHeapOrder:
                 when = wheel.near_end + float(i) * 997.0
                 for _ in range(size + 1):
                     seq += 1
-                    entry = (when, seq % 2, seq, _Stub())
+                    # An odd multiplier mod 2**16 is a bijection: keys
+                    # stay unique but leave insertion order.
+                    entry = (when, (seq * 40503) & 0xFFFF, _Stub())
                     wheel.push(entry)
                     expected.append(entry)
             expected.sort()
@@ -166,7 +168,7 @@ class TestWheelCancellation:
             wheel = TimerWheel()
             ev = _Stub()
             when = wheel.near_end + 100.0
-            wheel.push((when, 1, 1, ev))
+            wheel.push((when, 1, ev))
             assert wheel.count == 1
             ev._state = 3
             assert wheel.discard(ev, when) is True
@@ -181,7 +183,7 @@ class TestWheelCancellation:
             for i in range(3 * _COMPACT_MIN):
                 ev = _Stub()
                 events.append(ev)
-                wheel.push((far + i, 1, i + 1, ev))
+                wheel.push((far + i, i + 1, ev))
             for ev in events[:-1]:
                 ev._state = 3
                 assert wheel.discard(ev, far) is True
@@ -194,8 +196,8 @@ class TestWheelCancellation:
                 batch = wheel.next_batch()
                 if batch is None:
                     break
-                batches.extend(e for e in batch[0] if e[3]._state != 3)
-            assert [e[3] for e in batches] == [events[-1]]
+                batches.extend(e for e in batch[0] if e[2]._state != 3)
+            assert [e[2] for e in batches] == [events[-1]]
 
 
 class TestEngineOrderUnderRecycling:

@@ -123,6 +123,14 @@ class TestUnorderedIteration:
                     sim._schedule(ev)
         """)
 
+    def test_set_call_feeding_kernel_push_flagged(self):
+        """``Simulator._push`` is the one schedule primitive."""
+        assert "unordered-iteration" in rule_ids("""
+            def kick(sim, cells):
+                for cell in set(cells):
+                    sim._push(sim.now, cell)
+        """)
+
     def test_set_literal_feeding_enqueue_flagged(self):
         assert "unordered-iteration" in rule_ids("""
             def fill(queue, a, b):

@@ -88,9 +88,18 @@ class TestClockMonotonicity:
         sim.timeout(10.0)
         sim.run()
         # Bypass the scheduling guards to plant an event in the past.
-        heapq.heappush(sim._heap, (sim.now - 4.0, 0, 999, sim.event()))
+        heapq.heappush(sim._heap, (sim.now - 4.0, 999, sim.event()))
         with pytest.raises(SanitizerError, match="clock regressed"):
             sim.step()
+
+
+    def test_checks_ride_the_plain_loop(self):
+        """The sanitizer observes through the loop's hook; it has no
+        loop of its own."""
+        assert "step" not in vars(SanitizedSimulator)
+        assert "run" not in vars(SanitizedSimulator)
+        sim = SanitizedSimulator()
+        assert sim.observer is not None
 
 
 class TestQueueInvariants:

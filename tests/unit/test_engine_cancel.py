@@ -96,13 +96,6 @@ class TestCancelledEntriesAreReclaimed:
         assert sim._near_cancelled == 0
 
 
-class _StepwiseSimulator(Simulator):
-    """Overrides step(), so run() takes the one-step-per-event loop."""
-
-    def step(self):
-        super().step()
-
-
 def _drain_with_step(sim):
     while sim.peek() != float("inf"):
         sim.step()
@@ -114,7 +107,7 @@ def _drain_until_event(sim, last):
 
 class TestNearCancelCount:
     """The count that triggers near-heap compaction tracks the dead
-    entries still queued, whichever loop pops them."""
+    entries still queued, whichever entry point drives the loop."""
 
     @staticmethod
     def _arm(sim):
@@ -128,15 +121,13 @@ class TestNearCancelCount:
         last = sim.timeout(8.0)
         return live + [last]
 
-    @pytest.mark.parametrize("simulator, drain", [
-        (Simulator, lambda sim, last: sim.run()),
-        (Simulator, lambda sim, last: _drain_with_step(sim)),
-        (Simulator, _drain_until_event),
-        (_StepwiseSimulator, lambda sim, last: sim.run()),
-    ], ids=["run", "step", "run-until-event", "run-stepwise"])
-    def test_every_drain_path_uncounts_skipped_entries(self, simulator,
-                                                       drain):
-        sim = simulator()
+    @pytest.mark.parametrize("drain", [
+        lambda sim, last: sim.run(),
+        lambda sim, last: _drain_with_step(sim),
+        _drain_until_event,
+    ], ids=["run", "step", "run-until-event"])
+    def test_every_drain_path_uncounts_skipped_entries(self, drain):
+        sim = Simulator()
         live = self._arm(sim)
         drain(sim, live[-1])
         assert all(ev.processed for ev in live)
@@ -146,7 +137,7 @@ class TestNearCancelCount:
         sim = Simulator()
         self._arm(sim)
         sim.run(until=2.5)
-        dead = sum(1 for entry in sim._heap if entry[3].cancelled)
+        dead = sum(1 for entry in sim._heap if entry[2].cancelled)
         assert dead > 0
         assert sim._near_cancelled == dead
 
@@ -159,7 +150,7 @@ class TestNearCancelCount:
         class Recording(Simulator):
             def _compact_near(self):
                 heap = self._heap
-                dead = sum(1 for entry in heap if entry[3].cancelled)
+                dead = sum(1 for entry in heap if entry[2].cancelled)
                 fractions.append(dead / len(heap))
                 super()._compact_near()
 

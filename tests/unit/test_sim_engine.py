@@ -6,9 +6,10 @@ import math
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizedSimulator
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.primitives import Store
+from repro.sim.primitives import Signal, Store
 
 
 class TestClock:
@@ -232,6 +233,141 @@ class TestRunGuards:
         sim.run()
         assert not proc.ok
         assert isinstance(proc.value, SimulationError)
+
+
+class TestNoReentry:
+    """A callback may not drive the loop it runs inside: ``step()`` and
+    ``run_until_event()`` are refused like a nested ``run()``, and the
+    outer run keeps its clock and its count."""
+
+    @pytest.mark.parametrize("drive", [
+        lambda sim, later: sim.step(),
+        lambda sim, later: sim.run_until_event(later),
+        lambda sim, later: sim.run(),
+    ], ids=["step", "run_until_event", "run"])
+    def test_nested_drive_raises(self, drive):
+        sim = Simulator()
+        seen = []
+        later = sim.timeout(3.0)
+
+        def callback(_ev):
+            with pytest.raises(SimulationError, match="not reentrant"):
+                drive(sim, later)
+            seen.append(sim.now)
+
+        sim.timeout(1.0).callbacks.append(callback)
+        sim.timeout(5.0)
+        sim.run()
+        assert seen == [1.0]
+        assert later.processed
+        assert sim.event_count == 3
+        assert sim.now == 5.0
+
+
+def _log_at(log, sim, tag):
+    return lambda *_: log.append((tag, sim.now))
+
+
+def _wake_try_put(sim, log):
+    store = Store(sim)
+
+    def waiter():
+        yield store.get()
+        log.append(("woken", sim.now))
+    sim.process(waiter())
+    return lambda: store.try_put("x")
+
+
+def _wake_fire(sim, log):
+    sig = Signal(sim)
+
+    def waiter():
+        yield sig.wait()
+        log.append(("woken", sim.now))
+    sim.process(waiter())
+    return sig.fire
+
+
+def _wake_get(sim, log):
+    store = Store(sim)
+    store.try_put("x")
+
+    def get():
+        store.get().callbacks.append(_log_at(log, sim, "woken"))
+    return get
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, SanitizedSimulator])
+@pytest.mark.parametrize("arm", [_wake_try_put, _wake_fire, _wake_get],
+                         ids=["try_put", "fire", "get"])
+def test_same_instant_fifo_after_a_run_stopped_at_until(sim_cls, arm):
+    """Once ``run(until=...)`` has left the clock past the near-heap
+    window, a Timeout(0) and a store/signal wake-up scheduled after it
+    at the same instant still dispatch in scheduling order."""
+    sim = sim_cls()
+    log = []
+    wake = arm(sim, log)
+    sim.run(until=100_000.0)
+    sim.timeout(0).callbacks.append(_log_at(log, sim, "timeout"))
+    wake()
+    sim.run()
+    assert log == [("timeout", 100_000.0), ("woken", 100_000.0)]
+
+
+class TestObserver:
+    """``Simulator.observer`` runs once per counted event on every entry
+    point into the loop, and never for a skipped cancelled entry."""
+
+    @staticmethod
+    def _observed():
+        sim = Simulator()
+        calls = []
+        sim.observer = lambda: calls.append(sim.now)
+        return sim, calls
+
+    def test_one_call_per_counted_event_on_every_entry_point(self):
+        sim, calls = self._observed()
+
+        def sleeper(sim):
+            for _ in range(3):
+                yield 2.0
+
+        sim.process(sleeper(sim))
+        sim.defer(1.0, lambda: None)
+        target = sim.timeout(4.0)
+        sim.timeout(9.0)
+        sim.step()
+        assert len(calls) == sim.event_count == 1
+        sim.run_until_event(target)
+        assert len(calls) == sim.event_count
+        sim.run(until=5.0)
+        assert len(calls) == sim.event_count
+        sim.run()
+        # start, three sleeps, the process's own completion, the
+        # deferred call and two timeouts
+        assert len(calls) == sim.event_count == 8
+        assert calls == sorted(calls) and calls[-1] == 9.0
+
+    def test_never_called_for_a_cancelled_skip(self):
+        sim, calls = self._observed()
+        sim.timeout(1.0).cancel()
+        sim.event().succeed(delay=2.0).cancel()
+        sim.timeout(3.0)
+        sim.run()
+        assert calls == [3.0]
+        assert sim.event_count == 1
+        sim.timeout(1.0).cancel()
+        with pytest.raises(SimulationError, match="empty schedule"):
+            sim.step()
+        assert calls == [3.0]
+
+    def test_max_events_counts_observed_events(self):
+        sim, calls = self._observed()
+        for i in range(5):
+            sim.timeout(float(i))
+        with pytest.raises(SimulationError, match="max_events=2"):
+            sim.run(max_events=2)
+        assert len(calls) == sim.event_count == 3
 
 
 def _timeout_storm(n):
