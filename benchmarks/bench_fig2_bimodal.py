@@ -26,14 +26,30 @@ def test_figure2_bimodal(benchmark, run_config, scale, executor):
     shinjuku = by_name["Shinjuku"]
     offload = by_name["Shinjuku-Offload"]
 
+    def where(sweep, point):
+        return (f"{sweep.system_name} at {point.offered_rps:,.0f} RPS, "
+                f"REPRO_BENCH_SCALE={scale}, "
+                f"{point.metrics.throughput.completed} completions")
+
     # Offload reaches at least Shinjuku's saturation throughput.
-    assert offload.max_achieved_rps() >= 0.95 * shinjuku.max_achieved_rps()
+    assert offload.max_achieved_rps() >= 0.95 * shinjuku.max_achieved_rps(), (
+        f"Offload peak {offload.max_achieved_rps():,.0f} RPS < 0.95 x "
+        f"Shinjuku peak {shinjuku.max_achieved_rps():,.0f} RPS "
+        f"(REPRO_BENCH_SCALE={scale})")
 
     # Preemption keeps the pre-knee tail bounded: at the lightest load
     # both systems' p99 sits far below the 100 us straggler class.
-    assert shinjuku.points[0].p99_ns < 50_000.0
-    assert offload.points[0].p99_ns < 50_000.0
+    # Below scale 0.3 the lightest point has too few completions for
+    # that (see conftest.py).
+    for sweep in (shinjuku, offload):
+        light = sweep.points[0]
+        assert light.p99_ns < 50_000.0, (
+            f"lightest-load p99 {light.p99_ns:,.0f} ns >= 50,000 ns: "
+            f"{where(sweep, light)}")
 
     # Both knees exist inside the swept range (tail grows >5x overall).
     for sweep in (shinjuku, offload):
-        assert sweep.points[-1].p99_ns > 5.0 * sweep.points[0].p99_ns
+        light, heavy = sweep.points[0], sweep.points[-1]
+        assert heavy.p99_ns > 5.0 * light.p99_ns, (
+            f"no knee: p99 {heavy.p99_ns:,.0f} ns ({where(sweep, heavy)}) "
+            f"is not > 5 x {light.p99_ns:,.0f} ns ({where(sweep, light)})")

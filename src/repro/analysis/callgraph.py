@@ -11,8 +11,7 @@ module builds that whole-program view in one pass:
 - per function: the ``self.*`` attributes it reads and writes, the
   terminal names it calls, and every **schedule site** — a call that
   inserts something into the event schedule (``succeed``/``fail``
-  triggers, ``defer``/``call_in``/``call_at``/``defer_at`` callback
-  scheduling);
+  triggers, ``defer``/``defer_at`` callback scheduling);
 - per schedule site: a conservative **delay class** (provably zero,
   provably positive, or symbolic) and, for triggers, where the receiver
   event came from (freshly created, popped from a shared waiter queue,
@@ -52,9 +51,9 @@ RECV_UNKNOWN = "unknown"
 #: Calls that trigger an existing event into the schedule.
 _TRIGGER_CALLS = frozenset({"succeed", "fail"})
 #: Calls that schedule a callback after a relative delay (arg 0).
-_DELAY_CALLBACK_CALLS = frozenset({"defer", "call_in"})
+_DELAY_CALLBACK_CALLS = frozenset({"defer"})
 #: Calls that schedule a callback at an absolute time (arg 0).
-_AT_CALLBACK_CALLS = frozenset({"defer_at", "call_at"})
+_AT_CALLBACK_CALLS = frozenset({"defer_at"})
 #: Calls whose result is an event drawn from a shared waiter queue.
 _POP_CALLS = frozenset({"popleft", "pop", "popitem", "get_nowait"})
 #: Calls whose result is a freshly created event (single-producer).
@@ -333,7 +332,7 @@ def _classify_call(call: ast.Call, callee: str,
     if callee in _DELAY_CALLBACK_CALLS or callee in _AT_CALLBACK_CALLS:
         when = _argument(call, 0)
         if callee in _AT_CALLBACK_CALLS:
-            # call_at(when, fn): zero-delay iff when is the clock itself.
+            # defer_at(when, fn): zero-delay iff when is the clock itself.
             delay = (DELAY_ZERO if when is not None and _is_now_expr(when)
                      else DELAY_SYMBOLIC)
         else:

@@ -250,8 +250,8 @@ class WallClockRule(Rule):
 #: Call targets that feed the event schedule or a queue decision.
 _SCHEDULING_CALLS = frozenset({
     "_push", "_schedule", "schedule", "enqueue", "dequeue", "try_dequeue",
-    "succeed", "fail", "timeout", "process", "call_at", "call_in",
-    "defer", "defer_at", "heappush", "push", "interrupt", "send",
+    "succeed", "fail", "timeout", "process", "defer", "defer_at",
+    "heappush", "push", "interrupt", "send",
 })
 
 

@@ -194,9 +194,6 @@ class StingrayConfig:
     arm_clock_ghz: float = ARM_CLOCK_GHZ
     #: One-way ARM<->host packet latency through the NIC (§3.3).
     one_way_latency_ns: float = ARM_HOST_ONE_WAY_NS
-    #: External Ethernet ports: dual-port 10GbE.
-    external_ports: int = 2
-    port_bandwidth_gbps: float = 10.0
     #: Per-port RX/TX ring depth (descriptors).
     ring_depth: int = 1024
     #: Fabric latency wire -> ARM port (NIC ingress pipeline).

@@ -1,13 +1,13 @@
 """Executes a :class:`~repro.faults.plan.FaultPlan` against a system.
 
 The :class:`FaultInjector` is the single runtime authority for faults:
-links and switches ask it for per-packet verdicts, feedback channels
-ask it about update loss and staleness, worker cores ask it for stall
-penalties and straggler factors, and it schedules the plan's crashes
-itself.  All randomness comes from two sanctioned registry streams —
-``faults.link`` and ``faults.feedback`` — created only when the
-corresponding fault class is active, so a null or partial plan draws
-nothing and perturbs nothing.
+links and the SmartNIC fabric ask it for per-packet verdicts, feedback
+channels ask it about update loss and staleness, worker cores ask it
+for stall penalties and straggler factors, and it schedules the plan's
+crashes itself.  All randomness comes from two sanctioned registry
+streams — ``faults.link`` and ``faults.feedback`` — created only when
+the corresponding fault class is active, so a null or partial plan
+draws nothing and perturbs nothing.
 """
 
 from __future__ import annotations

@@ -1,16 +1,8 @@
-"""Hardware models: CPUs, timers, interrupts, caches, PCIe, SmartNICs."""
+"""Hardware models: CPUs, timers, caches, SmartNICs."""
 
 from repro.hw.cpu import CpuCore, HardwareThread, Socket, HostMachine
 from repro.hw.timer_apic import ApicTimer, TimerMechanism
-from repro.hw.interrupts import (
-    InterruptDelivery,
-    PostedInterrupt,
-    LinuxSignalDelivery,
-    PacketInterrupt,
-    DirectWireInterrupt,
-)
 from repro.hw.cache import CacheLevel, DdioModel, CacheHierarchy
-from repro.hw.pcie import PcieLink, CxlLink
 from repro.hw.smartnic import StingraySmartNic, FabricDomain
 
 __all__ = [
@@ -20,16 +12,9 @@ __all__ = [
     "HostMachine",
     "ApicTimer",
     "TimerMechanism",
-    "InterruptDelivery",
-    "PostedInterrupt",
-    "LinuxSignalDelivery",
-    "PacketInterrupt",
-    "DirectWireInterrupt",
     "CacheLevel",
     "DdioModel",
     "CacheHierarchy",
-    "PcieLink",
-    "CxlLink",
     "StingraySmartNic",
     "FabricDomain",
 ]

@@ -3,7 +3,6 @@
 from repro.metrics.reservoir import LatencyReservoir
 from repro.metrics.summary import LatencySummary, ThroughputSummary, RunMetrics
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.timeseries import TimeSeries
 
 __all__ = [
     "LatencyReservoir",
@@ -11,5 +10,4 @@ __all__ = [
     "ThroughputSummary",
     "RunMetrics",
     "MetricsCollector",
-    "TimeSeries",
 ]

@@ -1,10 +1,11 @@
-"""Network substrate: packets, links, ports, switching, and steering.
+"""Network substrate: packets, links, ports, and steering.
 
 Models the parts of the network stack that matter at request
 granularity: addressed packets with Ethernet/IPv4/UDP headers, fixed
 latency + bandwidth point-to-point links, NIC ports with RX/TX rings,
-a learning switch (the Stingray's internal fabric), Toeplitz RSS,
-Flow-Director-style exact-match steering, and SR-IOV virtual functions.
+Toeplitz RSS and Flow-Director-style exact-match steering.  The
+Stingray's internal MAC-steered fabric, with one port per host core,
+lives in :mod:`repro.hw.smartnic`.
 """
 
 from repro.net.addressing import MacAddress, IpAddress, FiveTuple
@@ -20,13 +21,11 @@ from repro.net.packet import (
     IPV4_HEADER_BYTES,
     UDP_HEADER_BYTES,
 )
-from repro.net.checksum import internet_checksum, toeplitz_hash, DEFAULT_RSS_KEY
+from repro.net.checksum import toeplitz_hash, DEFAULT_RSS_KEY
 from repro.net.link import Link
 from repro.net.port import NetworkPort
-from repro.net.switch import LearningSwitch
 from repro.net.rss import RssSteering
 from repro.net.flow_director import FlowDirector
-from repro.net.sriov import SriovFunction, SriovPool
 
 __all__ = [
     "MacAddress",
@@ -42,14 +41,10 @@ __all__ = [
     "ETH_HEADER_BYTES",
     "IPV4_HEADER_BYTES",
     "UDP_HEADER_BYTES",
-    "internet_checksum",
     "toeplitz_hash",
     "DEFAULT_RSS_KEY",
     "Link",
     "NetworkPort",
-    "LearningSwitch",
     "RssSteering",
     "FlowDirector",
-    "SriovFunction",
-    "SriovPool",
 ]

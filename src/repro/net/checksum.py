@@ -1,9 +1,7 @@
-"""Checksum and hash functions used by the NIC models.
+"""The RSS hash used by the NIC models.
 
-- :func:`internet_checksum` — RFC 1071 ones-complement sum, used by the
-  IPv4/UDP header models.
-- :func:`toeplitz_hash` — the Microsoft RSS Toeplitz hash over flow
-  5-tuples, the function real RSS hardware implements (§2.1).
+:func:`toeplitz_hash` is the Microsoft RSS Toeplitz hash over flow
+5-tuples, the function real RSS hardware implements (§2.1).
 """
 
 from __future__ import annotations
@@ -21,20 +19,6 @@ DEFAULT_RSS_KEY = bytes([
     0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30, 0xf2, 0x0c,
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 ])
-
-
-def internet_checksum(data: bytes) -> int:
-    """RFC 1071 16-bit ones-complement checksum of *data*."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    # Fold any remaining carry.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
 
 
 def _toeplitz_bytes(key: bytes, data: bytes) -> int:

@@ -45,7 +45,7 @@ its constant factors small without ever changing *what* is scheduled:
 - :meth:`defer` / :meth:`defer_at` schedule a bare callback through a
   pooled :class:`_Deferred` cell instead of a Timeout-plus-lambda pair;
   they consume exactly one tie key and one schedule push, just like
-  :meth:`call_in` / :meth:`call_at`, so swapping one for the other
+  :meth:`timeout`, so swapping a Timeout callback for a deferred one
   cannot reorder a run.  The run loop dispatches these cells first.
 - A process that yields a bare delay (``yield d``) sleeps on its own
   :class:`~repro.sim.process._Sleep` cell: the same ``now + d`` push
@@ -227,10 +227,9 @@ class Simulator:
                    label: str = "") -> Timeout:
         """Create an event that fires at exactly absolute time *when*.
 
-        Unlike :meth:`defer_at` (which keeps :meth:`call_at`'s
-        ``now + (when - now)`` arithmetic), the push lands on *when*
-        itself, so a wait computed as ``t + cost`` ends bit-exactly
-        there.
+        Unlike :meth:`defer_at` (which pushes at
+        ``now + (when - now)``), the push lands on *when* itself, so a
+        wait computed as ``t + cost`` ends bit-exactly there.
         """
         now = self.now
         if not when >= now:  # also rejects NaN
@@ -261,36 +260,11 @@ class Simulator:
         """Start a new :class:`Process` driving *generator*."""
         return Process(self, generator, label=label)
 
-    def call_at(self, when: float, func: Callable[[], None]) -> Event:
-        """Run *func* (no args) at absolute time *when*.
-
-        Returns the underlying event, so the caller can wait on it or
-        observe it; when the handle is not needed, :meth:`defer_at` is
-        the cheaper equivalent.
-        """
-        if not when >= self.now:
-            raise SchedulingError(
-                f"call_at({when}) is in the past (now={self.now})")
-        ev = self.timeout(when - self.now)
-        ev.callbacks.append(lambda _ev: func())
-        return ev
-
-    def call_in(self, delay: float, func: Callable[[], None]) -> Event:
-        """Run *func* (no args) after *delay* ns.
-
-        Returns the underlying event; when the handle is not needed,
-        :meth:`defer` is the cheaper equivalent.
-        """
-        ev = self.timeout(delay)
-        ev.callbacks.append(lambda _ev: func())
-        return ev
-
     def defer(self, delay: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` after *delay* ns; fire-and-forget.
 
         The scheduling arithmetic and tie-key consumption are identical
-        to :meth:`call_in`, so the two are interchangeable without
-        reordering a run — ``defer`` simply returns no handle and
+        to :meth:`timeout`'s; ``defer`` simply returns no handle and
         recycles its schedule cell.
         """
         if not delay >= 0:  # also rejects NaN
@@ -307,9 +281,9 @@ class Simulator:
     def defer_at(self, when: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` at absolute time *when*; fire-and-forget.
 
-        Mirrors :meth:`call_at` exactly, including its float arithmetic
-        (``now + (when - now)``), so swapping one for the other cannot
-        perturb event timestamps.
+        The push lands at ``now + (when - now)``, the same float
+        arithmetic as ``timeout(when - now)``, so swapping one for the
+        other cannot perturb event timestamps.
         """
         if not when >= self.now:
             raise SchedulingError(

@@ -1,15 +1,15 @@
 """Structured execution tracing.
 
 A :class:`Tracer` collects timestamped records emitted by components.
-Tracing is off by default (zero overhead beyond one attribute check) and
-is used by tests to validate event orderings — e.g. that a request walks
-the five numbered steps of the paper's Figure 1 in order.
+Components take ``tracer=None`` by default (tracing off, one attribute
+check per emit site); tests pass a tracer to validate event orderings —
+e.g. that a request walks the five numbered steps of the paper's
+Figure 1 in order.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -33,28 +33,14 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord`s, optionally ring-buffered.
+    """Collects :class:`TraceRecord`s stamped by *sim*'s clock."""
 
-    Parameters
-    ----------
-    sim:
-        Simulator whose clock timestamps records.
-    enabled:
-        When False, :meth:`emit` is a no-op.
-    max_records:
-        Keep only the most recent N records (``None`` = unbounded).
-    """
-
-    def __init__(self, sim: "Simulator", enabled: bool = True,
-                 max_records: Optional[int] = None):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.enabled = enabled
-        self._records: Deque[TraceRecord] = deque(maxlen=max_records)
+        self._records: List[TraceRecord] = []
 
     def emit(self, component: str, action: str, **fields: Any) -> None:
-        """Record one event if tracing is enabled."""
-        if not self.enabled:
-            return
+        """Record one event."""
         self._records.append(
             TraceRecord(self.sim.now, component, action, fields))
 
@@ -91,14 +77,3 @@ class Tracer:
         """Human-readable multi-line rendering of the whole trace."""
         return "\n".join(repr(rec) for rec in self._records)
 
-
-class NullTracer(Tracer):
-    """A tracer that never records; usable without a simulator."""
-
-    def __init__(self):  # noqa: D107 - trivially documented by class
-        self.sim = None
-        self.enabled = False
-        self._records = deque(maxlen=0)
-
-    def emit(self, component: str, action: str, **fields: Any) -> None:
-        return None

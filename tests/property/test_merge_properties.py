@@ -3,9 +3,9 @@
 The streaming-metrics contract: ``merge(a, b)`` must be exactly
 equivalent to one collector having observed both streams, for any
 split and in any order.  These properties pin that for reservoirs
-(statistics of the sample multiset), time series (aligned-bucket
-addition), and the full scoped :class:`MetricsCollector` (sharded
-recording folds up bit-identically to monolithic recording).
+(statistics of the sample multiset) and the full scoped
+:class:`MetricsCollector` (sharded recording folds up bit-identically
+to monolithic recording).
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.errors import ExperimentError
 from repro.experiments.executor import metrics_to_jsonable
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.reservoir import LatencyReservoir
-from repro.metrics.timeseries import TimeSeries
 from repro.runtime.request import Request
 from repro.sim.engine import Simulator
 from repro.units import ms, us
@@ -83,52 +82,6 @@ class TestReservoirMergeAlgebra:
         in_place.merge_from(_reservoir(b))
         assert _reservoir_stats(in_place) == _reservoir_stats(
             _reservoir(a).merged(_reservoir(b)))
-
-
-events = st.lists(st.tuples(
-    st.floats(min_value=0.0, max_value=1e7, allow_nan=False,
-              allow_infinity=False),
-    st.integers(min_value=1, max_value=5)), max_size=100)
-
-
-def _series(data, bucket_ns=1000.0):
-    series = TimeSeries(bucket_ns=bucket_ns)
-    for time_ns, count in data:
-        series.record(time_ns, count)
-    return series
-
-
-class TestTimeSeriesMergeAlgebra:
-    @given(events, events)
-    @settings(max_examples=60, deadline=None)
-    def test_commutative(self, a, b):
-        assert _series(a).merged(_series(b)).buckets() == \
-            _series(b).merged(_series(a)).buckets()
-
-    @given(events, events, events)
-    @settings(max_examples=60, deadline=None)
-    def test_associative(self, a, b, c):
-        left = _series(a).merged(_series(b)).merged(_series(c))
-        right = _series(a).merged(_series(b).merged(_series(c)))
-        assert left.buckets() == right.buckets()
-
-    @given(events, events)
-    @settings(max_examples=60, deadline=None)
-    def test_merge_equals_monolithic(self, a, b):
-        merged = _series(a).merged(_series(b))
-        monolithic = _series(a + b)
-        assert merged.buckets() == monolithic.buckets()
-        assert merged.total() == monolithic.total()
-
-    @given(events)
-    @settings(max_examples=30, deadline=None)
-    def test_empty_is_identity(self, a):
-        assert _series(a).merged(TimeSeries(1000.0)).buckets() == \
-            _series(a).buckets()
-
-    def test_mismatched_bucket_widths_refused(self):
-        with pytest.raises(ExperimentError):
-            TimeSeries(1000.0).merge_from(TimeSeries(2000.0))
 
 
 # One simulated observation: arrival time, latency added on top, how it

@@ -21,7 +21,7 @@ class TestStoreConservation:
 
         sim.process(consumer(sim))
         for i, item in enumerate(items):
-            sim.call_in(float(i), lambda it=item: store.put(it))
+            sim.defer(float(i), lambda it=item: store.put(it))
         sim.run()
         assert out == items
 

@@ -1,5 +1,9 @@
 """Unit tests for configuration dataclasses and paper constants."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro import config
@@ -100,3 +104,46 @@ class TestIdealNic:
         ideal = config.IdealNicConfig()
         assert ideal.one_way_latency_ns == 300.0
         assert ideal.costs.packet_tx_ns == 20.0
+
+
+def _config_classes():
+    """Every dataclass in ``repro.config`` plus each system's config."""
+    from repro.systems import registry
+    classes = {cls for cls in vars(config).values()
+               if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+               and cls.__module__ == config.__name__}
+    classes.update(entry.config_cls for entry in registry.list_systems()
+                   if entry.config_cls is not None)
+    return sorted(classes, key=lambda cls: cls.__qualname__)
+
+
+def _attribute_loads():
+    """Every ``x.name`` read in ``src/repro``, outside ``config.py``."""
+    package = Path(config.__file__).parent
+    names = set()
+    for path in package.rglob("*.py"):
+        if path == Path(config.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+@pytest.fixture(scope="module")
+def attribute_loads():
+    return _attribute_loads()
+
+
+class TestEveryFieldIsRead:
+    """A config field nothing reads is a knob that turns nothing."""
+
+    @pytest.mark.parametrize("cls", _config_classes(),
+                             ids=lambda cls: cls.__qualname__)
+    def test_every_config_field_is_read_outside_config(
+            self, cls, attribute_loads):
+        unread = [f"{cls.__qualname__}.{f.name}"
+                  for f in dataclasses.fields(cls)
+                  if f.name not in attribute_loads]
+        assert unread == []

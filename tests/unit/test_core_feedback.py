@@ -50,8 +50,8 @@ class TestStatusBoard:
 
     def test_idle_workers_ordered_by_staleness(self, sim):
         board = CoreStatusBoard(sim, n_workers=2)
-        sim.call_in(10.0, lambda: board.apply(WorkerStatus(worker_id=1)))
-        sim.call_in(20.0, lambda: board.apply(WorkerStatus(worker_id=0)))
+        sim.defer(10.0, lambda: board.apply(WorkerStatus(worker_id=1)))
+        sim.defer(20.0, lambda: board.apply(WorkerStatus(worker_id=0)))
         sim.run()
         assert board.idle_workers() == [1, 0]
 

@@ -41,16 +41,41 @@ class TestMechanismCosts:
         assert driver.delivery_latency_ns == pytest.approx(200.0)
         assert driver.delivery_latency_ns < ARM_HOST_ONE_WAY_NS
 
+    @pytest.mark.parametrize("mechanism,arm_cycles,receipt_cycles", [
+        ("dune", 40, 1272),
+        ("linux", 610, 4193),
+        # The NIC mechanisms cost the worker nothing to arm and land as
+        # posted interrupts.
+        ("nic_packet", 0, 1272),
+        ("direct", 0, 1272),
+    ])
+    def test_costs_are_cycles_on_the_worker_clock(
+            self, sim, mechanism, arm_cycles, receipt_cycles):
+        thread = CpuCore(sim, "c1", clock_ghz=3.0).threads[0]
+        driver = _driver(thread, mechanism)
+        assert driver.arm_cost_ns == pytest.approx(arm_cycles / 3.0)
+        assert driver.receipt_cost_ns == pytest.approx(receipt_cycles / 3.0)
+
     def test_disabled_preemption_rejected(self, thread):
         config = PreemptionConfig(time_slice_ns=None)
         with pytest.raises(ConfigError):
             PreemptionDriver(thread, config)
 
+    def test_nic_scan_has_no_local_driver(self, thread):
+        with pytest.raises(ConfigError, match="nic_scan"):
+            _driver(thread, "nic_scan")
+
 
 class TestArmCancel:
-    def test_fires_at_slice_expiry(self, sim, thread):
+    @pytest.mark.parametrize("mechanism,late_ns", [
+        ("dune", 0.0), ("linux", 0.0),
+        ("nic_packet", ARM_HOST_ONE_WAY_NS),  # §3.4.4: 2.56 us late
+        ("direct", 200.0),                    # §5.1: sub-microsecond wire
+    ])
+    def test_fires_at_slice_expiry(self, sim, thread, mechanism, late_ns):
         hits = []
-        driver = _driver(thread, deliver=lambda cause: hits.append(sim.now))
+        driver = _driver(thread, mechanism,
+                         deliver=lambda cause: hits.append(sim.now))
 
         def worker():
             yield driver.arm(at=sim.now)
@@ -58,7 +83,7 @@ class TestArmCancel:
 
         sim.process(worker())
         sim.run()
-        assert hits == [pytest.approx(us(10.0))]
+        assert hits == [pytest.approx(us(10.0) + late_ns)]
         assert driver.fired == 1
 
     def test_arm_at_starts_the_slice_later(self, sim, thread):
@@ -74,9 +99,12 @@ class TestArmCancel:
         sim.run()
         assert hits == [(ready + us(10.0), "req")]
 
-    def test_cancel_before_expiry(self, sim, thread):
+    @pytest.mark.parametrize("mechanism",
+                             ["dune", "linux", "nic_packet", "direct"])
+    def test_cancel_before_expiry(self, sim, thread, mechanism):
         hits = []
-        driver = _driver(thread, deliver=lambda cause: hits.append(sim.now))
+        driver = _driver(thread, mechanism,
+                         deliver=lambda cause: hits.append(sim.now))
 
         def worker():
             yield driver.arm(at=sim.now)
@@ -88,6 +116,20 @@ class TestArmCancel:
         sim.run()
         assert hits == []
         assert driver.cancelled == 1
+
+    def test_armed_until_fired_or_cancelled(self, sim, thread):
+        driver = _driver(thread, deliver=lambda cause: None)
+        assert not driver.armed
+        driver.arm(at=sim.now)
+        assert driver.armed
+        driver.cancel()
+        assert not driver.armed
+        driver.cancel()  # a second cancel is a no-op
+        assert driver.cancelled == 1
+        driver.arm(at=sim.now)
+        sim.run()
+        assert not driver.armed
+        assert driver.fired == 1
 
     def test_rearm_replaces(self, sim, thread):
         hits = []

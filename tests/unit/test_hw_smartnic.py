@@ -67,16 +67,66 @@ class TestFabricLatencies:
         sim.run()
         assert times == [pytest.approx(StingrayConfig().fabric_intra_ns)]
 
+    # Distinct values per field, so a pair that reads the wrong field
+    # cannot pass by coincidence.
+    _CONFIG = StingrayConfig(one_way_latency_ns=2560.0,
+                             fabric_external_arm_ns=300.0,
+                             fabric_external_host_ns=500.0,
+                             fabric_intra_ns=100.0)
+    _EXPECTED = {
+        ("EXTERNAL", "EXTERNAL"): "fabric_intra_ns",
+        ("EXTERNAL", "ARM"): "fabric_external_arm_ns",
+        ("EXTERNAL", "HOST"): "fabric_external_host_ns",
+        ("ARM", "EXTERNAL"): "fabric_external_arm_ns",
+        ("ARM", "ARM"): "fabric_intra_ns",
+        ("ARM", "HOST"): "one_way_latency_ns",
+        ("HOST", "EXTERNAL"): "fabric_external_host_ns",
+        ("HOST", "ARM"): "one_way_latency_ns",
+        ("HOST", "HOST"): "fabric_intra_ns",
+    }
+
+    @pytest.mark.parametrize("src,dst", sorted(_EXPECTED))
+    def test_every_domain_pair_uses_its_configured_latency(self, sim,
+                                                           src, dst):
+        """Each of the nine (src, dst) pairs takes the one config field
+        that models it, and counts under that pair."""
+        nic = StingraySmartNic(sim, self._CONFIG)
+        tx = nic.create_port(FabricDomain[src], "tx")
+        rx = nic.create_port(FabricDomain[dst], "rx")
+        times = _arrival_time(sim, rx)
+        tx.transmit(_packet(tx, rx.mac))
+        sim.run()
+        field = self._EXPECTED[(src, dst)]
+        assert times == [getattr(self._CONFIG, field)]
+        assert nic.forwarded == {(FabricDomain[src], FabricDomain[dst]): 1}
+
+    @pytest.mark.parametrize("src", ["ARM", "HOST", "EXTERNAL"])
+    def test_uplink_egress_takes_the_wire_latency_of_its_source(
+            self, sim, src):
+        from repro.net.addressing import MacAddress
+        nic = StingraySmartNic(sim, self._CONFIG)
+        out = []
+        nic.attach_uplink(lambda packet: out.append(sim.now))
+        tx = nic.create_port(FabricDomain[src], "tx")
+        tx.transmit(_packet(tx, MacAddress(0xDEAD)))
+        sim.run()
+        field = self._EXPECTED[(src, "EXTERNAL")]
+        assert out == [getattr(self._CONFIG, field)]
+        assert nic.egressed == 1
+        assert nic.forwarded == {}
+
 
 class TestSteering:
-    def test_mac_steering_reaches_correct_vf(self, sim, nic):
+    @pytest.mark.parametrize("target", range(4))
+    def test_mac_steering_reaches_correct_vf(self, sim, nic, target):
         """§3.2-1: requests addressed to specific cores by MAC."""
         vfs = [nic.create_port(FabricDomain.HOST, f"vf{i}") for i in range(4)]
         arm = nic.create_port(FabricDomain.ARM, "arm0")
-        arm.transmit(_packet(arm, vfs[2].mac))
+        arm.transmit(_packet(arm, vfs[target].mac))
         sim.run()
-        assert vfs[2].rx_count == 1
-        assert all(vf.rx_count == 0 for i, vf in enumerate(vfs) if i != 2)
+        assert vfs[target].rx_count == 1
+        assert all(vf.rx_count == 0
+                   for i, vf in enumerate(vfs) if i != target)
 
     def test_unknown_mac_egresses_uplink(self, sim, nic):
         from repro.net.addressing import MacAddress
@@ -93,6 +143,7 @@ class TestSteering:
         arm = nic.create_port(FabricDomain.ARM, "arm0")
         with pytest.raises(DeliveryError):
             arm.transmit(_packet(arm, MacAddress(0xDEAD)))
+        assert nic.undeliverable == 1
 
     def test_forwarding_counters(self, sim, nic):
         arm = nic.create_port(FabricDomain.ARM, "arm0")
@@ -119,3 +170,20 @@ class TestSteering:
         ports = [nic.create_port(FabricDomain.HOST, f"vf{i}")
                  for i in range(16)]
         assert len({p.mac for p in ports}) == 16
+
+    def test_shared_allocator_keeps_macs_unique_across_nics(self, sim):
+        from repro.net.addressing import mac_allocator
+        macs = mac_allocator()
+        a = StingraySmartNic(sim, StingrayConfig(), macs=macs, name="a")
+        b = StingraySmartNic(sim, StingrayConfig(), macs=macs, name="b")
+        ports = [nic.create_port(FabricDomain.HOST, f"vf{i}")
+                 for nic in (a, b) for i in range(8)]
+        assert len({p.mac for p in ports}) == 16
+
+    def test_duplicate_mac_rejected(self, sim):
+        from repro.net.addressing import MacAddress
+        nic = StingraySmartNic(sim, StingrayConfig(),
+                               macs=iter([MacAddress(0x42)] * 2))
+        nic.create_port(FabricDomain.HOST, "vf0")
+        with pytest.raises(HardwareError):
+            nic.create_port(FabricDomain.HOST, "vf1")

@@ -1,35 +1,13 @@
-"""Unit tests for the checksum and Toeplitz hash implementations."""
+"""Unit tests for the Toeplitz hash implementation."""
 
 import pytest
 
 from repro.net.addressing import FiveTuple
 from repro.net.checksum import (
     DEFAULT_RSS_KEY,
-    internet_checksum,
     toeplitz_hash,
     toeplitz_hash_bytes,
 )
-
-
-class TestInternetChecksum:
-    def test_rfc1071_example(self):
-        # Classic example: 0x0001 0xf203 0xf4f5 0xf6f7 -> checksum 0x220d
-        data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])
-        assert internet_checksum(data) == 0x220D
-
-    def test_zero_data(self):
-        assert internet_checksum(b"\x00\x00") == 0xFFFF
-
-    def test_odd_length_padded(self):
-        # Trailing byte is padded with zero.
-        assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
-
-    def test_verification_property(self):
-        """Appending the checksum makes the total sum verify to zero."""
-        data = b"\x45\x00\x00\x3c\x1c\x46\x40\x00\x40\x06"
-        csum = internet_checksum(data)
-        with_csum = data + csum.to_bytes(2, "big")
-        assert internet_checksum(with_csum) == 0
 
 
 class TestToeplitz:
@@ -76,13 +54,18 @@ class TestToeplitz:
                          src_port=44251, dst_port=1303, protocol=6)
         assert toeplitz_hash(flow) == 0x10E828A2
 
-    def test_msdn_vector_ipv4_only(self):
-        # Address-pair-only variant: 66.9.149.187 -> 161.142.100.80
-        # hashes to 0x323e8fc2 with the default key.
-        from repro.net.checksum import toeplitz_hash_bytes
-        data = (self._ip("66.9.149.187").to_bytes(4, "big")
-                + self._ip("161.142.100.80").to_bytes(4, "big"))
-        assert toeplitz_hash_bytes(data) == 0x323E8FC2
+    # Address-pair-only variants of the same five flows, default key.
+    @pytest.mark.parametrize("src,dst,expected", [
+        ("66.9.149.187", "161.142.100.80", 0x323E8FC2),
+        ("199.92.111.2", "65.69.140.83", 0xD718262A),
+        ("24.19.198.95", "12.22.207.184", 0xD2D0A5DE),
+        ("38.27.205.30", "209.142.163.6", 0x82989176),
+        ("153.39.163.191", "202.188.127.2", 0x5D1809C5),
+    ])
+    def test_msdn_vector_ipv4_only(self, src, dst, expected):
+        data = (self._ip(src).to_bytes(4, "big")
+                + self._ip(dst).to_bytes(4, "big"))
+        assert toeplitz_hash_bytes(data) == expected
 
     def test_deterministic(self):
         flow = FiveTuple(1, 2, 3, 4, 17)

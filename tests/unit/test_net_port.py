@@ -38,7 +38,7 @@ class TestReceive:
             got.append(sim.now)
 
         sim.process(poller(sim))
-        sim.call_in(77.0, lambda: port.receive(_packet()))
+        sim.defer(77.0, lambda: port.receive(_packet()))
         sim.run()
         assert got == [77.0]
 

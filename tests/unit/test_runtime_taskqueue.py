@@ -43,7 +43,7 @@ class TestFifo:
 
         sim.process(dispatcher(sim))
         req = Request(10.0)
-        sim.call_in(50.0, lambda: queue.enqueue(req))
+        sim.defer(50.0, lambda: queue.enqueue(req))
         sim.run()
         assert got == [(50.0, req)]
 

@@ -165,15 +165,15 @@ class TestWaitAccounting:
     def test_begin_end_wait(self, sim):
         worker = _worker(sim)
         worker.begin_wait()
-        sim.call_in(100.0, worker.end_wait)
+        sim.defer(100.0, worker.end_wait)
         sim.run()
         assert worker.wait_ns == pytest.approx(100.0)
 
     def test_double_begin_keeps_first(self, sim):
         worker = _worker(sim)
         worker.begin_wait()
-        sim.call_in(50.0, worker.begin_wait)
-        sim.call_in(100.0, worker.end_wait)
+        sim.defer(50.0, worker.begin_wait)
+        sim.defer(100.0, worker.end_wait)
         sim.run()
         assert worker.wait_ns == pytest.approx(100.0)
 

@@ -97,25 +97,48 @@ class TestStepAndPeek:
         assert sim.event_count == 5
 
 
-class TestCallHelpers:
-    def test_call_in_runs_function(self, sim):
+class TestDeferHelpers:
+    def test_defer_runs_function_with_args(self, sim):
         hits = []
-        sim.call_in(15.0, lambda: hits.append(sim.now))
+        sim.defer(15.0, lambda tag: hits.append((sim.now, tag)), "x")
         sim.run()
-        assert hits == [15.0]
+        assert hits == [(15.0, "x")]
 
-    def test_call_at_absolute_time(self, sim):
+    def test_defer_at_absolute_time(self, sim):
         sim.timeout(5.0)
         hits = []
-        sim.call_at(40.0, lambda: hits.append(sim.now))
+        sim.defer_at(40.0, lambda: hits.append(sim.now))
         sim.run()
         assert hits == [40.0]
 
-    def test_call_at_in_past_rejected(self, sim):
+    def test_defer_at_in_past_rejected(self, sim):
         sim.timeout(10.0)
         sim.run()
         with pytest.raises(SchedulingError):
-            sim.call_at(5.0, lambda: None)
+            sim.defer_at(5.0, lambda: None)
+
+    def test_zero_delay_runs_at_now(self, sim):
+        sim.timeout(7.0)
+        sim.run()
+        hits = []
+        sim.defer(0.0, lambda: hits.append(sim.now))
+        sim.defer_at(sim.now, lambda: hits.append(sim.now))
+        sim.run()
+        assert hits == [7.0, 7.0]
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.defer(-1.0, lambda: None)
+
+    def test_same_instant_in_scheduling_order_with_timeouts(self, sim):
+        """defer and timeout draw tie keys from the same counter, so
+        entries for one instant run in the order they were scheduled."""
+        order = []
+        sim.defer(5.0, order.append, "defer-1")
+        sim.timeout(5.0).callbacks.append(lambda ev: order.append("timeout"))
+        sim.defer_at(5.0, order.append, "defer-2")
+        sim.run()
+        assert order == ["defer-1", "timeout", "defer-2"]
 
 
 class TestTimeoutAt:

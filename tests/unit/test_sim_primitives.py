@@ -29,7 +29,7 @@ class TestStoreBasics:
             got.append((sim.now, item))
 
         sim.process(consumer(sim))
-        sim.call_in(25.0, lambda: store.put("late"))
+        sim.defer(25.0, lambda: store.put("late"))
         sim.run()
         assert got == [(25.0, "late")]
 
@@ -57,8 +57,8 @@ class TestStoreBasics:
 
         sim.process(consumer("first", sim))
         sim.process(consumer("second", sim))
-        sim.call_in(5.0, lambda: store.put("a"))
-        sim.call_in(6.0, lambda: store.put("b"))
+        sim.defer(5.0, lambda: store.put("a"))
+        sim.defer(6.0, lambda: store.put("b"))
         sim.run()
         assert got == [("first", "a"), ("second", "b")]
 
@@ -220,7 +220,7 @@ class TestSignal:
 
         sim.process(waiter("a", sim))
         sim.process(waiter("b", sim))
-        sim.call_in(10.0, lambda: signal.fire("go"))
+        sim.defer(10.0, lambda: signal.fire("go"))
         sim.run()
         assert sorted(woken) == [("a", "go"), ("b", "go")]
 
@@ -238,8 +238,8 @@ class TestSignal:
             wakeups.append(sim.now)
 
         sim.process(waiter(sim))
-        sim.call_in(5.0, lambda: signal.fire())
-        sim.call_in(15.0, lambda: signal.fire())
+        sim.defer(5.0, lambda: signal.fire())
+        sim.defer(15.0, lambda: signal.fire())
         sim.run()
         # The process waited once; the second fire finds no waiters.
         assert wakeups == [5.0]

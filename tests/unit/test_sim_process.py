@@ -87,7 +87,7 @@ class TestBasicExecution:
 
             for name in "tab":
                 sim.process(sleeper(sim, name))
-            sim.call_in(1.0, go.succeed)
+            sim.defer(1.0, go.succeed)
             sim.run()
             return seen, sim.event_count
 
@@ -205,7 +205,7 @@ class TestInterrupts:
                 causes.append((sim.now, pi.cause))
 
         proc = sim.process(worker(sim))
-        sim.call_in(30.0, lambda: proc.interrupt("preempt!"))
+        sim.defer(30.0, lambda: proc.interrupt("preempt!"))
         sim.run()
         assert causes == [(30.0, "preempt!")]
 
@@ -222,7 +222,7 @@ class TestInterrupts:
             return sim.now
 
         proc = sim.process(worker(sim))
-        sim.call_in(40.0, lambda: proc.interrupt())
+        sim.defer(40.0, lambda: proc.interrupt())
         sim.run()
         assert log == ["interrupted", "resumed-done"]
         assert proc.value == 50.0
@@ -232,7 +232,7 @@ class TestInterrupts:
             yield sim.timeout(100.0)
 
         proc = sim.process(worker(sim))
-        sim.call_in(10.0, lambda: proc.interrupt("die"))
+        sim.defer(10.0, lambda: proc.interrupt("die"))
         sim.run()
         assert not proc.ok
         assert isinstance(proc.value, ProcessInterrupt)
@@ -264,7 +264,7 @@ class TestInterrupts:
                 resumed.append("second-wait")
 
         proc = sim.process(worker(sim))
-        sim.call_in(10.0, lambda: proc.interrupt())
+        sim.defer(10.0, lambda: proc.interrupt())
         sim.run()
         # The 50ns timeout fires at t=50 while we wait until t=110;
         # it must not corrupt the second wait.
@@ -287,11 +287,11 @@ class TestInterrupts:
             log.append(("second-sleep", sim.now))
 
         proc = sim.process(worker(sim))
-        sim.call_in(10.0, lambda: proc.interrupt())
+        sim.defer(10.0, lambda: proc.interrupt())
         sim.run()
         assert log == [("interrupt", 10.0), ("second-sleep", 110.0)]
         assert proc.ok
-        # bootstrap, call_in, poke, stale cell at 50, sleep end, exit
+        # bootstrap, defer, poke, stale cell at 50, sleep end, exit
         assert sim.event_count == 6
 
     def test_cut_wait_resumes_now_and_detaches(self, sim):
@@ -305,8 +305,8 @@ class TestInterrupts:
             log.append((sim.now, got))
 
         proc = sim.process(worker(sim))
-        sim.call_in(5.0, lambda: proc.cut_wait())
-        sim.call_in(6.0, lambda: never.succeed("late"))
+        sim.defer(5.0, lambda: proc.cut_wait())
+        sim.defer(6.0, lambda: never.succeed("late"))
         sim.run()
         assert log == [(5.0, None, False), (25.0, None)]
         assert proc.ok
@@ -317,7 +317,7 @@ class TestInterrupts:
             return (sim.now, got)
 
         proc = sim.process(worker(sim))
-        sim.call_in(5.0, lambda: proc.cut_wait())
+        sim.defer(5.0, lambda: proc.cut_wait())
         sim.run()
         assert proc.value == (5.0, None)
         assert sim.now == 50.0  # the stale cell still fired

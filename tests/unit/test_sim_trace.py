@@ -1,12 +1,12 @@
 """Unit tests for the structured tracer."""
 
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import Tracer
 
 
 class TestTracer:
     def test_records_time_and_fields(self, sim):
         tracer = Tracer(sim)
-        sim.call_in(10.0, lambda: tracer.emit("worker", "start", req=1))
+        sim.defer(10.0, lambda: tracer.emit("worker", "start", req=1))
         sim.run()
         records = list(tracer)
         assert len(records) == 1
@@ -15,16 +15,23 @@ class TestTracer:
         assert records[0].action == "start"
         assert records[0].fields == {"req": 1}
 
-    def test_disabled_tracer_records_nothing(self, sim):
-        tracer = Tracer(sim, enabled=False)
-        tracer.emit("x", "y")
-        assert len(tracer) == 0
+    def test_records_keep_emit_order_and_times(self, sim):
+        tracer = Tracer(sim)
+        for t in (30.0, 10.0, 20.0):
+            sim.defer(t, lambda t=t: tracer.emit("c", "tick", at=t))
+        sim.run()
+        assert [(r.time, r.fields["at"]) for r in tracer] == [
+            (10.0, 10.0), (20.0, 20.0), (30.0, 30.0)]
+        assert len(tracer) == 3
 
-    def test_ring_buffer_keeps_recent(self, sim):
-        tracer = Tracer(sim, max_records=3)
-        for i in range(10):
-            tracer.emit("c", "a", i=i)
-        assert [r.fields["i"] for r in tracer] == [7, 8, 9]
+    def test_field_filter_excludes_records_without_the_field(self, sim):
+        tracer = Tracer(sim)
+        tracer.emit("worker", "start", req=1)
+        tracer.emit("worker", "idle")
+        tracer.emit("worker", "start", req=2, core=0)
+        assert [r.fields for r in tracer.records("worker", req=2)] == [
+            {"req": 2, "core": 0}]
+        assert tracer.records(core=1) == []
 
     def test_filtering(self, sim):
         tracer = Tracer(sim)
@@ -55,9 +62,3 @@ class TestTracer:
         assert "worker.start" in dump
         assert "req=5" in dump
 
-
-class TestNullTracer:
-    def test_emit_is_noop(self):
-        tracer = NullTracer()
-        tracer.emit("a", "b", c=1)
-        assert len(tracer) == 0
