@@ -1,16 +1,14 @@
 """Analysis tooling: closed-form queueing models plus the determinism
 gate (static lint + runtime sanitizer) that guards the bit-identical
-reproduction guarantee."""
+reproduction guarantee.
 
-from repro.analysis.lint import (
-    Baseline,
-    LintResult,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    lint_text,
-    parse_suppressions,
-)
+Only the queueing models are re-exported here.  Importing the package
+runs this file, and every run imports :mod:`repro.analysis.sanitizer`;
+the lint tool chain (``lint``, ``rules``, ``callgraph``, ``racecheck``,
+``report``) is imported from its own modules by the commands that use
+it, so a run never loads it.
+"""
+
 from repro.analysis.queueing import (
     erlang_c,
     mm1_mean_sojourn_ns,
@@ -18,25 +16,6 @@ from repro.analysis.queueing import (
     mg1_mean_sojourn_ns,
     mm1_sojourn_percentile_ns,
     utilization,
-)
-from repro.analysis.report import (
-    render_result,
-    render_result_json,
-    render_rules,
-)
-from repro.analysis.rules import (
-    ALL_RULES,
-    Finding,
-    Rule,
-    Severity,
-    get_rule,
-)
-from repro.analysis.sanitizer import (
-    CountingRandom,
-    SanitizedRngRegistry,
-    SanitizedSimulator,
-    SanitizerReport,
-    sanitize_enabled,
 )
 
 __all__ = [
@@ -46,24 +25,4 @@ __all__ = [
     "mg1_mean_sojourn_ns",
     "mm1_sojourn_percentile_ns",
     "utilization",
-    "ALL_RULES",
-    "Baseline",
-    "CountingRandom",
-    "Finding",
-    "LintResult",
-    "Rule",
-    "SanitizedRngRegistry",
-    "SanitizedSimulator",
-    "SanitizerReport",
-    "Severity",
-    "get_rule",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
-    "lint_text",
-    "parse_suppressions",
-    "render_result",
-    "render_result_json",
-    "render_rules",
-    "sanitize_enabled",
 ]

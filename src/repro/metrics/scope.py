@@ -13,10 +13,10 @@ safe: any collector that implements it guarantees that merging two
 disjoint halves of a run is indistinguishable from having recorded the
 whole run into one collector (``merge(a, b)`` ≡ combined, order- and
 partition-insensitive).  The property suite in
-``tests/property/test_merge_properties.py`` holds the three concrete
-implementations (latency reservoirs, bucketed time series, and full
-collectors) to associativity, commutativity, and the
-merge-≡-monolithic equivalence on random splits.
+``tests/property/test_merge_properties.py`` holds the two concrete
+implementations (latency reservoirs and full collectors) to
+associativity, commutativity, and the merge-≡-monolithic equivalence
+on random splits.
 """
 
 from __future__ import annotations

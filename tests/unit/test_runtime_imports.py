@@ -1,0 +1,44 @@
+"""What a run imports: no third-party package and no lint tool chain.
+
+Every ``repro`` launch pays for its import graph before the first
+event.  numpy is not a runtime dependency (the reservoir's pairwise
+mean reproduces numpy's order in plain Python), and the lint modules
+belong to ``repro lint`` / ``repro race`` alone; this guard keeps
+either from creeping back into a run's imports.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+#: Modules a run must never load.
+FORBIDDEN = (
+    "numpy",
+    "repro.analysis.lint",
+    "repro.analysis.rules",
+    "repro.analysis.callgraph",
+    "repro.analysis.report",
+)
+
+PROBE = (
+    "import json, sys\n"
+    "import repro, repro.experiments.executor\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+)
+
+
+def test_run_imports_no_numpy_and_no_lint_chain():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    loaded = set(json.loads(out.stdout.strip().splitlines()[-1]))
+    assert "repro.experiments.executor" in loaded
+    assert [name for name in FORBIDDEN if name in loaded] == []
