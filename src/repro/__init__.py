@@ -52,9 +52,7 @@ from repro.workload import (
     Fixed,
     Exponential,
     Bimodal,
-    LogNormal,
     BoundedPareto,
-    Uniform,
     Mixture,
     BIMODAL_FIG2,
     PoissonArrivals,
@@ -116,8 +114,6 @@ from repro.experiments import (
     run_point,
     load_sweep,
     measure_capacity,
-    find_saturation,
-    SaturationResult,
     ConfiguredFactory,
     PointSpec,
     ResultCache,
@@ -142,8 +138,8 @@ __all__ = [
     "StingrayConfig", "IdealNicConfig", "PreemptionConfig",
     "ShinjukuConfig", "ShinjukuOffloadConfig",
     # workloads
-    "Fixed", "Exponential", "Bimodal", "LogNormal", "BoundedPareto",
-    "Uniform", "Mixture", "BIMODAL_FIG2", "PoissonArrivals",
+    "Fixed", "Exponential", "Bimodal", "BoundedPareto", "Mixture",
+    "BIMODAL_FIG2", "PoissonArrivals",
     "UniformArrivals", "OpenLoopLoadGenerator", "ClientPool",
     "SpinApp", "KvsApp", "FaasApp",
     # systems
@@ -161,7 +157,7 @@ __all__ = [
     "mg1_mean_sojourn_ns",
     # experiments
     "RunConfig", "run_point", "load_sweep", "measure_capacity",
-    "find_saturation", "SaturationResult", "ConfiguredFactory",
+    "ConfiguredFactory",
     "PointSpec", "ResultCache", "SweepExecutor", "make_executor",
     "figure2", "figure3", "figure4", "figure5",
     "figure6", "table_t1", "render_figure", "render_t1",

@@ -38,9 +38,6 @@ from repro.errors import AnalysisError
 #: Inline suppression syntax: ``# repro: allow[rule-a, rule-b]``.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
 
-#: Default name of the checked-in baseline file.
-BASELINE_FILENAME = ".repro-lint-baseline.json"
-
 #: Baseline schema version (bump on incompatible format changes).
 BASELINE_VERSION = 1
 

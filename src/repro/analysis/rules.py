@@ -575,11 +575,3 @@ ALL_RULES: Tuple[Rule, ...] = (
     SimTimeArithRule(),
     FaultStreamRule(),
 )
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Look up a rule by its stable id (KeyError when unknown)."""
-    for rule in ALL_RULES:
-        if rule.rule_id == rule_id:
-            return rule
-    raise KeyError(rule_id)

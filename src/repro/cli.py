@@ -37,17 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.progress import ProgressLedger
 
 import repro
-from repro.analysis.lint import (
-    BASELINE_FILENAME,
-    Baseline,
-    lint_paths,
-)
-from repro.analysis.report import (
-    render_race_report,
-    render_result,
-    render_result_json,
-    render_rules,
-)
+from repro.analysis import BASELINE_FILENAME
 from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.executor import (
@@ -400,7 +390,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     no longer exists fails the run (``--prune-baseline`` drops such
     entries instead) so the sanctioned-findings ledger can never rot.
     """
+    from repro.analysis.lint import Baseline, lint_paths
     from repro.analysis.racecheck import build_race_rules
+    from repro.analysis.report import (
+        render_result,
+        render_result_json,
+        render_rules,
+    )
     from repro.analysis.rules import ALL_RULES
     if args.list_rules:
         print(render_rules())
@@ -445,6 +441,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
         fuzz_all,
         fuzz_injected,
     )
+    from repro.analysis.report import render_race_report
     _apply_sanitize_flag(args)
     if args.inject:
         from repro.analysis import racedemo

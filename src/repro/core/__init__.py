@@ -3,7 +3,8 @@
 - :mod:`~repro.core.preemption` — time-slice preemption drivers for
   the four interrupt mechanisms the paper discusses (§3.4.4, §5.1-3).
 - :mod:`~repro.core.feedback` — host->NIC load-feedback channels
-  (§2.3's missing abstraction; packet, PCIe-doorbell and CXL variants).
+  (§2.3's missing abstraction; a fixed-latency channel and the status
+  board it updates).
 - :mod:`~repro.core.nic_dispatcher` — the three-ARM-core dispatcher
   pipeline (§3.4.1).
 - :mod:`~repro.core.queuing` — the outstanding-request queuing
@@ -15,8 +16,6 @@
 from repro.core.preemption import PreemptionDriver
 from repro.core.feedback import (
     FeedbackChannel,
-    PacketFeedback,
-    CxlFeedback,
     WorkerStatus,
     CoreStatusBoard,
 )
@@ -35,8 +34,6 @@ from repro.core.ideal import ideal_nic_config
 __all__ = [
     "PreemptionDriver",
     "FeedbackChannel",
-    "PacketFeedback",
-    "CxlFeedback",
     "WorkerStatus",
     "CoreStatusBoard",
     "NicDispatcherPipeline",

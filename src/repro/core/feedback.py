@@ -9,10 +9,10 @@ cores need to provide feedback to the SmartNIC at a fine granularity
   reads: busy/idle, outstanding counts, how long the active request
   has been running (the "execution status of active requests" from
   the abstract).
-- :class:`FeedbackChannel` subclasses — how updates travel:
-  :class:`PacketFeedback` models the prototype's 2.56 µs notification
-  packets; :class:`CxlFeedback` models the §5.1 coherent-shared-memory
-  future where a status store becomes visible in a few hundred ns.
+- :class:`FeedbackChannel` — how updates travel: a fixed one-way
+  latency, the prototype's 2.56 µs notification packets or the §5.1
+  coherent-shared-memory future where a status store becomes visible
+  in a few hundred ns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.config import ARM_HOST_ONE_WAY_NS
 from repro.errors import ConfigError, FeedbackError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -108,7 +107,8 @@ class CoreStatusBoard:
 
 
 class FeedbackChannel:
-    """Base class: ships :class:`WorkerStatus` updates to a board.
+    """Ships :class:`WorkerStatus` updates to a board, each after a fixed
+    one-way latency.
 
     Parameters
     ----------
@@ -169,21 +169,3 @@ class FeedbackChannel:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} latency={self.latency_ns}ns sent={self.sent}>"
-
-
-class PacketFeedback(FeedbackChannel):
-    """Feedback carried in notification packets (the prototype, §3.4.2)."""
-
-    def __init__(self, sim: "Simulator", board: CoreStatusBoard,
-                 latency_ns: float = ARM_HOST_ONE_WAY_NS,
-                 on_update: Optional[Callable[[WorkerStatus], None]] = None):
-        super().__init__(sim, board, latency_ns, on_update)
-
-
-class CxlFeedback(FeedbackChannel):
-    """Feedback through coherent shared memory (§5.1-2, CXL-class)."""
-
-    def __init__(self, sim: "Simulator", board: CoreStatusBoard,
-                 latency_ns: float = 300.0,
-                 on_update: Optional[Callable[[WorkerStatus], None]] = None):
-        super().__init__(sim, board, latency_ns, on_update)

@@ -17,7 +17,7 @@ benches can turn each ask on independently:
 
 from __future__ import annotations
 
-from repro.config import ArmCosts, IdealNicConfig, StingrayConfig
+from repro.config import ArmCosts, IdealNicConfig
 
 
 def ideal_nic_config(one_way_latency_ns: float = 300.0,
@@ -44,12 +44,3 @@ def ideal_nic_config(one_way_latency_ns: float = 300.0,
             tx_flush_timeout_ns=0.0,
         ),
     )
-
-
-def degraded_stingray_config(one_way_latency_ns: float) -> StingrayConfig:
-    """A Stingray with only the communication latency changed.
-
-    Used by the communication-latency ablation: everything else stays
-    at prototype values so the sweep isolates §5.1-2's claim.
-    """
-    return StingrayConfig(one_way_latency_ns=one_way_latency_ns)

@@ -1,4 +1,4 @@
-"""Running systems under load: single points, sweeps, saturation search.
+"""Running systems under load: single points, sweeps, capacity.
 
 A *system factory* is any callable ``(sim, rngs, metrics) -> BaseSystem``;
 the harness owns simulator construction so every point runs in a fresh,
@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -280,68 +279,3 @@ def measure_capacity(factory: SystemFactory,
     metrics = _run_batch(factory, [overload_rps], distribution, config,
                          system_name, executor, on_event=on_event)[0]
     return metrics.throughput.achieved_rps
-
-
-class SaturationResult(float):
-    """The saturation knee, plus every point probed on the way there.
-
-    Compares and arithmetics as a plain float (the knee rate), so
-    existing callers are untouched; ``probes`` maps each bisection
-    midpoint's offered rate to its full :class:`RunMetrics`, in probe
-    order, so callers and caches can reuse the measurements instead of
-    re-running them.
-    """
-
-    probes: Dict[float, RunMetrics]
-
-    def __new__(cls, rate: float,
-                probes: Optional[Dict[float, RunMetrics]] = None
-                ) -> "SaturationResult":
-        result = super().__new__(cls, rate)
-        result.probes = dict(probes or {})
-        return result
-
-    @property
-    def rate_rps(self) -> float:
-        """The knee rate as a plain float."""
-        return float(self)
-
-    def __repr__(self) -> str:
-        return (f"SaturationResult({float(self)!r}, "
-                f"probes={len(self.probes)} points)")
-
-
-def find_saturation(factory: SystemFactory,
-                    distribution: ServiceTimeDistribution,
-                    lo_rps: float, hi_rps: float,
-                    config: Optional[RunConfig] = None,
-                    efficiency: float = 0.95,
-                    iterations: int = 7,
-                    system_name: str = "system",
-                    executor: Optional["SweepExecutor"] = None,
-                    on_event: Optional["ProgressCallback"] = None,
-                    ) -> SaturationResult:
-    """Binary-search the saturation knee between *lo_rps* and *hi_rps*.
-
-    Returns the highest rate at which the system still completes at
-    least *efficiency* of offered load, as a :class:`SaturationResult`
-    carrying every probed point's metrics (they used to be discarded).
-    """
-    if config is None:
-        config = RunConfig()
-    if not 0 < lo_rps < hi_rps:
-        raise ExperimentError(f"need 0 < lo < hi, got {lo_rps}, {hi_rps}")
-    best = 0.0
-    lo, hi = lo_rps, hi_rps
-    probes: Dict[float, RunMetrics] = {}
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        metrics = _run_batch(factory, [mid], distribution, config,
-                             system_name, executor, on_event=on_event)[0]
-        probes[mid] = metrics
-        if metrics.throughput.achieved_rps >= efficiency * mid:
-            best = mid
-            lo = mid
-        else:
-            hi = mid
-    return SaturationResult(best, probes)

@@ -11,7 +11,6 @@ from typing import Iterable, List, Sequence
 from repro.experiments.executor import ExecutorStats
 from repro.experiments.figures import FigureResult
 from repro.experiments.tables import TableRow
-from repro.metrics.summary import RunMetrics
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[str]],
@@ -84,19 +83,3 @@ def render_executor_stats(stats: ExecutorStats, jobs: int = 1) -> str:
     for label, value in extras:
         line += f" {label}={value}"
     return line + "]"
-
-
-def render_run(name: str, metrics: RunMetrics) -> str:
-    """One-line rendering of a single run's headline numbers."""
-    latency = metrics.latency
-    if latency is None:
-        tail = "n/a"
-        mean = "n/a"
-    else:
-        tail = f"{latency.p99_ns / 1e3:.1f}us"
-        mean = f"{latency.mean_ns / 1e3:.1f}us"
-    throughput = metrics.throughput
-    return (f"{name}: achieved={throughput.achieved_rps / 1e3:.0f}kRPS "
-            f"mean={mean} p99={tail} drops={throughput.dropped} "
-            f"preemptions={metrics.preemptions} "
-            f"wait={metrics.worker_wait_fraction:.1%}")

@@ -1,7 +1,7 @@
 """Executes a :class:`~repro.faults.plan.FaultPlan` against a system.
 
 The :class:`FaultInjector` is the single runtime authority for faults:
-links and the SmartNIC fabric ask it for per-packet verdicts, feedback
+the Stingray fabric asks it for a verdict on every packet hop, feedback
 channels ask it about update loss and staleness, worker cores ask it
 for stall penalties and straggler factors, and it schedules the plan's
 crashes itself.  All randomness comes from two sanctioned registry
@@ -225,7 +225,7 @@ class FaultInjector:
     # -- link faults -------------------------------------------------------
 
     def link_verdict(self, where: str) -> Tuple[str, float]:
-        """Per-packet fate at link/switch *where*.
+        """Per-packet fate at fabric hop *where* (``nic:<nic name>``).
 
         Returns ``(verdict, extra_delay_ns)`` with verdict one of
         ``"deliver"``, ``"loss"``, ``"corrupt"``, ``"reorder"``.  One

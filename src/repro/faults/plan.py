@@ -37,13 +37,14 @@ def _check_nonneg(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class LinkFaults:
-    """Per-packet wire faults, applied at links and switch hops.
+    """Per-packet wire faults, applied at each Stingray fabric traversal.
 
     Loss and corruption both destroy the packet (a corrupt frame fails
     its FCS at the receiver and is dropped there); they are counted
     separately.  Reordering delays delivery by ``reorder_delay_ns``,
     letting later packets overtake.  ``scope`` restricts the faults to
-    links/switches whose name starts with the prefix ('' = every hop).
+    fabric hops whose name (``nic:<nic name>``) starts with the prefix
+    ('' = every hop).
     """
 
     loss_prob: float = 0.0

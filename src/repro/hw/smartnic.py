@@ -223,7 +223,8 @@ class StingraySmartNic:
 
 
 class _FabricTx:
-    """Adapter giving ports a Link-like ``transmit`` into the fabric."""
+    """A port's transmitter: ``transmit`` enters the Stingray fabric
+    from the port's domain."""
 
     __slots__ = ("nic", "domain", "index")
 

@@ -1,11 +1,11 @@
-"""Network substrate: packets, links, ports, and steering.
+"""Network substrate: packets, ports, and steering.
 
 Models the parts of the network stack that matter at request
-granularity: addressed packets with Ethernet/IPv4/UDP headers, fixed
-latency + bandwidth point-to-point links, NIC ports with RX/TX rings,
-Toeplitz RSS and Flow-Director-style exact-match steering.  The
-Stingray's internal MAC-steered fabric, with one port per host core,
-lives in :mod:`repro.hw.smartnic`.
+granularity: addressed packets with Ethernet/IPv4/UDP headers, NIC
+ports with RX/TX rings, Toeplitz RSS and Flow-Director-style
+exact-match steering.  The one wire is the Stingray's internal
+MAC-steered fabric, with one port per host core, in
+:mod:`repro.hw.smartnic`.
 """
 
 from repro.net.addressing import MacAddress, IpAddress, FiveTuple
@@ -22,7 +22,6 @@ from repro.net.packet import (
     UDP_HEADER_BYTES,
 )
 from repro.net.checksum import toeplitz_hash, DEFAULT_RSS_KEY
-from repro.net.link import Link
 from repro.net.port import NetworkPort
 from repro.net.rss import RssSteering
 from repro.net.flow_director import FlowDirector
@@ -43,7 +42,6 @@ __all__ = [
     "UDP_HEADER_BYTES",
     "toeplitz_hash",
     "DEFAULT_RSS_KEY",
-    "Link",
     "NetworkPort",
     "RssSteering",
     "FlowDirector",

@@ -6,8 +6,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.net.addressing import FiveTuple
 
 #: The canonical 40-byte RSS secret key from the Microsoft RSS spec;
@@ -52,9 +50,3 @@ def toeplitz_hash(flow: FiveTuple, key: bytes = DEFAULT_RSS_KEY) -> int:
             + flow.src_port.to_bytes(2, "big")
             + flow.dst_port.to_bytes(2, "big"))
     return _toeplitz_bytes(key, data)
-
-
-def toeplitz_hash_bytes(data: Sequence[int],
-                        key: bytes = DEFAULT_RSS_KEY) -> int:
-    """Toeplitz hash over arbitrary bytes (exposed for testing)."""
-    return _toeplitz_bytes(key, bytes(data))

@@ -1,7 +1,8 @@
-"""NIC ports: an RX ring, a TX path, and a MAC address.
+"""NIC ports: an RX ring, a TX path into the fabric, and a MAC address.
 
-Every polling entity in the paper — client machines, the ARM networking
-subsystem, each SR-IOV worker interface — owns a :class:`NetworkPort`.
+Every polling entity on the NIC — the ARM networking subsystem, each
+SR-IOV worker interface — owns a :class:`NetworkPort`, created by
+:meth:`~repro.hw.smartnic.StingraySmartNic.create_port`.
 The RX ring is a bounded FIFO (tail-drop on overflow, like a real
 descriptor ring); polling is event-based, so an idle poller costs no
 simulation events.
@@ -13,17 +14,18 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError
 from repro.net.addressing import IpAddress, MacAddress
-from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.primitives import Store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.hw.smartnic import _FabricTx
     from repro.sim.engine import Simulator
     from repro.sim.events import Event
 
 
 class NetworkPort:
-    """One network interface: MAC, RX ring, and an attached TX link.
+    """One network interface: MAC, RX ring, and a transmitter into the
+    Stingray fabric that owns it.
 
     Parameters
     ----------
@@ -47,7 +49,7 @@ class NetworkPort:
         self.name = name or str(mac)
         self.rx_ring: Store = Store(sim, capacity=rx_ring_depth,
                                     name=f"{self.name}:rx")
-        self._tx_link: Optional[Link] = None
+        self._tx: Optional["_FabricTx"] = None
         #: Packets dropped at RX because the ring was full.
         self.rx_dropped = 0
         #: Packets received (accepted into the ring).
@@ -57,14 +59,14 @@ class NetworkPort:
 
     # -- wiring -------------------------------------------------------------
 
-    def attach_tx(self, link: Link) -> None:
-        """Connect this port's transmitter to *link*."""
-        self._tx_link = link
+    def attach_tx(self, tx: "_FabricTx") -> None:
+        """Connect this port's transmitter to the fabric entry *tx*."""
+        self._tx = tx
 
     # -- data path ----------------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
-        """Deliver *packet* into the RX ring (link-side entry point)."""
+        """Deliver *packet* into the RX ring (fabric-side entry point)."""
         if self.rx_ring.try_put(packet):
             self.rx_count += 1
         else:
@@ -83,11 +85,11 @@ class NetworkPort:
         self.rx_ring.cancel_get(event)
 
     def transmit(self, packet: Packet) -> None:
-        """Send *packet* out the attached TX link."""
-        if self._tx_link is None:
-            raise NetworkError(f"port {self.name!r} has no TX link attached")
+        """Send *packet* into the fabric through the attached transmitter."""
+        if self._tx is None:
+            raise NetworkError(f"port {self.name!r} has no transmitter attached")
         self.tx_count += 1
-        self._tx_link.transmit(packet)
+        self._tx.transmit(packet)
 
     @property
     def rx_depth(self) -> int:

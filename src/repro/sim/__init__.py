@@ -8,8 +8,7 @@ simpy, written from scratch for this reproduction.  The public surface:
 - :class:`~repro.sim.process.Process` — generator-based coroutines that
   ``yield`` events to wait on them, or a bare delay in ns to sleep,
   with support for interrupts (used to model preemption).
-- :mod:`~repro.sim.primitives` — FIFO stores, resources, latency
-  channels, and broadcast signals.
+- :mod:`~repro.sim.primitives` — FIFO stores and broadcast signals.
 - :mod:`~repro.sim.rng` — named, independently seeded random streams.
 - :mod:`~repro.sim.trace` — structured execution traces.
 """
@@ -17,7 +16,7 @@ simpy, written from scratch for this reproduction.  The public surface:
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Timeout, EventState
 from repro.sim.process import Process
-from repro.sim.primitives import Store, Resource, Channel, Signal
+from repro.sim.primitives import Store, Signal
 from repro.sim.rng import RngRegistry
 from repro.sim.tiebreak import FIFO, TieBreakPolicy, permutation_policy
 from repro.sim.trace import Tracer, TraceRecord
@@ -32,8 +31,6 @@ __all__ = [
     "EventState",
     "Process",
     "Store",
-    "Resource",
-    "Channel",
     "Signal",
     "RngRegistry",
     "Tracer",

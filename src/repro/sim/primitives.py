@@ -2,9 +2,6 @@
 
 - :class:`Store` — FIFO buffer with blocking ``get`` and (optionally
   bounded) ``put``; the workhorse for RX/TX rings and task queues.
-- :class:`Resource` — counted resource with FIFO request/release.
-- :class:`Channel` — a latency pipe: items put in appear at the other
-  end after a fixed delay (models wires, inter-thread hops).
 - :class:`Signal` — broadcast wakeup for all current waiters.
 """
 
@@ -189,98 +186,6 @@ class Store:
         cap = self.capacity if self.capacity is not None else "inf"
         return (f"<Store {self.name!r} depth={len(self._items)}/{cap} "
                 f"waiters={len(self._getters)}>")
-
-
-class Resource:
-    """A counted resource with FIFO granting.
-
-    ``request()`` returns an event that fires once a slot is granted;
-    ``release()`` frees one slot.  Used for modelling exclusive hardware
-    units (e.g. a DMA engine).
-    """
-
-    def __init__(self, sim: "Simulator", slots: int = 1, name: str = ""):
-        if slots < 1:
-            raise SimulationError(f"slots must be >= 1, got {slots}")
-        self.sim = sim
-        self.slots = slots
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-        self._req_label = f"req:{name}"
-
-    @property
-    def in_use(self) -> int:
-        """Slots currently granted."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Slots free right now."""
-        return self.slots - self._in_use
-
-    def request(self) -> Event:
-        """Claim a slot; the returned event fires when granted."""
-        ev = self.sim.event(label=self._req_label)
-        if self._in_use < self.slots:
-            self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Free one slot (handing it to the oldest waiter, if any)."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release() of idle resource {self.name!r}")
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter._state == _PENDING:
-                waiter.succeed()  # hand the slot over directly
-                return
-        self._in_use -= 1
-
-    def __repr__(self) -> str:
-        return f"<Resource {self.name!r} {self._in_use}/{self.slots}>"
-
-
-class Channel:
-    """A fixed-latency message pipe.
-
-    ``send(item)`` makes *item* appear in the receive :class:`Store`
-    after ``latency`` ns.  Models point-to-point paths whose queueing is
-    accounted elsewhere: cache-line mailboxes between host threads, or
-    the ARM↔host packet path once NIC processing has been charged.
-    """
-
-    def __init__(self, sim: "Simulator", latency: float, name: str = "",
-                 capacity: Optional[int] = None):
-        if latency < 0:
-            raise SimulationError(f"negative channel latency: {latency}")
-        self.sim = sim
-        self.latency = latency
-        self.name = name
-        self.rx: Store = Store(sim, capacity=capacity, name=f"{name}:rx")
-        #: Count of messages that arrived to a full RX store and were dropped.
-        self.dropped = 0
-
-    def send(self, item: Any) -> None:
-        """Inject *item*; it arrives ``latency`` ns later (tail-drop if full)."""
-        if self.latency == 0.0:
-            self._arrive(item)
-        else:
-            self.sim.defer(self.latency, self._arrive, item)
-
-    def _arrive(self, item: Any) -> None:
-        if not self.rx.try_put(item):
-            self.dropped += 1
-
-    def recv(self) -> Event:
-        """Event-valued receive of the next item."""
-        return self.rx.get()
-
-    def __repr__(self) -> str:
-        return f"<Channel {self.name!r} latency={self.latency}ns depth={len(self.rx)}>"
 
 
 class Signal:

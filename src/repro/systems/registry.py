@@ -4,7 +4,7 @@ One composition path from the CLI down to the executor: a system class
 registers itself (with its config dataclass and a one-line description)
 via :func:`register_system`, and every consumer — the CLI's
 ``--system`` flag, :class:`~repro.experiments.executor.ConfiguredFactory`
-by-name factories, figures, sensitivity sweeps, tables — resolves it
+by-name factories, figures, tables — resolves it
 through :func:`build` / :func:`get` instead of importing the class and
 hand-wiring its constructor.  Adding a tenth system is then a one-file
 change: write the class, decorate it, done.

@@ -49,16 +49,6 @@ def to_us(value_ns: float) -> float:
     return value_ns / US
 
 
-def to_ms(value_ns: float) -> float:
-    """Convert nanoseconds to milliseconds (for reporting)."""
-    return value_ns / MS
-
-
-def to_seconds(value_ns: float) -> float:
-    """Convert nanoseconds to seconds (for reporting)."""
-    return value_ns / SEC
-
-
 # --- CPU cycles ----------------------------------------------------------
 
 def cycles_to_ns(cycles: float, clock_ghz: float) -> float:
@@ -72,18 +62,7 @@ def cycles_to_ns(cycles: float, clock_ghz: float) -> float:
     return cycles / clock_ghz
 
 
-def ns_to_cycles(duration_ns: float, clock_ghz: float) -> float:
-    """Convert nanoseconds back to cycles at *clock_ghz*."""
-    if clock_ghz <= 0:
-        raise ValueError(f"clock_ghz must be positive, got {clock_ghz}")
-    return duration_ns * clock_ghz
-
-
 # --- rates ---------------------------------------------------------------
-
-KRPS = 1_000.0
-MRPS = 1_000_000.0
-
 
 def rps_to_interarrival_ns(rate_rps: float) -> float:
     """Mean interarrival gap (ns) for an arrival rate in requests/second."""
@@ -92,25 +71,11 @@ def rps_to_interarrival_ns(rate_rps: float) -> float:
     return SEC / rate_rps
 
 
-def interarrival_ns_to_rps(gap_ns: float) -> float:
-    """Arrival rate (requests/second) for a mean interarrival gap in ns."""
-    if gap_ns <= 0:
-        raise ValueError(f"gap_ns must be positive, got {gap_ns}")
-    return SEC / gap_ns
-
-
 # --- sizes / bandwidth ---------------------------------------------------
 
 BYTE = 8  # bits
 KIB = 1024
 GBPS = 1e9  # bits per second
-
-
-def wire_time_ns(size_bytes: float, bandwidth_bps: float) -> float:
-    """Serialization delay of *size_bytes* on a link of *bandwidth_bps*."""
-    if bandwidth_bps <= 0:
-        raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
-    return (size_bytes * BYTE) / bandwidth_bps * SEC
 
 
 def goodput_bps(rate_rps: float, request_bytes: float) -> float:

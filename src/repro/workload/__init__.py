@@ -5,9 +5,7 @@ from repro.workload.distributions import (
     Fixed,
     Exponential,
     Bimodal,
-    LogNormal,
     BoundedPareto,
-    Uniform,
     Mixture,
     BIMODAL_FIG2,
 )
@@ -18,19 +16,14 @@ from repro.workload.apps import (
     SpinApp,
     KvsApp,
     FaasApp,
-    SearchApp,
-    ColocatedApp,
 )
-from repro.workload.trace import RequestTrace, TraceEntry, TraceReplayer
 
 __all__ = [
     "ServiceTimeDistribution",
     "Fixed",
     "Exponential",
     "Bimodal",
-    "LogNormal",
     "BoundedPareto",
-    "Uniform",
     "Mixture",
     "BIMODAL_FIG2",
     "ArrivalProcess",
@@ -42,9 +35,4 @@ __all__ = [
     "SpinApp",
     "KvsApp",
     "FaasApp",
-    "SearchApp",
-    "ColocatedApp",
-    "RequestTrace",
-    "TraceEntry",
-    "TraceReplayer",
 ]

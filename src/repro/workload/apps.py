@@ -1,9 +1,9 @@
 """Synthetic applications.
 
 The paper's evaluation uses pure spin-work requests (§4.1); the intro
-motivates the problem with key-value stores, databases/search, and
-function-as-a-service (§1).  One app class per motivating workload, so
-the examples exercise realistic request mixes through the same API.
+motivates the problem with key-value stores and function-as-a-service
+(§1).  One app class per workload the examples run, so they exercise
+realistic request mixes through the same API.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from repro.errors import WorkloadError
 from repro.runtime.request import Request
 from repro.units import us
 from repro.workload.distributions import (
-    Bimodal,
     BoundedPareto,
     Fixed,
-    LogNormal,
-    Mixture,
     ServiceTimeDistribution,
 )
 
@@ -119,39 +116,3 @@ class FaasApp(SyntheticApp):
 
     def __repr__(self) -> str:
         return f"FaasApp({self.distribution!r})"
-
-
-class SearchApp(SyntheticApp):
-    """A search/database leaf node (§1/[26][13]): log-normal service
-    plus an occasional expensive scan — §2.2-2's "varying handling
-    times for the same request type"."""
-
-    def __init__(self, mean_us: float = 20.0, sigma: float = 1.2,
-                 scan_us: float = 400.0, p_scan: float = 0.002):
-        self.distribution = Mixture([
-            (1.0 - p_scan, LogNormal(us(mean_us), sigma)),
-            (p_scan, Fixed(us(scan_us))),
-        ])
-
-    def make_request(self, rng: random.Random, now_ns: float) -> Request:
-        return Request(service_ns=self.distribution.sample(rng),
-                       arrival_ns=now_ns)
-
-    def __repr__(self) -> str:
-        return f"SearchApp({self.distribution!r})"
-
-
-class ColocatedApp(SyntheticApp):
-    """Two co-located latency classes (§2.2-2): a µs-scale service
-    sharing workers with a ms-scale batch/background class."""
-
-    def __init__(self, fast_us: float = 5.0, slow_us: float = 1000.0,
-                 p_slow: float = 0.01):
-        self.distribution = Bimodal(us(fast_us), us(slow_us), p_slow)
-
-    def make_request(self, rng: random.Random, now_ns: float) -> Request:
-        return Request(service_ns=self.distribution.sample(rng),
-                       arrival_ns=now_ns)
-
-    def __repr__(self) -> str:
-        return f"ColocatedApp({self.distribution!r})"

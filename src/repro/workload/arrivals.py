@@ -59,48 +59,3 @@ class UniformArrivals(ArrivalProcess):
 
     def __repr__(self) -> str:
         return f"UniformArrivals({self.rate_rps:g} rps)"
-
-
-class BurstyArrivals(ArrivalProcess):
-    """Markov-modulated Poisson: alternating calm and burst phases.
-
-    Probes §2.2-2's "a workload comprised mainly of short requests
-    could see a burst of long requests" scenario from the arrival side.
-    """
-
-    def __init__(self, rate_rps: float, burst_factor: float = 5.0,
-                 p_burst: float = 0.1, phase_length: int = 50):
-        if rate_rps <= 0:
-            raise WorkloadError(f"rate must be positive: {rate_rps}")
-        if burst_factor < 1.0:
-            raise WorkloadError(f"burst_factor must be >= 1: {burst_factor}")
-        if not 0.0 < p_burst < 1.0:
-            raise WorkloadError(f"p_burst must be in (0,1): {p_burst}")
-        if phase_length < 1:
-            raise WorkloadError(f"phase_length must be >= 1: {phase_length}")
-        self.rate_rps = rate_rps
-        self.burst_factor = burst_factor
-        self.p_burst = p_burst
-        self.phase_length = phase_length
-        # Rates chosen so the long-run average equals rate_rps.
-        base_gap = rps_to_interarrival_ns(rate_rps)
-        # Mean gap = (1-p)*g_calm + p*g_burst, with g_burst = g_calm/f.
-        self._g_calm = base_gap / ((1.0 - p_burst) + p_burst / burst_factor)
-        self._g_burst = self._g_calm / burst_factor
-        self._in_burst = False
-        self._remaining_in_phase = phase_length
-
-    def next_gap_ns(self, rng: random.Random) -> float:
-        if self._remaining_in_phase <= 0:
-            self._remaining_in_phase = self.phase_length
-            if self._in_burst:
-                self._in_burst = False
-            else:
-                self._in_burst = rng.random() < self.p_burst
-        self._remaining_in_phase -= 1
-        mean = self._g_burst if self._in_burst else self._g_calm
-        return rng.expovariate(1.0 / mean)
-
-    def __repr__(self) -> str:
-        return (f"BurstyArrivals({self.rate_rps:g} rps "
-                f"x{self.burst_factor:g} p={self.p_burst:g})")

@@ -8,9 +8,10 @@ different workload distributions" (§4.1).  The evaluation uses:
 - the bimodal 99.5% @ 5 µs / 0.5% @ 100 µs (Figure 2), exported here
   as :data:`BIMODAL_FIG2`.
 
-The heavier-tailed shapes (log-normal, bounded Pareto) back the
-dispersion ablation, which probes §2.2's claims about high-variability
-workloads.
+The bounded Pareto gives the FaaS example its heavy tail (§2.2's
+high-variability workloads).  The exponential and the general mixture
+are references: the M/M/c checks assume the first, and ``Bimodal`` is
+checked against the second.
 """
 
 from __future__ import annotations
@@ -127,32 +128,6 @@ class Bimodal(ServiceTimeDistribution):
 BIMODAL_FIG2 = Bimodal(fast_ns=us(5.0), slow_ns=us(100.0), p_slow=0.005)
 
 
-class LogNormal(ServiceTimeDistribution):
-    """Log-normal service times (databases, search leaf nodes)."""
-
-    def __init__(self, mean_ns: float, sigma: float = 1.0):
-        if mean_ns <= 0:
-            raise WorkloadError(f"mean must be positive: {mean_ns}")
-        if sigma < 0:
-            raise WorkloadError(f"sigma must be non-negative: {sigma}")
-        self._mean_ns = mean_ns
-        self.sigma = sigma
-        # mean = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2
-        self.mu = math.log(mean_ns) - sigma * sigma / 2.0
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
-
-    def mean_ns(self) -> float:
-        return self._mean_ns
-
-    def scv(self) -> float:
-        return math.exp(self.sigma * self.sigma) - 1.0
-
-    def __repr__(self) -> str:
-        return f"LogNormal(mean={self._mean_ns:g}ns sigma={self.sigma:g})"
-
-
 class BoundedPareto(ServiceTimeDistribution):
     """Bounded Pareto — heavy tail with a hard cap (FaaS-style)."""
 
@@ -196,32 +171,6 @@ class BoundedPareto(ServiceTimeDistribution):
     def __repr__(self) -> str:
         return (f"BoundedPareto([{self.low_ns:g},{self.high_ns:g}]ns "
                 f"alpha={self.alpha:g})")
-
-
-class Uniform(ServiceTimeDistribution):
-    """Uniformly distributed service time over [low, high]."""
-
-    def __init__(self, low_ns: float, high_ns: float):
-        if not 0 <= low_ns <= high_ns:
-            raise WorkloadError(f"need 0 <= low <= high: {low_ns}, {high_ns}")
-        self.low_ns = low_ns
-        self.high_ns = high_ns
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low_ns, self.high_ns)
-
-    def mean_ns(self) -> float:
-        return (self.low_ns + self.high_ns) / 2.0
-
-    def scv(self) -> float:
-        mean = self.mean_ns()
-        if mean <= 0:
-            return 0.0
-        var = (self.high_ns - self.low_ns) ** 2 / 12.0
-        return var / mean ** 2
-
-    def __repr__(self) -> str:
-        return f"Uniform([{self.low_ns:g},{self.high_ns:g}]ns)"
 
 
 class Mixture(ServiceTimeDistribution):

@@ -9,8 +9,6 @@ from repro.errors import ExperimentError
 from repro.experiments.harness import (
     LoadSweepResult,
     RunConfig,
-    SaturationResult,
-    find_saturation,
     load_sweep,
     measure_capacity,
     run_point,
@@ -112,38 +110,6 @@ class TestCapacityAndSaturation:
                                     Fixed(us(2.0)), overload_rps=3e6,
                                     config=FAST)
         assert 600e3 < capacity < 1e6
-
-    def test_find_saturation_brackets_capacity(self):
-        capacity = measure_capacity(_valet_factory(workers=2),
-                                    Fixed(us(2.0)), overload_rps=3e6,
-                                    config=FAST)
-        knee = find_saturation(_valet_factory(workers=2), Fixed(us(2.0)),
-                               lo_rps=50e3, hi_rps=3e6, config=FAST,
-                               iterations=6)
-        assert knee == pytest.approx(capacity, rel=0.35)
-
-    def test_find_saturation_validates_bounds(self):
-        with pytest.raises(ExperimentError):
-            find_saturation(_valet_factory(), Fixed(1.0), lo_rps=100.0,
-                            hi_rps=50.0, config=FAST)
-
-    def test_find_saturation_exposes_probed_points(self):
-        """Regression: bisection metrics used to be measured and then
-        thrown away; they are now carried on the result for reuse."""
-        iterations = 5
-        knee = find_saturation(_valet_factory(workers=2), Fixed(us(2.0)),
-                               lo_rps=50e3, hi_rps=3e6, config=FAST,
-                               iterations=iterations)
-        assert isinstance(knee, SaturationResult)
-        assert isinstance(knee, float)  # old callers unaffected
-        assert len(knee.probes) == iterations
-        # Each probe is the exact RunMetrics a direct run would yield.
-        for rate, metrics in knee.probes.items():
-            assert metrics == run_point(_valet_factory(workers=2), rate,
-                                        Fixed(us(2.0)), FAST)
-        # The knee itself is one of the probed rates (the best passing
-        # midpoint), so callers can look its metrics up directly.
-        assert float(knee) in knee.probes or float(knee) == 0.0
 
 
 class TestRunPointWithEvents:

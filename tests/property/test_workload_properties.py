@@ -13,9 +13,7 @@ from repro.workload.distributions import (
     BoundedPareto,
     Exponential,
     Fixed,
-    LogNormal,
     Mixture,
-    Uniform,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -50,8 +48,7 @@ class TestDistributionProperties:
     def test_all_distributions_nonnegative(self, seed):
         rng = random.Random(seed)
         dists = [Fixed(5.0), Exponential(100.0), Bimodal(1.0, 10.0, 0.3),
-                 LogNormal(100.0, 1.0), BoundedPareto(1.0, 100.0, 1.5),
-                 Uniform(1.0, 5.0),
+                 BoundedPareto(1.0, 100.0, 1.5),
                  Mixture([(1.0, Fixed(1.0)), (2.0, Exponential(10.0))])]
         for dist in dists:
             for _ in range(20):
@@ -66,12 +63,10 @@ class TestDistributionProperties:
         expected = w * a + (1.0 - w) * b
         assert abs(mix.mean_ns() - expected) < 1e-6 * max(a, b)
 
-    @given(st.floats(min_value=1.0, max_value=1e5, allow_nan=False),
-           st.floats(min_value=0.1, max_value=2.0))
+    @given(st.floats(min_value=1.0, max_value=1e5, allow_nan=False))
     @settings(max_examples=60, deadline=None)
-    def test_scv_nonnegative(self, mean, sigma):
-        for dist in (Fixed(mean), Exponential(mean),
-                     LogNormal(mean, sigma)):
+    def test_scv_nonnegative(self, mean):
+        for dist in (Fixed(mean), Exponential(mean)):
             assert dist.scv() >= 0.0
 
 

@@ -22,7 +22,7 @@ from repro.analysis.lint import (
     lint_text,
     parse_suppressions,
 )
-from repro.analysis.rules import ALL_RULES, Severity, get_rule
+from repro.analysis.rules import ALL_RULES, Severity
 from repro.cli import main
 from repro.errors import AnalysisError
 
@@ -313,15 +313,10 @@ class TestEngine:
             assert rule.rule_id
             assert rule.summary
             assert rule.hint
-            assert get_rule(rule.rule_id) is rule
 
     def test_rule_ids_unique(self):
         ids = [rule.rule_id for rule in ALL_RULES]
         assert len(ids) == len(set(ids))
-
-    def test_unknown_rule_id_raises(self):
-        with pytest.raises(KeyError):
-            get_rule("no-such-rule")
 
     def test_fingerprint_ignores_line_number(self):
         a = lint_source("import time\nt = time.time()\n", "mod.py")

@@ -5,8 +5,7 @@ import pytest
 from repro.config import ARM_HOST_ONE_WAY_NS
 from repro.core.feedback import (
     CoreStatusBoard,
-    CxlFeedback,
-    PacketFeedback,
+    FeedbackChannel,
     WorkerStatus,
 )
 from repro.errors import ConfigError
@@ -61,31 +60,25 @@ class TestStatusBoard:
 
 
 class TestChannels:
-    def test_packet_feedback_takes_wire_time(self, sim):
-        """The prototype's only feedback path: 2.56 µs packets."""
+    @pytest.mark.parametrize("latency_ns", [ARM_HOST_ONE_WAY_NS, 300.0],
+                             ids=["packet", "cxl"])
+    def test_update_lands_after_latency(self, sim, latency_ns):
+        """The prototype's 2.56 µs notification packets, or a CXL-class
+        store visible a few hundred ns later (§5.1-2)."""
         board = CoreStatusBoard(sim, n_workers=1)
         applied = []
-        channel = PacketFeedback(sim, board,
-                                 on_update=lambda s: applied.append(sim.now))
+        channel = FeedbackChannel(sim, board, latency_ns,
+                                  on_update=lambda s: applied.append(sim.now))
         channel.send(WorkerStatus(worker_id=0, busy=True))
         sim.run()
-        assert applied == [pytest.approx(ARM_HOST_ONE_WAY_NS)]
+        assert applied == [pytest.approx(latency_ns)]
         assert board.get(0).busy
-
-    def test_cxl_feedback_is_much_faster(self, sim):
-        board = CoreStatusBoard(sim, n_workers=1)
-        applied = []
-        channel = CxlFeedback(sim, board,
-                              on_update=lambda s: applied.append(sim.now))
-        channel.send(WorkerStatus(worker_id=0))
-        sim.run()
-        assert applied[0] < ARM_HOST_ONE_WAY_NS / 5
 
     def test_staleness_window(self, sim):
         """Until the update lands, the board holds the stale value —
         the fundamental gap informed scheduling must tolerate."""
         board = CoreStatusBoard(sim, n_workers=1)
-        channel = PacketFeedback(sim, board)
+        channel = FeedbackChannel(sim, board, ARM_HOST_ONE_WAY_NS)
         channel.send(WorkerStatus(worker_id=0, busy=True))
         # Immediately after send, the NIC still believes the worker idle.
         assert not board.get(0).busy
@@ -95,11 +88,11 @@ class TestChannels:
     def test_negative_latency_rejected(self, sim):
         board = CoreStatusBoard(sim, n_workers=1)
         with pytest.raises(ConfigError):
-            PacketFeedback(sim, board, latency_ns=-1.0)
+            FeedbackChannel(sim, board, latency_ns=-1.0)
 
     def test_sent_counter(self, sim):
         board = CoreStatusBoard(sim, n_workers=1)
-        channel = CxlFeedback(sim, board)
+        channel = FeedbackChannel(sim, board, 300.0)
         channel.send(WorkerStatus(worker_id=0))
         channel.send(WorkerStatus(worker_id=0))
         assert channel.sent == 2

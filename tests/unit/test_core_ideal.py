@@ -1,7 +1,7 @@
 """Unit tests for the ideal-NIC parameterization (§3.1, §5.1)."""
 
 from repro.config import ARM_HOST_ONE_WAY_NS, StingrayConfig
-from repro.core.ideal import degraded_stingray_config, ideal_nic_config
+from repro.core.ideal import ideal_nic_config
 
 
 class TestIdealNicConfig:
@@ -29,12 +29,3 @@ class TestIdealNicConfig:
                                  scheduler_op_ns=40.0)
         assert ideal.one_way_latency_ns == 500.0
         assert ideal.costs.packet_tx_ns == 40.0
-
-
-class TestDegradedStingray:
-    def test_only_latency_changes(self):
-        base = StingrayConfig()
-        degraded = degraded_stingray_config(one_way_latency_ns=1000.0)
-        assert degraded.one_way_latency_ns == 1000.0
-        assert degraded.costs == base.costs
-        assert degraded.arm_cores == base.arm_cores

@@ -3,12 +3,10 @@
 from repro.experiments.figures import FigureResult, FigureSeries
 from repro.experiments.report import (
     render_figure,
-    render_run,
     render_t1,
     render_table,
 )
 from repro.experiments.tables import TableRow
-from repro.metrics.summary import LatencySummary, RunMetrics, ThroughputSummary
 
 
 class TestRenderTable:
@@ -64,29 +62,3 @@ class TestRenderT1:
                         measured_value=3.0, unit="u", section="s")
         assert zero.ratio != zero.ratio  # NaN
 
-
-class TestRenderRun:
-    def _metrics(self, with_latency=True):
-        latency = None
-        if with_latency:
-            from repro.metrics.reservoir import LatencyReservoir
-            reservoir = LatencyReservoir()
-            reservoir.extend([1000.0, 2000.0, 3000.0])
-            latency = LatencySummary.from_reservoir(reservoir)
-        throughput = ThroughputSummary(
-            offered_rps=1e6, achieved_rps=0.9e6, generated=100,
-            completed=90, dropped=1, window_ns=1e6)
-        return RunMetrics(latency=latency, throughput=throughput,
-                          preemptions=5, mean_slowdown=2.0,
-                          worker_wait_fraction=0.25)
-
-    def test_renders_headline_numbers(self):
-        text = render_run("my-system", self._metrics())
-        assert "my-system" in text
-        assert "900kRPS" in text
-        assert "preemptions=5" in text
-        assert "25.0%" in text
-
-    def test_handles_missing_latency(self):
-        text = render_run("sys", self._metrics(with_latency=False))
-        assert "n/a" in text

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import NetworkError
+from repro.hw.smartnic import FabricDomain, StingraySmartNic
 from repro.net.addressing import MacAddress
-from repro.net.link import Link
 from repro.net.packet import EthernetHeader, Packet
 from repro.net.port import NetworkPort
 
@@ -68,17 +68,20 @@ class TestReceive:
 
 
 class TestTransmit:
-    def test_transmit_via_attached_link(self, sim):
-        got = []
-        port = NetworkPort(sim, MacAddress(10))
-        port.attach_tx(Link(sim, latency_ns=10.0,
-                            deliver=lambda p: got.append(sim.now)))
-        port.transmit(_packet())
+    def test_transmit_enters_the_fabric(self, sim):
+        """A NIC-created port transmits through the fabric transmitter
+        the NIC attached; the packet lands after the ARM->host hop."""
+        nic = StingraySmartNic(sim)
+        arm = nic.create_port(FabricDomain.ARM, "arm")
+        host = nic.create_port(FabricDomain.HOST, "vf0")
+        arm.transmit(Packet(eth=EthernetHeader(src=arm.mac, dst=host.mac),
+                            payload="x"))
         sim.run()
-        assert got == [10.0]
-        assert port.tx_count == 1
+        assert arm.tx_count == 1
+        assert host.rx_count == 1
+        assert sim.now == nic.config.one_way_latency_ns
 
-    def test_transmit_without_link_rejected(self, sim):
+    def test_transmit_without_transmitter_rejected(self, sim):
         port = NetworkPort(sim, MacAddress(10))
         with pytest.raises(NetworkError):
             port.transmit(_packet())

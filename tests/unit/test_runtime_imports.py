@@ -3,8 +3,8 @@
 Every ``repro`` launch pays for its import graph before the first
 event.  numpy is not a runtime dependency (the reservoir's pairwise
 mean reproduces numpy's order in plain Python), and the lint modules
-belong to ``repro lint`` / ``repro race`` alone; this guard keeps
-either from creeping back into a run's imports.
+belong to ``repro lint`` / ``repro race`` alone; these guards keep
+either from creeping back into a run's or the CLI's imports.
 """
 
 import json
@@ -26,19 +26,33 @@ FORBIDDEN = (
 
 PROBE = (
     "import json, sys\n"
-    "import repro, repro.experiments.executor\n"
+    "import {modules}\n"
     "print(json.dumps(sorted(sys.modules)))\n"
 )
 
 
-def test_run_imports_no_numpy_and_no_lint_chain():
+def _loaded(*modules):
+    """Every module a fresh interpreter holds after importing *modules*."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    probe = PROBE.format(modules=", ".join(modules))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=60)
-    loaded = set(json.loads(out.stdout.strip().splitlines()[-1]))
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+def test_run_imports_no_numpy_and_no_lint_chain():
+    loaded = _loaded("repro", "repro.experiments.executor")
     assert "repro.experiments.executor" in loaded
+    assert [name for name in FORBIDDEN if name in loaded] == []
+
+
+def test_cli_start_up_imports_no_numpy_and_no_lint_chain():
+    """``repro fig*`` launches through the CLI; only ``repro lint`` and
+    ``repro race`` load the lint chain, inside their commands."""
+    loaded = _loaded("repro.cli")
+    assert "repro.cli" in loaded
     assert [name for name in FORBIDDEN if name in loaded] == []

@@ -1,9 +1,9 @@
-"""Unit tests for Store, Resource, Channel, and Signal."""
+"""Unit tests for Store and Signal."""
 
 import pytest
 
 from repro.errors import QueueFullError, SimulationError
-from repro.sim.primitives import Channel, Resource, Signal, Store
+from repro.sim.primitives import Signal, Store
 
 
 class TestStoreBasics:
@@ -132,81 +132,6 @@ class TestBoundedStore:
         # The cancelled waiter must not have consumed the item.
         assert len(store) == 1
         assert not ev.triggered
-
-
-class TestResource:
-    def test_grant_up_to_slots(self, sim):
-        res = Resource(sim, slots=2)
-        a = res.request()
-        b = res.request()
-        c = res.request()
-        assert a.triggered and b.triggered
-        assert not c.triggered
-        assert res.in_use == 2
-
-    def test_release_hands_to_waiter(self, sim):
-        res = Resource(sim, slots=1)
-        res.request()
-        waiter = res.request()
-        assert not waiter.triggered
-        res.release()
-        assert waiter.triggered
-        assert res.in_use == 1
-
-    def test_release_idle_raises(self, sim):
-        with pytest.raises(SimulationError):
-            Resource(sim).release()
-
-    def test_available_accounting(self, sim):
-        res = Resource(sim, slots=3)
-        res.request()
-        assert res.available == 2
-
-
-class TestChannel:
-    def test_latency_applied(self, sim):
-        ch = Channel(sim, latency=100.0)
-        got = []
-
-        def rx(sim):
-            item = yield ch.recv()
-            got.append((sim.now, item))
-
-        sim.process(rx(sim))
-        ch.send("msg")
-        sim.run()
-        assert got == [(100.0, "msg")]
-
-    def test_zero_latency_immediate(self, sim):
-        ch = Channel(sim, latency=0.0)
-        ch.send("now")
-        assert len(ch.rx) == 1
-
-    def test_order_preserved(self, sim):
-        ch = Channel(sim, latency=50.0)
-        got = []
-
-        def rx(sim):
-            for _ in range(3):
-                got.append((yield ch.recv()))
-
-        sim.process(rx(sim))
-        for i in range(3):
-            ch.send(i)
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_bounded_channel_drops(self, sim):
-        ch = Channel(sim, latency=0.0, capacity=1)
-        ch.send("keep")
-        ch.send("drop")
-        sim.run()
-        assert ch.dropped == 1
-        assert len(ch.rx) == 1
-
-    def test_negative_latency_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            Channel(sim, latency=-1.0)
 
 
 class TestSignal:

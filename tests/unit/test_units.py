@@ -12,14 +12,11 @@ class TestTime:
     def test_ms_to_ns(self):
         assert units.ms(1.5) == 1_500_000.0
 
-    def test_seconds_roundtrip(self):
-        assert units.to_seconds(units.seconds(3.0)) == 3.0
+    def test_seconds_to_ns(self):
+        assert units.seconds(3.0) == 3_000_000_000.0
 
     def test_to_us(self):
         assert units.to_us(2560.0) == 2.56
-
-    def test_to_ms(self):
-        assert units.to_ms(2_000_000.0) == 2.0
 
 
 class TestCycles:
@@ -31,37 +28,21 @@ class TestCycles:
         # 40 cycles at 2.3 GHz ~= 17.4 ns
         assert units.cycles_to_ns(40, 2.3) == pytest.approx(17.39, abs=0.01)
 
-    def test_roundtrip(self):
-        ns = units.cycles_to_ns(610, 2.3)
-        assert units.ns_to_cycles(ns, 2.3) == pytest.approx(610)
-
     def test_zero_clock_rejected(self):
         with pytest.raises(ValueError):
             units.cycles_to_ns(100, 0.0)
-        with pytest.raises(ValueError):
-            units.ns_to_cycles(100, -1.0)
 
 
 class TestRates:
     def test_interarrival_for_1mrps(self):
         assert units.rps_to_interarrival_ns(1e6) == 1000.0
 
-    def test_rate_roundtrip(self):
-        assert units.interarrival_ns_to_rps(
-            units.rps_to_interarrival_ns(5e6)) == pytest.approx(5e6)
-
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValueError):
             units.rps_to_interarrival_ns(0)
-        with pytest.raises(ValueError):
-            units.interarrival_ns_to_rps(-5)
 
 
 class TestBandwidth:
-    def test_wire_time_64b_at_10g(self):
-        # 64 B at 10 Gbps = 51.2 ns
-        assert units.wire_time_ns(64, 10e9) == pytest.approx(51.2)
-
     def test_goodput_paper_claim_64b(self):
         # §1: 5 M RPS of 64 B requests = 2.5 Gbps (actually 2.56)
         assert units.goodput_bps(5e6, 64) == pytest.approx(2.56e9)
@@ -69,7 +50,3 @@ class TestBandwidth:
     def test_goodput_paper_claim_1kib(self):
         # §1: 5 M RPS of 1 KiB requests ~= 41 Gbps
         assert units.goodput_bps(5e6, 1024) == pytest.approx(40.96e9)
-
-    def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            units.wire_time_ns(64, 0)

@@ -7,10 +7,8 @@ import pytest
 from repro.errors import WorkloadError
 from repro.units import us
 from repro.workload.apps import (
-    ColocatedApp,
     FaasApp,
     KvsApp,
-    SearchApp,
     SpinApp,
 )
 from repro.workload.distributions import Fixed
@@ -82,20 +80,3 @@ class TestFaasApp:
 
     def test_heavy_tailed(self):
         assert FaasApp().distribution.scv() > 1.0
-
-
-class TestSearchApp:
-    def test_occasional_scans(self, rng):
-        app = SearchApp(mean_us=20.0, scan_us=400.0, p_scan=0.05)
-        services = [app.make_request(rng, 0.0).service_ns
-                    for _ in range(4000)]
-        scans = sum(1 for s in services if s == us(400.0))
-        assert scans / len(services) == pytest.approx(0.05, abs=0.02)
-
-
-class TestColocatedApp:
-    def test_two_latency_classes(self, rng):
-        app = ColocatedApp(fast_us=5.0, slow_us=1000.0, p_slow=0.01)
-        values = {app.make_request(rng, 0.0).service_ns
-                  for _ in range(5000)}
-        assert values == {us(5.0), us(1000.0)}

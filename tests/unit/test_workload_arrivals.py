@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.arrivals import (
-    BurstyArrivals,
     PoissonArrivals,
     UniformArrivals,
 )
@@ -43,26 +42,3 @@ class TestUniform:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             UniformArrivals(-1.0)
-
-
-class TestBursty:
-    def test_long_run_rate_preserved(self, rng):
-        arrivals = BurstyArrivals(rate_rps=1e6, burst_factor=5.0,
-                                  p_burst=0.2, phase_length=50)
-        n = 100000
-        mean_gap = sum(arrivals.next_gap_ns(rng) for _ in range(n)) / n
-        assert mean_gap == pytest.approx(1000.0, rel=0.1)
-
-    def test_burst_gaps_shorter(self):
-        arrivals = BurstyArrivals(rate_rps=1e6, burst_factor=4.0)
-        assert arrivals._g_burst == pytest.approx(arrivals._g_calm / 4.0)
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(0.0)
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(1e6, burst_factor=0.5)
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(1e6, p_burst=0.0)
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(1e6, phase_length=0)

@@ -12,9 +12,7 @@ from repro.workload.distributions import (
     BoundedPareto,
     Exponential,
     Fixed,
-    LogNormal,
     Mixture,
-    Uniform,
 )
 
 
@@ -88,23 +86,6 @@ class TestBimodal:
             Bimodal(1.0, 10.0, 1.5)
 
 
-class TestLogNormal:
-    def test_empirical_mean(self, rng):
-        dist = LogNormal(us(20.0), sigma=1.0)
-        assert _sample_mean(dist, rng, n=50000) == pytest.approx(
-            us(20.0), rel=0.1)
-
-    def test_scv_grows_with_sigma(self):
-        assert LogNormal(100.0, sigma=2.0).scv() > \
-            LogNormal(100.0, sigma=0.5).scv()
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            LogNormal(0.0)
-        with pytest.raises(WorkloadError):
-            LogNormal(100.0, sigma=-1.0)
-
-
 class TestBoundedPareto:
     def test_samples_within_bounds(self, rng):
         dist = BoundedPareto(us(2.0), us(500.0), alpha=1.2)
@@ -126,22 +107,6 @@ class TestBoundedPareto:
             BoundedPareto(10.0, 5.0)
         with pytest.raises(WorkloadError):
             BoundedPareto(1.0, 10.0, alpha=0.0)
-
-
-class TestUniform:
-    def test_bounds(self, rng):
-        dist = Uniform(10.0, 20.0)
-        for _ in range(500):
-            assert 10.0 <= dist.sample(rng) <= 20.0
-
-    def test_moments(self):
-        dist = Uniform(0.0, 12.0)
-        assert dist.mean_ns() == 6.0
-        assert dist.scv() == pytest.approx(144.0 / 12.0 / 36.0)
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            Uniform(10.0, 5.0)
 
 
 class TestMixture:
