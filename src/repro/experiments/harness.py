@@ -7,6 +7,7 @@ independently seeded universe.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -159,11 +160,38 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
     (:func:`math.fsum`) wait summation instead of the digest-pinned
     canonical-order accumulation; the fuzzer enables it so float
     reassociation cannot masquerade as a schedule race.
+
+    The point's memory lives and dies with the call: cyclic GC is
+    paused from building the simulator until the summary is taken, so
+    the whole simulated machine sits in the young generation, and once
+    :func:`_run_point` has returned it is unreachable and one
+    young-generation pass frees it before the next point is built.  The
+    caller's GC state is restored on the way out, also after a point
+    that raised (whose traceback keeps its graph alive).
     """
     if config is None:
         config = RunConfig()
     if rate_rps <= 0:
         raise ExperimentError(f"rate must be positive: {rate_rps}")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        outcome = _run_point(factory, rate_rps, distribution, config,
+                             clients, sanitize, tiebreak, exact_reductions)
+        if gc_was_enabled:
+            gc.collect(0)
+        return outcome
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run_point(factory: SystemFactory, rate_rps: float,
+               distribution: ServiceTimeDistribution, config: RunConfig,
+               clients: Optional[ClientPool], sanitize: Optional[bool],
+               tiebreak: Optional[TieBreakPolicy], exact_reductions: bool,
+               ) -> Tuple[RunMetrics, int]:
+    """Build, run and summarize one point; only the outcome escapes."""
     if sanitize is None:
         sanitize = sanitize_enabled()
     if tiebreak is None:

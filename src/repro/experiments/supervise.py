@@ -204,9 +204,13 @@ def run_attempts(specs: Sequence["PointSpec"],
     exhausted.  Retries and forked workers are counted into *stats*.
     Returns the permanent failures in detection order.
     """
-    import multiprocessing.connection
-    context = supervision_context()
     in_process = jobs == 1 and point_timeout_s is None
+    # Only the worker path loads multiprocessing: an in-process sweep
+    # never forks a worker, and the loop waits on pipes only while one
+    # is busy.
+    if not in_process:
+        import multiprocessing.connection
+        context = supervision_context()
     # Forked workers inherit *specs*; elsewhere the list is pickled into
     # each worker, so unpicklable specs are left out and run here.
     shipped: List[Optional["PointSpec"]] = list(specs)

@@ -58,6 +58,11 @@ its constant factors small without ever changing *what* is scheduled:
   count — and compacted away once they dominate, so cancel-heavy
   workloads (timeout/retry fault plans, preemption slices) cannot grow
   the queue.
+- Cyclic GC never walks the live graph mid-run.  The experiment
+  harness pauses it for a whole point, from building the simulator to
+  the summary, and frees the finished point with one young-generation
+  pass; the loop's own pause, which nests inside the harness's, serves
+  callers that use :meth:`run` directly.
 
 None of this changes the number or order of schedule pushes — the
 determinism contract is pinned by the golden differential tests.
@@ -451,7 +456,10 @@ class Simulator:
         # allocates heap tuples, packets, and requests at event rate,
         # and each collection pass walks the whole live graph.  Nothing
         # about collection timing is observable to the simulation, so
-        # this cannot perturb results; the deferred pass runs at exit.
+        # this cannot perturb results.  This pause serves direct run()
+        # callers; under the experiment harness GC is already paused
+        # for the whole point (which one young-generation pass frees
+        # when it returns), so the pause nests and changes nothing.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
