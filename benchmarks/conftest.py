@@ -34,9 +34,12 @@ from typing import Optional
 
 import pytest
 
-from repro.analysis.sanitizer import SANITIZE_ENV, sanitize_enabled
 from repro.experiments.executor import SweepExecutor, make_executor
-from repro.experiments.harness import RunConfig
+from repro.experiments.harness import (
+    SANITIZE_ENV,
+    RunConfig,
+    sanitize_enabled,
+)
 
 
 def bench_scale() -> float:

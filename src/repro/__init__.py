@@ -25,140 +25,91 @@ Every served system is registered by name in ``repro.systems.registry``
 factories are picklable and cache-fingerprint-identical to their
 by-class equivalents.
 
+Every public name resolves on first use (PEP 562): ``import repro``
+loads only this file and :mod:`repro.version`, and ``from repro import
+RunConfig`` imports only the module that defines ``RunConfig`` and
+what that module needs.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
+import importlib
+
 from repro.version import __version__
 
-# -- simulation kernel ---------------------------------------------------------
-from repro.sim import Simulator, RngRegistry, Tracer
+#: Public name -> the module that defines it, grouped by layer.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        # simulation kernel
+        ("repro.sim.engine", ("Simulator",)),
+        ("repro.sim.rng", ("RngRegistry",)),
+        ("repro.sim.trace", ("Tracer",)),
+        # configuration
+        ("repro.config", (
+            "HostCosts", "ArmCosts", "OffloadWorkerCosts",
+            "HostMachineConfig", "StingrayConfig", "IdealNicConfig",
+            "PreemptionConfig", "ShinjukuConfig", "ShinjukuOffloadConfig")),
+        # workloads
+        ("repro.workload.distributions", (
+            "Fixed", "Exponential", "Bimodal", "BoundedPareto", "Mixture",
+            "BIMODAL_FIG2")),
+        ("repro.workload.arrivals", ("PoissonArrivals", "UniformArrivals")),
+        ("repro.workload.generator", ("OpenLoopLoadGenerator", "ClientPool")),
+        ("repro.workload.apps", ("SpinApp", "KvsApp", "FaasApp")),
+        # systems
+        ("repro.systems.shinjuku", ("ShinjukuSystem",)),
+        ("repro.systems.shinjuku_offload", ("ShinjukuOffloadSystem",)),
+        ("repro.systems.rss_system", ("RssSystem", "RssSystemConfig")),
+        ("repro.systems.workstealing", (
+            "WorkStealingSystem", "WorkStealingConfig")),
+        ("repro.systems.mica_system", ("MicaSystem", "MicaSystemConfig")),
+        ("repro.systems.rpcvalet", ("RpcValetSystem", "RpcValetConfig")),
+        ("repro.systems.ideal_offload", (
+            "IdealOffloadSystem", "ideal_offload_config")),
+        ("repro.systems.sharded_shinjuku", (
+            "ShardedShinjukuConfig", "ShardedShinjukuSystem")),
+        ("repro.systems.elastic_rss", (
+            "ElasticRssConfig", "ElasticRssSystem")),
+        ("repro.systems.registry", (
+            "SystemEntry", "list_systems", "register_system")),
+        ("repro.core.pacing", ("BacklogAdvertiser", "JustInTimePacer")),
+        # metrics
+        ("repro.metrics.collector", ("MetricsCollector",)),
+        ("repro.metrics.summary", (
+            "LatencySummary", "ThroughputSummary", "RunMetrics")),
+        # analysis
+        ("repro.analysis.queueing", (
+            "erlang_c", "mm1_mean_sojourn_ns", "mmc_mean_sojourn_ns",
+            "mg1_mean_sojourn_ns")),
+        # experiments
+        ("repro.experiments.harness", (
+            "RunConfig", "run_point", "load_sweep", "measure_capacity")),
+        ("repro.experiments.executor", (
+            "ConfiguredFactory", "PointSpec", "ResultCache", "SweepExecutor",
+            "make_executor")),
+        ("repro.experiments.figures", (
+            "figure2", "figure3", "figure4", "figure5", "figure6")),
+        ("repro.experiments.tables", ("table_t1",)),
+        ("repro.experiments.report", ("render_figure", "render_t1")),
+    )
+    for name in names
+}
 
-# -- configuration ---------------------------------------------------------------
-from repro.config import (
-    HostCosts,
-    ArmCosts,
-    OffloadWorkerCosts,
-    HostMachineConfig,
-    StingrayConfig,
-    IdealNicConfig,
-    PreemptionConfig,
-    ShinjukuConfig,
-    ShinjukuOffloadConfig,
-)
+__all__ = ["__version__", *_EXPORTS]
 
-# -- workloads ---------------------------------------------------------------------
-from repro.workload import (
-    Fixed,
-    Exponential,
-    Bimodal,
-    BoundedPareto,
-    Mixture,
-    BIMODAL_FIG2,
-    PoissonArrivals,
-    UniformArrivals,
-    OpenLoopLoadGenerator,
-    ClientPool,
-    SpinApp,
-    KvsApp,
-    FaasApp,
-)
 
-# -- systems -----------------------------------------------------------------------
-from repro.systems import (
-    ShinjukuSystem,
-    ShinjukuOffloadSystem,
-    RssSystem,
-    WorkStealingSystem,
-    MicaSystem,
-    RpcValetSystem,
-    IdealOffloadSystem,
-)
-from repro.systems import (
-    ShardedShinjukuConfig,
-    ShardedShinjukuSystem,
-    ElasticRssConfig,
-    ElasticRssSystem,
-)
-from repro.systems import (
-    SystemEntry,
-    list_systems,
-    register_system,
-)
-from repro.core.pacing import BacklogAdvertiser, JustInTimePacer
-from repro.systems.rss_system import RssSystemConfig
-from repro.systems.workstealing import WorkStealingConfig
-from repro.systems.mica_system import MicaSystemConfig
-from repro.systems.rpcvalet import RpcValetConfig
-from repro.systems.ideal_offload import ideal_offload_config
+def __getattr__(name):
+    """Import a public name's module on first use and keep the value."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
-# -- metrics ------------------------------------------------------------------------
-from repro.metrics import (
-    MetricsCollector,
-    LatencySummary,
-    ThroughputSummary,
-    RunMetrics,
-)
 
-# -- analysis -----------------------------------------------------------------------
-from repro.analysis import (
-    erlang_c,
-    mm1_mean_sojourn_ns,
-    mmc_mean_sojourn_ns,
-    mg1_mean_sojourn_ns,
-)
-
-# -- experiments ----------------------------------------------------------------------
-from repro.experiments import (
-    RunConfig,
-    run_point,
-    load_sweep,
-    measure_capacity,
-    ConfiguredFactory,
-    PointSpec,
-    ResultCache,
-    SweepExecutor,
-    make_executor,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    table_t1,
-    render_figure,
-    render_t1,
-)
-
-__all__ = [
-    "__version__",
-    # kernel
-    "Simulator", "RngRegistry", "Tracer",
-    # config
-    "HostCosts", "ArmCosts", "OffloadWorkerCosts", "HostMachineConfig",
-    "StingrayConfig", "IdealNicConfig", "PreemptionConfig",
-    "ShinjukuConfig", "ShinjukuOffloadConfig",
-    # workloads
-    "Fixed", "Exponential", "Bimodal", "BoundedPareto", "Mixture",
-    "BIMODAL_FIG2", "PoissonArrivals",
-    "UniformArrivals", "OpenLoopLoadGenerator", "ClientPool",
-    "SpinApp", "KvsApp", "FaasApp",
-    # systems
-    "ShinjukuSystem", "ShinjukuOffloadSystem", "RssSystem",
-    "WorkStealingSystem", "MicaSystem", "RpcValetSystem",
-    "IdealOffloadSystem", "ShardedShinjukuConfig", "ShardedShinjukuSystem",
-    "ElasticRssConfig", "ElasticRssSystem", "BacklogAdvertiser",
-    "JustInTimePacer", "RssSystemConfig", "WorkStealingConfig",
-    "MicaSystemConfig", "RpcValetConfig", "ideal_offload_config",
-    "SystemEntry", "list_systems", "register_system",
-    # metrics
-    "MetricsCollector", "LatencySummary", "ThroughputSummary", "RunMetrics",
-    # analysis
-    "erlang_c", "mm1_mean_sojourn_ns", "mmc_mean_sojourn_ns",
-    "mg1_mean_sojourn_ns",
-    # experiments
-    "RunConfig", "run_point", "load_sweep", "measure_capacity",
-    "ConfiguredFactory",
-    "PointSpec", "ResultCache", "SweepExecutor", "make_executor",
-    "figure2", "figure3", "figure4", "figure5",
-    "figure6", "table_t1", "render_figure", "render_t1",
-]
+def __dir__():
+    """Loaded attributes plus every public name not yet imported."""
+    return sorted(set(globals()) | set(_EXPORTS))

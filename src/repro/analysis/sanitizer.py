@@ -22,14 +22,15 @@ invariants it cannot:
 Violations raise :class:`~repro.errors.SanitizerError` immediately,
 with the draw-count context attached.  Enable via ``--sanitize`` on the
 CLI or ``REPRO_SANITIZE=1`` in the environment (the bench conftest
-forwards it); the wrapper never perturbs event order, RNG values, or
-metrics — ``tests/integration/test_sanitizer_equivalence.py`` holds it
-to bit-identical :class:`~repro.metrics.summary.RunMetrics`.
+forwards it); :func:`repro.experiments.harness.sanitize_enabled` reads
+it, so an unsanitized run never imports this module.  The wrapper never
+perturbs event order, RNG values, or metrics —
+``tests/integration/test_sanitizer_equivalence.py`` holds it to
+bit-identical :class:`~repro.metrics.summary.RunMetrics`.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
@@ -42,22 +43,6 @@ from repro.sim.rng import RngRegistry, _derive_seed
 
 #: Request states that count as "terminated" for conservation.
 _TERMINAL_STATES = (RequestState.COMPLETED, RequestState.DROPPED)
-
-#: Environment variable that switches sanitized runs on everywhere
-#: (CLI, harness, benches, worker processes of a parallel executor).
-SANITIZE_ENV = "REPRO_SANITIZE"
-
-
-def sanitize_enabled(env: Optional[Dict[str, str]] = None) -> bool:
-    """Whether ``REPRO_SANITIZE`` asks for sanitized runs.
-
-    Accepts the usual truthy spellings; ``0``/``false``/``no``/empty
-    (or unset) disable.  *env* defaults to ``os.environ``.
-    """
-    if env is None:
-        env = os.environ  # type: ignore[assignment]
-    value = env.get(SANITIZE_ENV, "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 class CountingRandom(random.Random):

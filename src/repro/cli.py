@@ -34,31 +34,17 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.experiments.executor import SweepExecutor
     from repro.experiments.progress import ProgressLedger
 
 import repro
 from repro.analysis import BASELINE_FILENAME
-from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.errors import ExperimentError, ReproError
-from repro.experiments.executor import (
-    ConfiguredFactory,
-    PointSpec,
-    SweepExecutor,
-    make_executor,
-)
-from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.harness import RunConfig
-from repro.faults.plan import parse_fault_spec
-from repro.experiments.report import (
-    render_executor_stats,
-    render_figure,
-    render_t1,
-)
-from repro.experiments.tables import table_t1
-from repro.systems import registry
-from repro.units import us
 from repro.version import __version__
-from repro.workload.distributions import Fixed
+
+# Each command imports what it runs inside its handler, so ``--help``,
+# ``--version``, ``list``, ``lint`` and ``watch`` load no simulation
+# model and a figure loads no fault or lint module.
 
 _FIGURE_DESCRIPTIONS = {
     "fig2": "bimodal 99.5%/0.5%, 10us slice, Shinjuku 3w vs Offload 4w",
@@ -118,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
                  "(default: 2)")
 
     for fig_id, description in _FIGURE_DESCRIPTIONS.items():
-        fig_parser = sub.add_parser(fig_id, help=description)
+        # argparse %-formats help text; "99.5%" must reach it as "%%".
+        fig_parser = sub.add_parser(fig_id,
+                                    help=description.replace("%", "%%"))
         fig_parser.add_argument(
             "--scale", type=float, default=1.0,
             help="horizon scale factor (smaller = faster, noisier)")
@@ -250,7 +238,10 @@ def _jobs_arg(text: str) -> int:
 
 
 def _run_figure(fig_id: str, scale: float, seed: int,
-                executor: SweepExecutor) -> None:
+                executor: "SweepExecutor") -> None:
+    from repro.experiments.figures import ALL_FIGURES
+    from repro.experiments.harness import RunConfig
+    from repro.experiments.report import render_executor_stats, render_figure
     # The one sanctioned wall-clock site: operator-facing elapsed-time
     # reporting, which never feeds simulated state or cached results.
     start = time.perf_counter()  # repro: allow[wall-clock]
@@ -262,8 +253,17 @@ def _run_figure(fig_id: str, scale: float, seed: int,
     print(f"[{fig_id} regenerated in {elapsed:.1f}s]")
 
 
+def _print_t1(seed: int) -> None:
+    """Measure and print the in-text claims table."""
+    from repro.experiments.harness import RunConfig
+    from repro.experiments.report import render_t1
+    from repro.experiments.tables import table_t1
+    print(render_t1(table_t1(RunConfig(seed=seed))))
+
+
 def _cmd_systems() -> int:
     """Print the registry: one line per system."""
+    from repro.systems import registry
     print("registered systems:")
     for entry in registry.list_systems():
         config_name = (entry.config_cls.__name__
@@ -275,6 +275,12 @@ def _cmd_systems() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one (system, rate) point by registry name and report it."""
+    from repro.experiments.executor import ConfiguredFactory, PointSpec
+    from repro.experiments.harness import RunConfig
+    from repro.experiments.report import render_executor_stats
+    from repro.faults.plan import parse_fault_spec
+    from repro.units import us
+    from repro.workload.distributions import Fixed
     factory = ConfiguredFactory.by_name(args.system)
     config = RunConfig(seed=args.seed).scaled(args.scale)
     if getattr(args, "faults", None):
@@ -329,7 +335,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _make_executor(args: argparse.Namespace,
-                   ) -> Tuple[SweepExecutor, Optional["ProgressLedger"]]:
+                   ) -> Tuple["SweepExecutor", Optional["ProgressLedger"]]:
     """The executor (and progress ledger) the flags ask for.
 
     ``--progress`` attaches a console printer and — when a cache
@@ -337,6 +343,7 @@ def _make_executor(args: argparse.Namespace,
     ledger that ``repro watch`` tails.  The caller owns the returned
     ledger and must ``write_done()`` it when the sweep finishes.
     """
+    from repro.experiments.executor import make_executor
     from repro.experiments.progress import (
         ConsoleProgress,
         ProgressLedger,
@@ -361,6 +368,7 @@ def _apply_sanitize_flag(args: argparse.Namespace) -> None:
     environment) reads ``REPRO_SANITIZE``, so one env var covers
     in-process and worker points alike.
     """
+    from repro.experiments.harness import SANITIZE_ENV
     if getattr(args, "sanitize", False):
         os.environ[SANITIZE_ENV] = "1"
 
@@ -545,7 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
     if args.command == "table-t1":
-        print(render_t1(table_t1(RunConfig(seed=args.seed))))
+        _print_t1(args.seed)
         return 0
     if args.command == "lint":
         try:
@@ -579,9 +587,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         finally:
             if ledger is not None:
                 ledger.write_done()
-        print(render_t1(table_t1(RunConfig(seed=args.seed))))
+        _print_t1(args.seed)
         return 0
-    if args.command in ALL_FIGURES:
+    if args.command in _FIGURE_DESCRIPTIONS:
         try:
             executor, ledger = _make_executor(args)
         except ExperimentError as exc:

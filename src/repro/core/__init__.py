@@ -12,38 +12,3 @@
 - :mod:`~repro.core.policy` — centralized scheduling policies.
 - :mod:`~repro.core.ideal` — the §3.1 ideal-SmartNIC parameterization.
 """
-
-from repro.core.preemption import PreemptionDriver
-from repro.core.feedback import (
-    FeedbackChannel,
-    WorkerStatus,
-    CoreStatusBoard,
-)
-from repro.core.nic_dispatcher import NicDispatcherPipeline
-from repro.core.nic_scan import NicPreemptionScanner
-from repro.core.pacing import BacklogAdvertiser, JustInTimePacer
-from repro.core.queuing import OutstandingTracker
-from repro.core.policy import (
-    CacheAffinityPolicy,
-    CentralizedFifoPolicy,
-    SchedulingPolicy,
-    StrictRoundRobinPolicy,
-)
-from repro.core.ideal import ideal_nic_config
-
-__all__ = [
-    "PreemptionDriver",
-    "FeedbackChannel",
-    "WorkerStatus",
-    "CoreStatusBoard",
-    "NicDispatcherPipeline",
-    "NicPreemptionScanner",
-    "BacklogAdvertiser",
-    "JustInTimePacer",
-    "OutstandingTracker",
-    "CacheAffinityPolicy",
-    "CentralizedFifoPolicy",
-    "SchedulingPolicy",
-    "StrictRoundRobinPolicy",
-    "ideal_nic_config",
-]

@@ -55,6 +55,7 @@ from repro.errors import (
 from repro.experiments.harness import (
     RunConfig,
     SystemFactory,
+    load_model,
     run_point_with_events,
 )
 from repro.experiments.progress import (
@@ -589,6 +590,9 @@ class SweepExecutor:
                  attempts=error.attempts)
 
         if misses:
+            # Forked workers inherit this process's modules: import the
+            # model once here rather than in every worker.
+            load_model()
             failures = run_attempts(
                 [specs[i] for i in misses], _execute_spec, record, started,
                 failed, self.stats, jobs=self.jobs,

@@ -8,40 +8,51 @@ independently seeded universe.
 from __future__ import annotations
 
 import gc
+import math
+import os
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.analysis.sanitizer import (
-    SanitizedRngRegistry,
-    SanitizedSimulator,
-    sanitize_enabled,
-)
 from repro.errors import ExperimentError
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import RunMetrics
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.tiebreak import TieBreakPolicy, tiebreak_from_env
-from repro.systems.base import BaseSystem
 from repro.units import ms
-from repro.workload.arrivals import PoissonArrivals
 from repro.workload.distributions import ServiceTimeDistribution
-from repro.workload.generator import ClientPool, OpenLoopLoadGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.executor import SweepExecutor
     from repro.experiments.progress import ProgressCallback
+    from repro.faults.plan import FaultPlan
+    from repro.sim.tiebreak import TieBreakPolicy
+    from repro.systems.base import BaseSystem
+    from repro.workload.generator import ClientPool
 
-SystemFactory = Callable[[Simulator, RngRegistry, MetricsCollector], BaseSystem]
+#: ``(sim, rngs, metrics) -> system``; the model it names is imported
+#: by the first point a process runs, not by this module.
+SystemFactory = Callable[..., "BaseSystem"]
+
+#: Environment variable that switches sanitized runs on everywhere
+#: (CLI, harness, benches, worker processes of a parallel executor).
+SANITIZE_ENV = "REPRO_SANITIZE"
+
+
+def sanitize_enabled(env: Optional[Dict[str, str]] = None) -> bool:
+    """Whether ``REPRO_SANITIZE`` asks for sanitized runs.
+
+    Accepts the usual truthy spellings; ``0``/``false``/``no``/empty
+    (or unset) disable.  *env* defaults to ``os.environ``.
+    """
+    if env is None:
+        env = os.environ  # type: ignore[assignment]
+    value = env.get(SANITIZE_ENV, "")
+    return value.strip().lower() not in ("", "0", "false", "no", "off")
 
 
 @dataclass(frozen=True)
@@ -171,8 +182,8 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
     """
     if config is None:
         config = RunConfig()
-    if rate_rps <= 0:
-        raise ExperimentError(f"rate must be positive: {rate_rps}")
+    if not (math.isfinite(rate_rps) and rate_rps > 0):
+        raise ExperimentError(f"rate must be positive and finite: {rate_rps}")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -186,17 +197,42 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
             gc.enable()
 
 
+def load_model() -> tuple:
+    """The model every point builds, imported on first use.
+
+    Building an executor, a cache or a ledger loads none of it: a
+    process imports it with its first point, and a sweep imports it
+    before it forks workers, so each worker inherits the modules
+    instead of compiling them again.  The fault injector and the
+    sanitizer load only for a point that uses them.
+    """
+    from repro.metrics.collector import MetricsCollector
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RngRegistry
+    from repro.sim.tiebreak import tiebreak_from_env
+    from repro.workload.arrivals import PoissonArrivals
+    from repro.workload.generator import OpenLoopLoadGenerator
+    return (MetricsCollector, Simulator, RngRegistry, tiebreak_from_env,
+            PoissonArrivals, OpenLoopLoadGenerator)
+
+
 def _run_point(factory: SystemFactory, rate_rps: float,
                distribution: ServiceTimeDistribution, config: RunConfig,
                clients: Optional[ClientPool], sanitize: Optional[bool],
                tiebreak: Optional[TieBreakPolicy], exact_reductions: bool,
                ) -> Tuple[RunMetrics, int]:
     """Build, run and summarize one point; only the outcome escapes."""
+    (MetricsCollector, Simulator, RngRegistry, tiebreak_from_env,
+     PoissonArrivals, OpenLoopLoadGenerator) = load_model()
     if sanitize is None:
         sanitize = sanitize_enabled()
     if tiebreak is None:
         tiebreak = tiebreak_from_env()
     if sanitize:
+        from repro.analysis.sanitizer import (
+            SanitizedRngRegistry,
+            SanitizedSimulator,
+        )
         rngs: RngRegistry = SanitizedRngRegistry(config.seed)
         sim: Simulator = SanitizedSimulator(rngs=rngs)
     else:
@@ -209,11 +245,12 @@ def _run_point(factory: SystemFactory, rate_rps: float,
     system = factory(sim, rngs, metrics)
     plan = config.faults
     if plan is not None and not plan.is_null:
+        from repro.faults.injector import FaultInjector
         injector = FaultInjector(sim, rngs, plan, metrics=metrics,
                                  tracer=getattr(system, "tracer", None))
         injector.attach(system)
     ingress = system.ingress
-    if isinstance(sim, SanitizedSimulator):
+    if sanitize:
         sim.watch_system(system)
         ingress = sim.tracking_ingress(system.ingress)
     system.start()
@@ -227,7 +264,7 @@ def _run_point(factory: SystemFactory, rate_rps: float,
     # with perpetual housekeeping processes (rebalancers, advertisers)
     # terminate cleanly.
     sim.run(until=config.horizon_ns, max_events=config.max_events)
-    if isinstance(sim, SanitizedSimulator):
+    if sanitize:
         sim.finalize()
     return metrics.summarize(offered_rps=rate_rps), sim.event_count
 

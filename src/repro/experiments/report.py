@@ -6,11 +6,12 @@ the paper's plots: one row per x value, one column per series.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
-from repro.experiments.executor import ExecutorStats
-from repro.experiments.figures import FigureResult
-from repro.experiments.tables import TableRow
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.experiments.executor import ExecutorStats
+    from repro.experiments.figures import FigureResult
+    from repro.experiments.tables import TableRow
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[str]],

@@ -17,29 +17,3 @@ crashed-worker failover that re-steers orphans, and a
 staleness-detecting policy wrapper that falls back to blind round-robin
 when the feedback plane goes quiet.
 """
-
-from repro.faults.plan import (
-    FaultPlan,
-    FeedbackFaults,
-    LinkFaults,
-    QueueFaults,
-    RecoveryPlan,
-    WorkerFaults,
-    parse_fault_spec,
-)
-from repro.faults.injector import FaultCounters, FaultInjector
-from repro.faults.recovery import RecoveryManager, StalenessFallbackPolicy
-
-__all__ = [
-    "FaultPlan",
-    "LinkFaults",
-    "FeedbackFaults",
-    "WorkerFaults",
-    "QueueFaults",
-    "RecoveryPlan",
-    "parse_fault_spec",
-    "FaultCounters",
-    "FaultInjector",
-    "RecoveryManager",
-    "StalenessFallbackPolicy",
-]

@@ -1,17 +1,1 @@
 """Request-processing runtime: requests, contexts, queues, workers."""
-
-from repro.runtime.request import Request, RequestState
-from repro.runtime.context import ExecutionContext, ContextCosts
-from repro.runtime.taskqueue import TaskQueue, QueuePolicy
-from repro.runtime.worker import WorkerCore, ExecutionOutcome
-
-__all__ = [
-    "Request",
-    "RequestState",
-    "ExecutionContext",
-    "ContextCosts",
-    "TaskQueue",
-    "QueuePolicy",
-    "WorkerCore",
-    "ExecutionOutcome",
-]

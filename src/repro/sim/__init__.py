@@ -12,27 +12,3 @@ simpy, written from scratch for this reproduction.  The public surface:
 - :mod:`~repro.sim.rng` — named, independently seeded random streams.
 - :mod:`~repro.sim.trace` — structured execution traces.
 """
-
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout, EventState
-from repro.sim.process import Process
-from repro.sim.primitives import Store, Signal
-from repro.sim.rng import RngRegistry
-from repro.sim.tiebreak import FIFO, TieBreakPolicy, permutation_policy
-from repro.sim.trace import Tracer, TraceRecord
-
-__all__ = [
-    "Simulator",
-    "TieBreakPolicy",
-    "FIFO",
-    "permutation_policy",
-    "Event",
-    "Timeout",
-    "EventState",
-    "Process",
-    "Store",
-    "Signal",
-    "RngRegistry",
-    "Tracer",
-    "TraceRecord",
-]

@@ -1,55 +1,8 @@
 """Complete served systems: the paper's prototypes and all baselines.
 
-Importing this package registers every system with
-:mod:`repro.systems.registry`; callers that resolve systems by name
-(``repro --system``, :func:`repro.systems.registry.build`,
-by-name executor factories) rely on that side effect.
+Each system registers itself with :mod:`repro.systems.registry` when
+its module is imported; the registry imports every system module (its
+``SYSTEM_MODULES`` tuple) on the first lookup, so callers that resolve
+systems by name (``repro --system``, :func:`repro.systems.registry.build`,
+by-name executor factories) never import them by hand.
 """
-
-from repro.systems.base import BaseSystem, NotifyMessage
-from repro.systems.registry import (
-    SystemEntry,
-    build,
-    default_config,
-    get,
-    list_systems,
-    register_system,
-)
-from repro.systems.shinjuku import ShinjukuSystem
-from repro.systems.shinjuku_offload import ShinjukuOffloadSystem
-from repro.systems.rss_system import RssSystem, RssSystemConfig
-from repro.systems.workstealing import WorkStealingConfig, WorkStealingSystem
-from repro.systems.mica_system import MicaSystem, MicaSystemConfig
-from repro.systems.rpcvalet import RpcValetConfig, RpcValetSystem
-from repro.systems.ideal_offload import IdealOffloadSystem
-from repro.systems.sharded_shinjuku import (
-    ShardedShinjukuConfig,
-    ShardedShinjukuSystem,
-)
-from repro.systems.elastic_rss import ElasticRssConfig, ElasticRssSystem
-
-__all__ = [
-    "BaseSystem",
-    "NotifyMessage",
-    "SystemEntry",
-    "build",
-    "default_config",
-    "get",
-    "list_systems",
-    "register_system",
-    "ShinjukuSystem",
-    "ShinjukuOffloadSystem",
-    "RssSystem",
-    "RssSystemConfig",
-    "WorkStealingConfig",
-    "WorkStealingSystem",
-    "MicaSystem",
-    "MicaSystemConfig",
-    "RpcValetConfig",
-    "RpcValetSystem",
-    "IdealOffloadSystem",
-    "ShardedShinjukuConfig",
-    "ShardedShinjukuSystem",
-    "ElasticRssConfig",
-    "ElasticRssSystem",
-]

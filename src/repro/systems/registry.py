@@ -6,16 +6,18 @@ via :func:`register_system`, and every consumer — the CLI's
 ``--system`` flag, :class:`~repro.experiments.executor.ConfiguredFactory`
 by-name factories, figures, tables — resolves it
 through :func:`build` / :func:`get` instead of importing the class and
-hand-wiring its constructor.  Adding a tenth system is then a one-file
-change: write the class, decorate it, done.
+hand-wiring its constructor.  Adding a tenth system is then a small
+change: write the class, decorate it, and list its module in
+:data:`SYSTEM_MODULES`.
 
-The registry is populated as a side effect of importing
-:mod:`repro.systems`; lookups trigger that import lazily, so callers
-never have to care about registration order.
+Each system module registers its class when it is imported; the
+first lookup imports every module in :data:`SYSTEM_MODULES`, so
+callers never have to care about registration order.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -63,6 +65,19 @@ class SystemEntry:
 
 _REGISTRY: Dict[str, SystemEntry] = {}
 
+#: Every module that defines a served system, in registration order.
+SYSTEM_MODULES = (
+    "repro.systems.shinjuku",
+    "repro.systems.shinjuku_offload",
+    "repro.systems.rss_system",
+    "repro.systems.workstealing",
+    "repro.systems.mica_system",
+    "repro.systems.rpcvalet",
+    "repro.systems.ideal_offload",
+    "repro.systems.sharded_shinjuku",
+    "repro.systems.elastic_rss",
+)
+
 
 def register_system(name: str, config: Optional[Type] = None,
                     default_config: Optional[Callable[[], Any]] = None,
@@ -94,8 +109,9 @@ def register_system(name: str, config: Optional[Type] = None,
 
 
 def _ensure_loaded() -> None:
-    """Import the systems package so every decorator has run."""
-    import repro.systems  # noqa: F401  (registration side effect)
+    """Import every system module so every decorator has run."""
+    for module in SYSTEM_MODULES:
+        importlib.import_module(module)
 
 
 def get(name: str) -> SystemEntry:

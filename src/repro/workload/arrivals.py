@@ -9,10 +9,18 @@ honest tail-latency-vs-throughput curves.
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.errors import WorkloadError
 from repro.units import rps_to_interarrival_ns
+
+
+def _checked_rate(rate_rps: float) -> float:
+    """*rate_rps* itself; NaN, infinite or non-positive rates raise."""
+    if not (math.isfinite(rate_rps) and rate_rps > 0):
+        raise WorkloadError(f"rate must be positive and finite: {rate_rps}")
+    return rate_rps
 
 
 class ArrivalProcess:
@@ -29,9 +37,7 @@ class PoissonArrivals(ArrivalProcess):
     """Poisson arrivals — exponential interarrival gaps."""
 
     def __init__(self, rate_rps: float):
-        if rate_rps <= 0:
-            raise WorkloadError(f"rate must be positive: {rate_rps}")
-        self.rate_rps = rate_rps
+        self.rate_rps = _checked_rate(rate_rps)
         self._mean_gap_ns = rps_to_interarrival_ns(rate_rps)
 
     def next_gap_ns(self, rng: random.Random) -> float:
@@ -49,9 +55,7 @@ class UniformArrivals(ArrivalProcess):
     """
 
     def __init__(self, rate_rps: float):
-        if rate_rps <= 0:
-            raise WorkloadError(f"rate must be positive: {rate_rps}")
-        self.rate_rps = rate_rps
+        self.rate_rps = _checked_rate(rate_rps)
         self._gap_ns = rps_to_interarrival_ns(rate_rps)
 
     def next_gap_ns(self, rng: random.Random) -> float:

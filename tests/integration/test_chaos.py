@@ -16,7 +16,8 @@ import pytest
 
 from repro.analysis.sanitizer import SanitizedRngRegistry, SanitizedSimulator
 from repro.config import PreemptionConfig, ShinjukuOffloadConfig
-from repro.faults import FaultInjector, parse_fault_spec
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import parse_fault_spec
 from repro.metrics.collector import MetricsCollector
 from repro.systems import registry
 from repro.units import ms, us

@@ -25,7 +25,7 @@ from repro.experiments.executor import (
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig
-from repro.faults import FaultPlan, parse_fault_spec
+from repro.faults.plan import FaultPlan, parse_fault_spec
 from repro.units import ms, us
 from repro.workload.distributions import Fixed
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.sanitizer import SANITIZE_ENV, SanitizedSimulator
+from repro.analysis.sanitizer import SanitizedSimulator
 from repro.config import ShinjukuConfig, ShinjukuOffloadConfig
 from repro.experiments.executor import (
     ConfiguredFactory,
@@ -26,7 +26,7 @@ from repro.experiments.executor import (
     metrics_digest,
     metrics_to_jsonable,
 )
-from repro.experiments.harness import RunConfig
+from repro.experiments.harness import SANITIZE_ENV, RunConfig
 from repro.systems.elastic_rss import ElasticRssConfig
 from repro.systems.mica_system import MicaSystemConfig
 from repro.systems.rpcvalet import RpcValetConfig

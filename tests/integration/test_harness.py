@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import PreemptionConfig, ShinjukuConfig
 from repro.errors import ExperimentError
+from repro.experiments.executor import ConfiguredFactory
 from repro.experiments.harness import (
     LoadSweepResult,
     RunConfig,
@@ -64,6 +65,14 @@ class TestRunPoint:
     def test_bad_rate_rejected(self):
         with pytest.raises(ExperimentError):
             run_point(_valet_factory(), 0.0, Fixed(1.0), FAST)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        """NaN and infinity pass ``rate <= 0``; they must not run as
+        a point with 0 achieved RPS whose metrics could be cached."""
+        with pytest.raises(ExperimentError, match="positive and finite"):
+            run_point_with_events(ConfiguredFactory.by_name(
+                "shinjuku-offload"), rate, Fixed(us(2.0)), FAST)
 
 
 class TestLoadSweep:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sanitizer import (
-    SANITIZE_ENV,
     SanitizedRngRegistry,
     SanitizedSimulator,
 )
 from repro.experiments.executor import ConfiguredFactory
-from repro.experiments.harness import RunConfig, run_point
+from repro.experiments.harness import SANITIZE_ENV, RunConfig, run_point
 from repro.metrics.collector import MetricsCollector
 from repro.systems import registry
 from repro.units import ms, us

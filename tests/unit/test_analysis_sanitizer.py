@@ -16,12 +16,15 @@ from repro.analysis.sanitizer import (
     CountingRandom,
     SanitizedRngRegistry,
     SanitizedSimulator,
-    sanitize_enabled,
 )
 from repro.config import ShinjukuConfig
 from repro.errors import SanitizerError
 from repro.experiments.executor import ConfiguredFactory
-from repro.experiments.harness import RunConfig, run_point_with_events
+from repro.experiments.harness import (
+    RunConfig,
+    run_point_with_events,
+    sanitize_enabled,
+)
 from repro.runtime.request import Request, RequestState
 from repro.runtime.taskqueue import TaskQueue
 from repro.sim.rng import RngRegistry

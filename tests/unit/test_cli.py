@@ -46,6 +46,14 @@ class TestCli:
         assert excinfo.value.code == 0
         assert "repro" in capsys.readouterr().out
 
+    def test_help_prints_figure_descriptions_verbatim(self, capsys):
+        """argparse %-formats help text, so a literal "%" in a figure's
+        description must be escaped or ``--help`` crashes."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert "99.5%/0.5%" in capsys.readouterr().out
+
     def test_unknown_command_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig99"])

@@ -17,8 +17,8 @@ from repro.analysis.lint import lint_source
 from repro.core.feedback import CoreStatusBoard, FeedbackChannel, WorkerStatus
 from repro.core.queuing import OutstandingTracker
 from repro.errors import ConfigError, FeedbackError, SimulationError
-from repro.faults import (
-    FaultInjector,
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import (
     FaultPlan,
     FeedbackFaults,
     LinkFaults,

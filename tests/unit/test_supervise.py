@@ -33,7 +33,7 @@ from repro.experiments.executor import (
     spec_cache_key,
 )
 from repro.experiments.harness import RunConfig
-from repro.faults import FaultPlan, LinkFaults
+from repro.faults.plan import FaultPlan, LinkFaults
 from repro.experiments.progress import (
     COMPLETED,
     FAILED,

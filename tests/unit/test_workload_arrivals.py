@@ -1,5 +1,6 @@
 """Unit tests for arrival processes."""
 
+import math
 import random
 
 import pytest
@@ -42,3 +43,11 @@ class TestUniform:
     def test_validation(self):
         with pytest.raises(WorkloadError):
             UniformArrivals(-1.0)
+
+
+@pytest.mark.parametrize("cls", [PoissonArrivals, UniformArrivals])
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_non_finite_rate_rejected(cls, rate):
+    """NaN and infinity pass ``rate <= 0``; both must raise."""
+    with pytest.raises(WorkloadError, match="positive and finite"):
+        cls(rate)
