@@ -112,8 +112,9 @@ class SanitizerReport:
     #: Tracked requests still live at finalize (legal unless drained).
     in_flight: int = 0
     queues_watched: int = 0
-    #: Whether the schedule was fully drained at finalize (the state
-    #: in which the conservation check is decidable).
+    #: Whether no live entry was left in the schedule at finalize (the
+    #: state in which the conservation check is decidable); cancelled
+    #: entries still waiting to be skipped do not count.
     drained: bool = False
 
     def __str__(self) -> str:
@@ -256,10 +257,11 @@ class SanitizedSimulator(Simulator):
     def finalize(self) -> SanitizerReport:
         """End-of-run checks; returns the observation report.
 
-        When the schedule drained, every tracked request must be in a
-        terminal state — a queued/running request with no pending
-        events can never make progress again, so it is reported as a
-        leak, localized by id, state, and per-stream draw counts.
+        When no live event is left (cancelled entries still queued do
+        not count), every tracked request must be in a terminal state —
+        a queued/running request with no live event can never make
+        progress again, so it is reported as a leak, localized by id,
+        state, and per-stream draw counts.
         """
         self._check_queues()
         report = SanitizerReport(
@@ -267,7 +269,7 @@ class SanitizedSimulator(Simulator):
             draws=self._rngs.draw_counts() if self._rngs else {},
             tracked=len(self._tracked_requests),
             queues_watched=len(self._watched_queues),
-            drained=self.pending_count() == 0,
+            drained=self.pending_count() == self._cancelled,
         )
         for request in self._tracked_requests:
             if request.state is RequestState.COMPLETED:

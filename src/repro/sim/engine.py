@@ -1,9 +1,7 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` owns the clock and a two-tier schedule: a small
-*near* binary heap for the currently-draining time window plus a
-hierarchical :class:`~repro.sim.wheel.TimerWheel` for everything beyond
-it.  Time is in nanoseconds (see :mod:`repro.units`).  Events scheduled
+:class:`Simulator` owns the clock and the schedule, one binary heap.
+Time is in nanoseconds (see :mod:`repro.units`).  Events scheduled
 for the same instant are processed in FIFO order of scheduling (a
 strictly increasing tie key breaks ties), which makes runs fully
 deterministic for a fixed seed.  Every push draws its key from one
@@ -25,14 +23,10 @@ its constant factors small without ever changing *what* is scheduled:
 - A schedule entry is the 3-tuple ``(when, key, item)``: tuple
   comparison orders by time, then by tie key, and never reaches the
   item because keys are unique.
-- The schedule is split at ``_near_end``: entries below the boundary
-  ride the near heap, entries at/after it are O(1) bucket appends on
-  the wheel.  Batches drain whole slot windows at a time, so heap
-  sifts act on tens of entries instead of the full pending set.  The
-  boundary split cannot reorder anything: equal timestamps never
-  straddle it, so the merged pop order is exactly the single-heap
-  ``(when, key)`` total order — pinned by the golden differential
-  tests and the wheel-vs-heap property suite.
+- The schedule is one ``heapq`` list.  Pending entries scale with
+  processes and armed timers, not with the horizon: the heap never
+  held more than 32 entries on full-scale fig2, 54 on full-scale fig6
+  and 45 on fig3, so every sift touches a handful of tuples.
 - One loop dispatches every event.  Instrumentation such as the
   sanitizer observes through :attr:`Simulator.observer`, a hook the
   loop calls after each counted event, instead of a second loop.
@@ -52,12 +46,11 @@ its constant factors small without ever changing *what* is scheduled:
   with one tie key that ``yield sim.timeout(d)`` makes, but no
   Timeout, callbacks list or bound method per wait.  Sleep cells are
   never pooled.
-- Cancelled events (:meth:`Event.cancel`) are eagerly removed from
-  wheel buckets; entries already in the near heap or the far-future
-  overflow heap are skipped at dispatch — without advancing the event
-  count — and compacted away once they dominate, so cancel-heavy
-  workloads (timeout/retry fault plans, preemption slices) cannot grow
-  the queue.
+- Cancelled events (:meth:`Event.cancel`) stay in the heap and are
+  skipped at dispatch — without advancing the event count — and
+  compacted away once they dominate, so cancel-heavy workloads
+  (timeout/retry fault plans, preemption slices) cannot grow the
+  queue.
 - Cyclic GC never walks the live graph mid-run.  The experiment
   harness pauses it for a whole point, from building the simulator to
   the summary, and frees the finished point with one young-generation
@@ -81,14 +74,14 @@ from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, _Sleep
 from repro.sim.tiebreak import FIFO, TieBreakPolicy
-from repro.sim.wheel import TimerWheel
 
 #: Freelist bound per pool: big enough to absorb steady-state churn,
 #: small enough that an idle simulator holds no meaningful memory.
 _POOL_CAP = 4096
 
-#: Near-heap compaction threshold for lazily-cancelled entries (same
-#: heuristic as the wheel's overflow compaction).
+#: Compaction threshold: the heap is rebuilt without its cancelled
+#: entries once more than this many are queued and they are the
+#: majority.
 _COMPACT_MIN = 64
 
 
@@ -140,19 +133,14 @@ class Simulator:
     5.0
     """
 
-    __slots__ = ("now", "_heap", "_near_end", "_wheel", "_next_key",
+    __slots__ = ("now", "_heap", "_next_key",
                  "event_count", "_running", "observer", "fault_injector",
                  "_timeout_pool", "_event_pool", "_deferred_pool",
-                 "_near_cancelled", "_tiebreak")
+                 "_cancelled", "_tiebreak")
 
     def __init__(self, start_time: float = 0.0):
         self.now = float(start_time)
         self._heap: list = []
-        self._wheel = TimerWheel(self.now)
-        #: Entries with ``when < _near_end`` go to the near heap; the
-        #: rest to the wheel.  Always equals ``wheel.cur0 *
-        #: GRANULARITY`` between batch refills.
-        self._near_end = self._wheel.near_end
         self.event_count = 0
         self._running = False
         self.observer: Optional[Callable[[], None]] = None
@@ -165,8 +153,8 @@ class Simulator:
         self._timeout_pool: list = []
         self._event_pool: list = []
         self._deferred_pool: list = []
-        #: Lazily-cancelled entries believed to ride the near heap.
-        self._near_cancelled = 0
+        #: Cancelled entries still queued in the heap.
+        self._cancelled = 0
         #: Tie-break policy: equal-``when`` events dispatch in tie-key
         #: order.  :meth:`_push` takes every key from ``_next_key``, the
         #: one place that owns the mix.  FIFO keys are the sequence
@@ -187,7 +175,7 @@ class Simulator:
         Must be called before anything is scheduled: mixing keys from
         two policies in one schedule would break the total order.
         """
-        if self.event_count or self._heap or self._wheel.count:
+        if self.event_count or self._heap:
             raise SimulationError(
                 "set_tiebreak() after scheduling began; install the "
                 "policy on a fresh simulator")
@@ -222,11 +210,7 @@ class Simulator:
         """
         if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"negative or NaN timeout delay: {delay}")
-        pool = self._timeout_pool
-        if pool:
-            return self._start_timeout(pool.pop(), self.now + delay, delay,
-                                       value, label)
-        return Timeout(self, delay, value=value, label=label)
+        return self._start_timeout(self.now + delay, value, label)
 
     def timeout_at(self, when: float, value: Any = None,
                    label: str = "") -> Timeout:
@@ -236,10 +220,13 @@ class Simulator:
         ``now + (when - now)``), the push lands on *when* itself, so a
         wait computed as ``t + cost`` ends bit-exactly there.
         """
-        now = self.now
-        if not when >= now:  # also rejects NaN
+        if not when >= self.now:  # also rejects NaN
             raise SchedulingError(
-                f"timeout_at({when}) is in the past (now={now})")
+                f"timeout_at({when}) is in the past (now={self.now})")
+        return self._start_timeout(when, value, label)
+
+    def _start_timeout(self, when: float, value: Any, label: str) -> Timeout:
+        """Schedule a pooled or fresh Timeout at absolute time *when*."""
         pool = self._timeout_pool
         if pool:
             ev = pool.pop()
@@ -247,17 +234,10 @@ class Simulator:
             ev = Timeout.__new__(Timeout)
             ev.sim = self
             ev.callbacks = []
-        return self._start_timeout(ev, when, when - now, value, label)
-
-    def _start_timeout(self, ev: Timeout, when: float, delay: float,
-                       value: Any, label: str) -> Timeout:
-        """(Re)initialise a pooled or bare Timeout and schedule it."""
         ev._value = value
         ev._ok = True
         ev._state = 1
         ev.label = label
-        ev.delay = delay
-        ev.when = when
         self._push(when, ev)
         return ev
 
@@ -300,69 +280,29 @@ class Simulator:
     def _push(self, when: float, item: Any) -> None:
         """Schedule *item* at absolute time *when* (kernel use).
 
-        The only code that builds a schedule entry or picks its tier:
-        below ``_near_end`` the near heap, at/after it the wheel.
-        Callers validate *when* (never in the past, never NaN).
+        The only code that builds a schedule entry.  Callers validate
+        *when* (never in the past, never NaN).
         """
-        if when < self._near_end:
-            heappush(self._heap, (when, self._next_key(), item))
-        else:
-            self._wheel.push((when, self._next_key(), item))
-
-    def _refill(self) -> bool:
-        """Move the next wheel batch into the (empty) near heap.
-
-        Returns False when the wheel is drained too.  Mutates the heap
-        list in place so aliases held by hot loops stay valid.
-        """
-        batch = self._wheel.next_batch()
-        if batch is None:
-            return False
-        entries, end = batch
-        self._near_end = end
-        heap = self._heap
-        heap[:] = entries
-        if len(entries) > 1:
-            heapify(heap)
-        return True
+        heappush(self._heap, (when, self._next_key(), item))
 
     def _cancel(self, event: Event) -> None:
-        """Withdraw *event*'s schedule entry (hook for Event.cancel).
+        """Count *event*'s withdrawn entry (hook for Event.cancel).
 
-        Timeouts record their absolute deadline, so wheel residents are
-        removed eagerly in O(bucket).  Entries already in the near heap
-        (or events without a recorded deadline) are skipped at dispatch
-        and compacted away once they dominate the heap.
+        The entry stays in the heap and is skipped at dispatch; once
+        cancelled entries dominate the heap, one pass compacts them
+        away.
         """
-        when = getattr(event, "when", None)
-        if when is not None and self._wheel.discard(event, when):
-            return
-        self._near_cancelled = dead = self._near_cancelled + 1
+        self._cancelled = dead = self._cancelled + 1
         if dead > _COMPACT_MIN and dead * 2 > len(self._heap):
             self._compact_near()
 
     def _compact_near(self) -> None:
-        """Drop cancelled entries from the near heap in one pass."""
+        """Drop cancelled entries from the heap in one pass."""
         heap = self._heap
-        live = [entry for entry in heap
-                if getattr(entry[2], "_state", 0) != 3]
-        if len(live) != len(heap):
-            heap[:] = live
-            heapify(heap)
-        self._near_cancelled = 0
-
-    def _forget_cancelled(self) -> None:
-        """Uncount one cancelled entry popped off the near heap.
-
-        The loop calls this for every cancelled entry it skips, so the
-        count that triggers :meth:`_compact_near` tracks the dead
-        entries still queued.  It may already be 0 when the entry was
-        counted before a compaction reset it (an entry cancelled while
-        in the wheel).
-        """
-        dead = self._near_cancelled
-        if dead > 0:
-            self._near_cancelled = dead - 1
+        heap[:] = [entry for entry in heap
+                   if getattr(entry[2], "_state", 0) != 3]
+        heapify(heap)
+        self._cancelled = 0
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle.
@@ -371,22 +311,19 @@ class Simulator:
         reported; nothing will actually happen at that instant.
         """
         heap = self._heap
-        if heap:
-            return heap[0][0]
-        return self._wheel.peek_when()
+        return heap[0][0] if heap else float("inf")
 
     def pending_count(self) -> int:
-        """Entries still in the schedule (near heap + wheel).
+        """Entries still in the schedule.
 
         Includes lazily-cancelled stragglers not yet compacted away.
         """
-        return len(self._heap) + self._wheel.count
+        return len(self._heap)
 
     def pending_entries(self) -> Iterator[tuple]:
         """All pending schedule tuples, in no particular order
         (diagnostics and tests)."""
-        yield from self._heap
-        yield from self._wheel.entries()
+        return iter(self._heap)
 
     # -- the loop --------------------------------------------------------------
 
@@ -465,7 +402,6 @@ class Simulator:
             gc.disable()
         heap = self._heap
         pop = heappop
-        refill = self._refill
         observe = self.observer
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
@@ -475,74 +411,71 @@ class Simulator:
         horizon = float("inf") if until is None else until
         count = self.event_count
         try:
-            while True:
-                while heap:
-                    if heap[0][0] > horizon:
-                        self.now = until
-                        return False
-                    # Unpack straight off the pop: holding the tuple in
-                    # a local would keep a third reference to the event
-                    # and silently disable the getrefcount recycling.
-                    when, _key, event = pop(heap)
-                    cls = event.__class__
-                    if cls is _Deferred:
-                        self.now = when
-                        count += 1
-                        func, args = event.func, event.args
-                        event.func = event.args = None
-                        if len(deferred_pool) < _POOL_CAP:
-                            deferred_pool.append(event)
-                        func(*args)
-                    elif cls is _Sleep:
-                        # A process's bare-delay sleep (or the no-op
-                        # left behind by an interrupt): never pooled.
-                        self.now = when
-                        count += 1
-                        event.wake()
-                    elif cls is Timeout:
-                        if event._state == 3:  # cancelled: vanish
-                            self._forget_cancelled()
-                            continue
-                        self.now = when
-                        count += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        event._state = 2
-                        for callback in callbacks:
-                            callback(event)
-                        # Recycle only exact-class events the kernel holds the
-                        # last reference to (local + getrefcount argument = 2):
-                        # anything user code kept a handle on stays untouched.
-                        # The detached callbacks list rides along (cleared), so
-                        # pooled events always carry an empty list ready to use.
+            while heap:
+                if heap[0][0] > horizon:
+                    self.now = until
+                    return False
+                # Unpack straight off the pop: holding the tuple in
+                # a local would keep a third reference to the event
+                # and silently disable the getrefcount recycling.
+                when, _key, event = pop(heap)
+                cls = event.__class__
+                if cls is _Deferred:
+                    self.now = when
+                    count += 1
+                    func, args = event.func, event.args
+                    event.func = event.args = None
+                    if len(deferred_pool) < _POOL_CAP:
+                        deferred_pool.append(event)
+                    func(*args)
+                elif cls is _Sleep:
+                    # A process's bare-delay sleep (or the no-op
+                    # left behind by an interrupt): never pooled.
+                    self.now = when
+                    count += 1
+                    event.wake()
+                elif cls is Timeout:
+                    if event._state == 3:  # cancelled: vanish
+                        self._cancelled -= 1
+                        continue
+                    self.now = when
+                    count += 1
+                    callbacks, event.callbacks = event.callbacks, None
+                    event._state = 2
+                    for callback in callbacks:
+                        callback(event)
+                    # Recycle only exact-class events the kernel holds the
+                    # last reference to (local + getrefcount argument = 2):
+                    # anything user code kept a handle on stays untouched.
+                    # The detached callbacks list rides along (cleared), so
+                    # pooled events always carry an empty list ready to use.
+                    if getrefcount(event) == 2 and \
+                            len(timeout_pool) < _POOL_CAP:
+                        del callbacks[:]
+                        event.callbacks = callbacks
+                        event._value = None
+                        timeout_pool.append(event)
+                else:
+                    if event._state == 3:  # cancelled: vanish
+                        self._cancelled -= 1
+                        continue
+                    self.now = when
+                    count += 1
+                    callbacks, event.callbacks = event.callbacks, None
+                    event._state = 2
+                    for callback in callbacks:
+                        callback(event)
+                    if cls is Event:
                         if getrefcount(event) == 2 and \
-                                len(timeout_pool) < _POOL_CAP:
+                                len(event_pool) < _POOL_CAP:
                             del callbacks[:]
                             event.callbacks = callbacks
                             event._value = None
-                            timeout_pool.append(event)
-                    else:
-                        if event._state == 3:  # cancelled: vanish
-                            self._forget_cancelled()
-                            continue
-                        self.now = when
-                        count += 1
-                        callbacks, event.callbacks = event.callbacks, None
-                        event._state = 2
-                        for callback in callbacks:
-                            callback(event)
-                        if cls is Event:
-                            if getrefcount(event) == 2 and \
-                                    len(event_pool) < _POOL_CAP:
-                                del callbacks[:]
-                                event.callbacks = callbacks
-                                event._value = None
-                                event_pool.append(event)
-                    if observe is not None:
-                        observe()
-                    if count >= stop:
-                        return True
-                if not refill():
-                    break
+                            event_pool.append(event)
+                if observe is not None:
+                    observe()
+                if count >= stop:
+                    return True
             if until is not None:
                 self.now = until
             return False

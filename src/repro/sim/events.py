@@ -10,9 +10,8 @@ Processes wait on events by ``yield``-ing them; the kernel resumes the
 process with the event's value, or throws the event's exception into it.
 
 A ``TRIGGERED`` event can additionally be withdrawn via
-:meth:`Event.cancel` (state ``CANCELLED``): its entry is removed from
-the schedule — eagerly when it sits in a timer-wheel bucket, lazily
-skipped at dispatch otherwise — and its callbacks never run.
+:meth:`Event.cancel` (state ``CANCELLED``): its schedule entry is
+skipped at dispatch and its callbacks never run.
 
 Hot-path note: state lives internally as a small int (``_PENDING`` /
 ``_TRIGGERED`` / ``_PROCESSED`` / ``_CANCELLED``) because millions of
@@ -141,10 +140,9 @@ class Event:
         """Withdraw a triggered-but-unprocessed event from the schedule.
 
         Returns True when the event was still awaiting dispatch; its
-        callbacks will never run.  Timeouts record their deadline, so
-        wheel-resident entries are removed eagerly; anything else is
-        skipped (uncounted, clock untouched where possible) when its
-        entry surfaces, and compacted away under cancel-heavy load.
+        callbacks will never run.  The entry stays in the schedule and
+        is skipped (uncounted, clock untouched) when it surfaces, or
+        compacted away under cancel-heavy load.
         Pending or already-processed events return False unchanged.
         A cancelled event is never recycled through the kernel pools.
         """
@@ -160,21 +158,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay.
+    """An event that fires at a fixed simulated time.
 
-    Construction skips the ``super().__init__`` chain: timeouts are the
-    single most allocated object in a sweep, and
-    ``Simulator._start_timeout`` (re)initialises fresh and pooled ones
-    alike.  The absolute deadline is kept in :attr:`when` so
-    :meth:`cancel` can locate its wheel bucket without a search.
+    Create one with :meth:`Simulator.timeout` or
+    :meth:`Simulator.timeout_at`: timeouts are the single most
+    allocated object in a sweep, so the simulator schedules fresh and
+    pooled ones alike without an ``__init__`` chain.
     """
 
-    __slots__ = ("delay", "when")
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 label: str = ""):
-        if not delay >= 0:  # also rejects NaN
-            raise SchedulingError(f"negative or NaN timeout delay: {delay}")
-        self.sim = sim
-        self.callbacks = []
-        sim._start_timeout(self, sim.now + delay, delay, value, label)
+    __slots__ = ()

@@ -27,8 +27,8 @@ ties don't matter" into a checked property (see
 Every push in the kernel goes through ``Simulator._push``, which draws
 its key from one source, ``Simulator._next_key``:
 ``map(policy.key, count(1))`` under a permutation, a plain ``count(1)``
-under the identity.  That covers the near heap and the timer wheel
-(keys are baked into the schedule tuple before bucketing).
+under the identity.  Keys are baked into the ``(when, key, item)``
+schedule tuple at push time, so the heap orders by them directly.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ via :func:`register_system`, and every consumer — the CLI's
 by-name factories, figures, tables — resolves it
 through :func:`build` / :func:`get` instead of importing the class and
 hand-wiring its constructor.  Adding a tenth system is then a small
-change: write the class, decorate it, and list its module in
+change: write the class, decorate it, and list its name and module in
 :data:`SYSTEM_MODULES`.
 
-Each system module registers its class when it is imported; the
-first lookup imports every module in :data:`SYSTEM_MODULES`, so
-callers never have to care about registration order.
+Each system module registers its class when it is imported.  A lookup
+by name imports only the module :data:`SYSTEM_MODULES` lists for it;
+listing every system (or failing on an unknown name) imports them all,
+so callers never have to care about registration order.
 """
 
 from __future__ import annotations
@@ -65,18 +66,18 @@ class SystemEntry:
 
 _REGISTRY: Dict[str, SystemEntry] = {}
 
-#: Every module that defines a served system, in registration order.
-SYSTEM_MODULES = (
-    "repro.systems.shinjuku",
-    "repro.systems.shinjuku_offload",
-    "repro.systems.rss_system",
-    "repro.systems.workstealing",
-    "repro.systems.mica_system",
-    "repro.systems.rpcvalet",
-    "repro.systems.ideal_offload",
-    "repro.systems.sharded_shinjuku",
-    "repro.systems.elastic_rss",
-)
+#: Every served system's name and the module that registers it.
+SYSTEM_MODULES: Dict[str, str] = {
+    "shinjuku": "repro.systems.shinjuku",
+    "shinjuku-offload": "repro.systems.shinjuku_offload",
+    "rss": "repro.systems.rss_system",
+    "workstealing": "repro.systems.workstealing",
+    "mica": "repro.systems.mica_system",
+    "rpcvalet": "repro.systems.rpcvalet",
+    "ideal-offload": "repro.systems.ideal_offload",
+    "sharded-shinjuku": "repro.systems.sharded_shinjuku",
+    "elastic-rss": "repro.systems.elastic_rss",
+}
 
 
 def register_system(name: str, config: Optional[Type] = None,
@@ -108,26 +109,22 @@ def register_system(name: str, config: Optional[Type] = None,
     return decorate
 
 
-def _ensure_loaded() -> None:
-    """Import every system module so every decorator has run."""
-    for module in SYSTEM_MODULES:
-        importlib.import_module(module)
-
-
 def get(name: str) -> SystemEntry:
-    """The registry entry for *name*; unknown names list what exists."""
-    _ensure_loaded()
-    try:
+    """The registry entry for *name*, importing only its module;
+    unknown names list what exists."""
+    module = SYSTEM_MODULES.get(name)
+    if module is not None:
+        importlib.import_module(module)
         return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigError(
-            f"unknown system {name!r}; registered systems: {known}") from None
+    known = ", ".join(entry.name for entry in list_systems())
+    raise ConfigError(
+        f"unknown system {name!r}; registered systems: {known}")
 
 
 def list_systems() -> List[SystemEntry]:
     """Every registered system, sorted by name."""
-    _ensure_loaded()
+    for module in SYSTEM_MODULES.values():
+        importlib.import_module(module)
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 

@@ -126,21 +126,22 @@ def test_sanitized_and_fast_loop_agree_point_by_point(monkeypatch):
     assert fast_events == sanitized_events
 
 
-def test_golden_point_invariant_to_wheel_granularity(forced_sanitize,
-                                                     monkeypatch):
-    """A golden point, sanitized, with the timer wheel forced hot.
+@pytest.mark.parametrize("name", ["shinjuku", "shinjuku-offload",
+                                  "sharded-shinjuku"])
+def test_golden_point_invariant_to_compaction(name, forced_sanitize,
+                                              monkeypatch):
+    """A golden point, sanitized, with heap compaction forced hot.
 
-    Shrinking the wheel granularity moves schedule entries from the
-    near heap into the wheel buckets (and back through cascade/refill),
-    i.e. exercises a completely different container path for the same
-    simulation.  The metrics image and digest must not notice: heap
-    order and wheel order are the same total order, including the
-    tie-break keys baked into each entry.
+    Dropping the compaction floor to zero rebuilds the heap (filter
+    plus ``heapify``) whenever cancelled entries outnumber live ones,
+    which reshuffles the heap's internal array many times per run.
+    Dispatch order is fixed by the ``(when, key)`` prefix of each
+    entry, not by where it sits in the array, so the metrics image,
+    event count and digest must not notice.
     """
-    import repro.sim.wheel as wheel_mod
+    import repro.sim.engine as engine_mod
     from repro.experiments.harness import run_point_with_events
 
-    name = "shinjuku"
     factory = ConfiguredFactory.by_name(name, GOLDEN_CONFIGS[name])
     point = GOLDEN["systems"][name][0]
     rate = float.fromhex(point["rate_rps"])
@@ -149,29 +150,28 @@ def test_golden_point_invariant_to_wheel_granularity(forced_sanitize,
         factory, rate, DIST, CONFIG)
     assert metrics_to_jsonable(default_metrics) == point["metrics"]
 
-    wheel_pushes = []
-    original_push = wheel_mod.TimerWheel.push
+    compactions = []
+    original_compact = engine_mod.Simulator._compact_near
 
-    def counting_push(self, entry):
-        wheel_pushes.append(entry[0])
-        return original_push(self, entry)
+    def counting_compact(self):
+        compactions.append(len(self._heap))
+        return original_compact(self)
 
-    monkeypatch.setattr(wheel_mod.TimerWheel, "push", counting_push)
-    # Power of two required (exact float division in bucket indexing).
-    monkeypatch.setattr(wheel_mod, "GRANULARITY", 2048.0)
-    wheel_metrics, wheel_events = run_point_with_events(
+    monkeypatch.setattr(engine_mod.Simulator, "_compact_near",
+                        counting_compact)
+    monkeypatch.setattr(engine_mod, "_COMPACT_MIN", 0)
+    hot_metrics, hot_events = run_point_with_events(
         factory, rate, DIST, CONFIG)
-    assert wheel_pushes, "granularity squeeze never reached the wheel"
-    assert metrics_to_jsonable(wheel_metrics) == point["metrics"]
-    assert wheel_events == default_events
-    assert metrics_digest([wheel_metrics]) \
-        == metrics_digest([default_metrics])
+    assert compactions, "a zero floor never triggered compaction"
+    assert metrics_to_jsonable(hot_metrics) == point["metrics"]
+    assert hot_events == default_events
+    assert metrics_digest([hot_metrics]) == metrics_digest([default_metrics])
 
-    # And the plain loop agrees with the observed sanitized loop under
-    # the squeezed wheel too.
+    # The plain loop agrees with the sanitized one under forced
+    # compaction too.
     fast_metrics, fast_events = run_point_with_events(
         factory, rate, DIST, CONFIG, sanitize=False)
     assert metrics_to_jsonable(fast_metrics) == point["metrics"]
-    assert fast_events == wheel_events
+    assert fast_events == hot_events
     # Both sanitized runs really engaged the sanitizer.
     assert len(forced_sanitize) == 2

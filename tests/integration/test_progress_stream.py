@@ -5,9 +5,14 @@ per point, completions carry partial :class:`RunMetrics` consumable
 *before* the sweep finishes, the event stream crosses process
 boundaries (parallel workers, parent-side emission), and attaching
 subscribers never changes a single measured bit.
+
+Each distinct sweep runs once per module: module-scoped fixtures run
+it with subscribers that record everything the tests below read, and
+tests that compare two runs read two different fixtures.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,12 +55,69 @@ def _specs(label="shinjuku"):
             for rate in RATES]
 
 
+@pytest.fixture(scope="module")
+def plain_cached(tmp_path_factory):
+    """One subscriber-less ``jobs=1`` sweep, written to a fresh cache."""
+    cache_dir = str(tmp_path_factory.mktemp("cache"))
+    results = make_executor(jobs=1, cache_dir=cache_dir).run_points(_specs())
+    return SimpleNamespace(cache_dir=cache_dir, results=results)
+
+
+@pytest.fixture(scope="module")
+def streamed():
+    """``streamed(jobs)``: one sweep per *jobs*, run on first request.
+
+    The executor's persistent subscriber records every event; the
+    call's own subscriber records them again and snapshots a
+    :class:`SweepProgress` at each completion, while the sweep runs.
+    """
+    runs = {}
+
+    def run(jobs):
+        if jobs not in runs:
+            persistent, per_call, snapshots = [], [], []
+            progress = SweepProgress()
+
+            def snapshot(event):
+                progress(event)
+                if event.kind == COMPLETED:
+                    snapshots.append(
+                        (progress.settled,
+                         len(progress.partial_curve("shinjuku"))))
+
+            executor = make_executor(jobs=jobs, on_event=persistent.append)
+            results = executor.run_points(
+                _specs(), on_event=multiplex(per_call.append, snapshot))
+            runs[jobs] = SimpleNamespace(
+                results=results, persistent=persistent, per_call=per_call,
+                snapshots=snapshots)
+        return runs[jobs]
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def inline_sweeps():
+    """Two executor-less sweeps, ``first`` then ``second``, feeding one
+    recording subscriber plus a :class:`SweepProgress` of their own."""
+    factory = ConfiguredFactory.by_name("shinjuku", ShinjukuConfig(workers=2))
+    events = []
+    combined = SweepProgress()
+    results, progresses = {}, {}
+    for name in ("first", "second"):
+        progresses[name] = SweepProgress()
+        results[name] = load_sweep(
+            factory, RATES, Fixed(us(2.0)), _config(), system_name=name,
+            on_event=multiplex(events.append, combined, progresses[name]))
+    return SimpleNamespace(events=events, combined=combined,
+                           results=results, progresses=progresses)
+
+
 class TestExecutorEventStream:
     @pytest.mark.parametrize("jobs", [1, JOBS])
-    def test_every_point_emits_started_and_completed(self, jobs):
-        events = []
-        executor = make_executor(jobs=jobs, on_event=events.append)
-        results = executor.run_points(_specs())
+    def test_every_point_emits_started_and_completed(self, streamed, jobs):
+        run = streamed(jobs)
+        events, results = run.persistent, run.results
         assert len(results) == len(RATES)
         started = {e.index for e in events if e.kind == STARTED}
         completed = {e.index for e in events if e.kind == COMPLETED}
@@ -68,29 +130,17 @@ class TestExecutorEventStream:
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
-    def test_partial_results_consumable_mid_sweep(self):
+    def test_partial_results_consumable_mid_sweep(self, streamed):
         """A subscriber sees completed points while others are pending."""
-        progress = SweepProgress()
-        snapshots = []
-
-        def snapshot(event):
-            progress(event)
-            if event.kind == COMPLETED:
-                snapshots.append((progress.settled,
-                                  len(progress.partial_curve("shinjuku"))))
-
-        executor = make_executor(jobs=1, on_event=snapshot)
-        executor.run_points(_specs())
+        snapshots = streamed(1).snapshots
         # Mid-sweep states existed: some completions observed while the
         # sweep still had unsettled points.
         assert [settled for settled, _curve in snapshots] == [1, 2, 3, 4]
         assert [curve for _settled, curve in snapshots] == [1, 2, 3, 4]
 
-    def test_cache_hits_emit_events(self, tmp_path):
-        executor = make_executor(jobs=1, cache_dir=str(tmp_path))
-        executor.run_points(_specs())
+    def test_cache_hits_emit_events(self, plain_cached):
         events = []
-        rerun = make_executor(jobs=1, cache_dir=str(tmp_path),
+        rerun = make_executor(jobs=1, cache_dir=plain_cached.cache_dir,
                               on_event=events.append)
         rerun.run_points(_specs())
         assert [e.kind for e in events] == [CACHE_HIT] * len(RATES)
@@ -127,19 +177,15 @@ class TestExecutorEventStream:
             executor.run_points(specs)
         assert any(e.kind == FAILED for e in events)
 
-    def test_subscriber_does_not_change_results(self):
-        plain = make_executor(jobs=1).run_points(_specs())
-        noisy = []
-        observed = make_executor(
-            jobs=1, on_event=multiplex(noisy.append,
-                                       SweepProgress())).run_points(_specs())
+    def test_subscriber_does_not_change_results(self, plain_cached,
+                                                 streamed):
+        plain = plain_cached.results
+        observed, noisy = streamed(1).results, streamed(1).per_call
         assert metrics_digest(plain) == metrics_digest(observed)
         assert noisy  # the stream actually fired
 
-    def test_per_call_subscriber_composes_with_persistent(self):
-        persistent, per_call = [], []
-        executor = make_executor(jobs=1, on_event=persistent.append)
-        executor.run_points(_specs(), on_event=per_call.append)
+    def test_per_call_subscriber_composes_with_persistent(self, streamed):
+        persistent, per_call = streamed(1).persistent, streamed(1).per_call
         assert [e.seq for e in persistent] == [e.seq for e in per_call]
 
     def test_batches_get_distinct_numbers(self):
@@ -152,45 +198,27 @@ class TestExecutorEventStream:
 
 
 class TestHarnessInlineStream:
-    def test_load_sweep_without_executor_emits_events(self):
-        factory = ConfiguredFactory.by_name(
-            "shinjuku", ShinjukuConfig(workers=2))
-        progress = SweepProgress()
-        result = load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
-                            system_name="shinjuku", on_event=progress)
+    def test_load_sweep_without_executor_emits_events(self, inline_sweeps):
+        progress = inline_sweeps.progresses["first"]
+        result = inline_sweeps.results["first"]
         assert len(result.points) == len(RATES)
         assert progress.settled == len(RATES)
-        assert len(progress.partial_curve("shinjuku")) == len(RATES)
+        assert len(progress.partial_curve("first")) == len(RATES)
 
-    def test_executor_less_sweeps_never_share_a_key(self):
+    def test_executor_less_sweeps_never_share_a_key(self, inline_sweeps):
         """Two executor-less sweeps feeding one subscriber keep every
         ``(batch, index)`` key distinct, so neither hides the other."""
-        factory = ConfiguredFactory.by_name(
-            "shinjuku", ShinjukuConfig(workers=2))
-        events = []
-        progress = SweepProgress()
-        subscriber = multiplex(events.append, progress)
-        for name in ("first", "second"):
-            load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
-                       system_name=name, on_event=subscriber)
+        events, progress = inline_sweeps.events, inline_sweeps.combined
         keys = {name: {(e.batch, e.index) for e in events if e.label == name}
                 for name in ("first", "second")}
         assert len(keys["first"]) == len(keys["second"]) == len(RATES)
         assert not keys["first"] & keys["second"]
         assert progress.expected == progress.settled == 2 * len(RATES)
 
-    def test_inline_matches_executor_results(self):
-        factory = ConfiguredFactory.by_name(
-            "shinjuku", ShinjukuConfig(workers=2))
-        inline = load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
-                            system_name="shinjuku",
-                            on_event=SweepProgress())
-        executed = load_sweep(factory, RATES, Fixed(us(2.0)), _config(),
-                              system_name="shinjuku",
-                              executor=make_executor(jobs=1,
-                                                     on_event=SweepProgress()))
+    def test_inline_matches_executor_results(self, inline_sweeps, streamed):
+        inline = inline_sweeps.results["first"]
         assert metrics_digest([p.metrics for p in inline.points]) == \
-            metrics_digest([p.metrics for p in executed.points])
+            metrics_digest(streamed(1).results)
 
 
 class TestFigureStream:

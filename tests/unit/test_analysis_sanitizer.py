@@ -166,6 +166,17 @@ class TestRequestConservation:
         assert not report.drained
         assert report.in_flight == 1
 
+    def test_cancelled_straggler_does_not_hide_a_leak(self):
+        """A cancelled timer still queued is no live event: the
+        schedule counts as drained and the stuck request as leaked."""
+        sim = SanitizedSimulator()
+        request = Request(service_ns=us(1.0))
+        request.state = RequestState.QUEUED
+        sim.track_request(request)
+        sim.timeout(5.0).cancel()
+        with pytest.raises(SanitizerError, match="leaked"):
+            sim.finalize()
+
     def test_terminated_requests_pass_after_drain(self):
         sim = SanitizedSimulator()
         completed = Request(service_ns=us(1.0))

@@ -1,8 +1,7 @@
 """Cancellation memory-retention regression tests.
 
-The engine removes cancelled Timeouts from the timer wheel eagerly and
-compacts lazily-cancelled near-heap/overflow stragglers once they
-dominate.  Before that fix, a cancel-heavy arm/cancel loop (retry
+The engine skips cancelled entries at dispatch and compacts them out
+of the heap once they dominate it.  Before that fix, a cancel-heavy arm/cancel loop (retry
 timers, watchdogs) grew the schedule without bound: every cancelled
 entry sat in the heap until its original deadline arrived.
 """
@@ -10,33 +9,22 @@ entry sat in the heap until its original deadline arrived.
 import pytest
 
 from repro.sim.engine import Simulator, _COMPACT_MIN
-from repro.sim.wheel import GRANULARITY
 
 
 class TestCancelledEntriesAreReclaimed:
-    def test_wheel_resident_cancel_is_eager(self):
-        """A cancelled far-future Timeout leaves the schedule at
-        cancel time, not at its deadline."""
-        sim = Simulator()
-        ev = sim.timeout(10 * GRANULARITY)  # far enough to ride the wheel
-        assert sim.pending_count() == 1
-        assert ev.cancel() is True
-        assert sim.pending_count() == 0
-
     def test_arm_cancel_loop_keeps_pending_bounded(self):
         """The retry-timer pattern: arm a guard, cancel it, repeat.
         Pending entries must stay O(compaction window), not O(loop)."""
         sim = Simulator()
         high_water = 0
         for i in range(20_000):
-            # Cycle through near-heap, L0/L1, and overflow residency.
-            delay = (float(i % 7), 10 * GRANULARITY,
-                     300 * GRANULARITY, 1e12)[i % 4]
+            # Near, mid-range and far-future deadlines alike.
+            delay = (float(i % 7), 163_840.0, 4_915_200.0, 1e12)[i % 4]
             sim.timeout(delay).cancel()
             high_water = max(high_water, sim.pending_count())
-        # Near heap and overflow each tolerate up to a compaction
-        # window of dead entries before rebuilding.
-        assert high_water <= 4 * _COMPACT_MIN
+        # The heap tolerates one compaction window of dead entries
+        # before rebuilding.
+        assert high_water <= _COMPACT_MIN + 1
         sim.run()
         assert sim.pending_count() == 0
 
@@ -45,7 +33,7 @@ class TestCancelledEntriesAreReclaimed:
         fired = []
         live = sim.timeout(5.0)
         live.callbacks.append(lambda _e: fired.append("live"))
-        for delay in (1.0, 5.0, 2 * GRANULARITY, 1e12):
+        for delay in (1.0, 5.0, 32_768.0, 1e12):
             dead = sim.timeout(delay)
             dead.callbacks.append(lambda _e: fired.append("dead"))
             assert dead.cancel() is True
@@ -68,8 +56,8 @@ class TestCancelledEntriesAreReclaimed:
         assert sim.pending_count() == 0
 
     def test_cancel_after_partial_run(self):
-        """Entries already drained into the near heap are skipped at
-        dispatch when cancelled mid-run."""
+        """Entries cancelled mid-run by a callback are skipped at
+        dispatch."""
         sim = Simulator()
         fired = []
         early = sim.timeout(1.0)
@@ -81,8 +69,8 @@ class TestCancelledEntriesAreReclaimed:
         sim.run()
         assert fired == ["tail"]
 
-    def test_run_drains_the_near_heap_cancel_count(self):
-        """run() must forget each cancelled near-heap entry it skips,
+    def test_run_drains_the_cancel_count(self):
+        """run() must forget each cancelled entry it skips,
         as step() does; a stale count would fire compaction on a heap
         that is mostly live."""
         sim = Simulator()
@@ -90,10 +78,10 @@ class TestCancelledEntriesAreReclaimed:
         for i in range(2 * _COMPACT_MIN):
             sim.timeout(float(i % 7)).cancel()
         # Below the compaction trigger: the dead entries stay queued.
-        assert sim._near_cancelled == 2 * _COMPACT_MIN
+        assert sim._cancelled == 2 * _COMPACT_MIN
         sim.run()
         assert all(ev.processed for ev in live)
-        assert sim._near_cancelled == 0
+        assert sim._cancelled == 0
 
 
 def _drain_with_step(sim):
@@ -105,19 +93,19 @@ def _drain_until_event(sim, last):
     sim.run_until_event(last)
 
 
-class TestNearCancelCount:
-    """The count that triggers near-heap compaction tracks the dead
-    entries still queued, whichever entry point drives the loop."""
+class TestCancelCount:
+    """The count that triggers compaction tracks the dead entries
+    still queued, whichever entry point drives the loop."""
 
     @staticmethod
     def _arm(sim):
-        """Queue live and cancelled near-heap entries, both Timeouts
-        and plain events, below the compaction trigger."""
+        """Queue live and cancelled entries, both Timeouts and plain
+        events, below the compaction trigger."""
         live = [sim.timeout(float(i % 7)) for i in range(4 * _COMPACT_MIN)]
         for i in range(_COMPACT_MIN):
             sim.timeout(float(i % 7)).cancel()
             sim.event().succeed(delay=float(i % 5)).cancel()
-        assert sim._near_cancelled == 2 * _COMPACT_MIN
+        assert sim._cancelled == 2 * _COMPACT_MIN
         last = sim.timeout(8.0)
         return live + [last]
 
@@ -131,7 +119,7 @@ class TestNearCancelCount:
         live = self._arm(sim)
         drain(sim, live[-1])
         assert all(ev.processed for ev in live)
-        assert sim._near_cancelled == 0
+        assert sim._cancelled == 0
 
     def test_partial_run_leaves_count_of_dead_entries_queued(self):
         sim = Simulator()
@@ -139,12 +127,12 @@ class TestNearCancelCount:
         sim.run(until=2.5)
         dead = sum(1 for entry in sim._heap if entry[2].cancelled)
         assert dead > 0
-        assert sim._near_cancelled == dead
+        assert sim._cancelled == dead
 
     def test_compaction_fires_only_on_a_mostly_dead_heap(self):
         """A retry-guard loop that arms a near timeout per request and
         cancels most of them: every compaction must find more than half
-        the near heap dead, as its trigger intends."""
+        the heap dead, as its trigger intends."""
         fractions = []
 
         class Recording(Simulator):
@@ -168,4 +156,4 @@ class TestNearCancelCount:
         sim.run()
         assert fractions, "the loop should trigger compaction"
         assert min(fractions) > 0.5
-        assert sim._near_cancelled == 0
+        assert sim._cancelled == 0

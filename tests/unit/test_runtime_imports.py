@@ -79,6 +79,18 @@ print(json.dumps(sorted(sys.modules)))
 #: The same point through a two-worker pool.
 POOL_PROBE = SWEEP_PROBE.replace("jobs=1", "jobs=2")
 
+#: A Shinjuku point after the offload point: the two systems of the
+#: paper's figures, looked up by name.
+FIGURE_SYSTEMS_PROBE = SWEEP_PROBE.replace(
+    "print(", """load_sweep(ConfiguredFactory.by_name("shinjuku"), [1e5],
+           Fixed(us(1.0)), RunConfig(horizon_ns=ms(0.2), warmup_ns=ms(0.05)),
+           executor=SweepExecutor(jobs=1))
+print(""")
+
+#: Modules only the baselines the figures do not run need.
+BASELINE_ONLY = ("repro.systems.rss_system", "repro.net.rss",
+                 "repro.net.flow_director", "repro.core.ideal")
+
 #: Building what perfbench's set-up builds: an executor over a result
 #: cache, and a progress ledger beside it.
 SETUP_PROBE = """\
@@ -203,6 +215,15 @@ def test_informational_cli_commands_load_no_model(argv):
     loaded = _run_probe(CLI_PROBE.format(argv=argv))
     assert "repro.cli" in loaded
     assert _model_modules(loaded) == []
+
+
+def test_lookup_by_name_loads_only_the_named_systems():
+    """A registry lookup imports the module of the system it names,
+    not every system's."""
+    loaded = _run_probe(FIGURE_SYSTEMS_PROBE)
+    assert {"repro.systems.shinjuku",
+            "repro.systems.shinjuku_offload"} <= loaded
+    assert [name for name in BASELINE_ONLY if name in loaded] == []
 
 
 def test_pool_sweep_imports_the_model_before_forking():

@@ -171,7 +171,7 @@ class TestTimeoutAt:
 
 class TestNanDelays:
     """NaN (and negative) delays fail at the call site with
-    SchedulingError instead of deep inside the timer wheel."""
+    SchedulingError instead of deep inside the schedule heap."""
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0])
     def test_timeout(self, sim, bad):

@@ -65,8 +65,8 @@ class TestBasicExecution:
         """The three places a sleep is pushed — inline after an Event
         wait (``_resume``), after a sleep (``_wake``) and the slow path
         for other reals (``_wait_on``) — order same-instant ties and
-        count events exactly as ``yield sim.timeout(d)``, on the near
-        heap, the wheel and its overflow alike.  Process ``t`` always
+        count events exactly as ``yield sim.timeout(d)``, for short,
+        mid-range and far-future delays alike.  Process ``t`` always
         waits on Timeouts and ties with the sleepers at every step."""
         def trace(use_timeout):
             sim = Simulator()

@@ -47,6 +47,14 @@ class TestCatalog:
             assert entry.cls.name == entry.name
             assert entry.description  # one-liner required for `repro systems`
 
+    def test_module_table_matches_registrations(self):
+        """Each table entry's module registers exactly that name, and
+        no module registers a name the table lacks."""
+        for name, module in registry.SYSTEM_MODULES.items():
+            assert registry.get(name).cls.__module__ == module
+        assert [entry.name for entry in registry.list_systems()] == \
+            sorted(registry.SYSTEM_MODULES)
+
     def test_unknown_name_lists_known_systems(self):
         with pytest.raises(ConfigError, match="registered systems"):
             registry.get("shinjuku-typo")
