@@ -30,7 +30,6 @@ from repro.analysis.rules import (
     ALL_RULES,
     FileContext,
     Finding,
-    Rule,
     Severity,
 )
 from repro.errors import AnalysisError
@@ -157,16 +156,13 @@ class LintResult:
         return counts
 
 
-def lint_source(source: str, path: str = "<string>",
-                rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Every raw finding in *source*, before any suppression.
 
     A syntax error is reported as a single ``parse-error`` finding
     rather than raised, so one broken file cannot hide the rest of the
     run.
     """
-    if rules is None:
-        rules = ALL_RULES
     lines = tuple(source.splitlines())
     ctx = FileContext(path=path, source_lines=lines)
     try:
@@ -181,17 +177,16 @@ def lint_source(source: str, path: str = "<string>",
             path=path, line=lineno, col=(exc.offset or 1) - 1,
             source_line=ctx.line_text(lineno))]
     findings: List[Finding] = []
-    for rule in rules:
+    for rule in ALL_RULES:
         findings.extend(rule.check(module, ctx))
     findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
     return findings
 
 
 def lint_text(source: str, path: str = "<string>",
-              rules: Optional[Sequence[Rule]] = None,
               baseline: Optional[Baseline] = None) -> LintResult:
     """Lint one source string with inline + baseline suppression applied."""
-    raw = lint_source(source, path=path, rules=rules)
+    raw = lint_source(source, path=path)
     allowed = parse_suppressions(source.splitlines())
     baseline_fps = baseline.fingerprints if baseline is not None else set()
     result = LintResult(files_checked=1)
@@ -224,7 +219,6 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
 
 def lint_paths(paths: Sequence[Union[str, Path]],
                root: Optional[Union[str, Path]] = None,
-               rules: Optional[Sequence[Rule]] = None,
                baseline: Optional[Baseline] = None) -> LintResult:
     """Lint every ``.py`` file under *paths*.
 
@@ -249,7 +243,7 @@ def lint_paths(paths: Sequence[Union[str, Path]],
             source = file_path.read_text(encoding="utf-8")
         except OSError as exc:
             raise AnalysisError(f"cannot read {file_path}: {exc}") from exc
-        partial = lint_text(source, path=rel.as_posix(), rules=rules,
+        partial = lint_text(source, path=rel.as_posix(),
                             baseline=baseline)
         combined.findings.extend(partial.findings)
         combined.inline_suppressed += partial.inline_suppressed

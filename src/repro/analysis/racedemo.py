@@ -1,17 +1,11 @@
 """A deliberately tie-break-sensitive model: the planted race.
 
-Both prongs of the determinism race detector must demonstrably *catch*
-something, or a green run proves nothing.  This module is that
-something: :class:`RacyAccumulator` schedules two zero-delay handlers
-at the same instant whose effects do not commute, so
-
-- the **static pass** flags the pair as ``race/same-time-conflict``
-  (the injection self-test asserts this via
-  :func:`repro.analysis.racecheck.scan_paths`, which sees findings
-  *before* suppression — the inline allows below only keep the ordinary
-  ``repro lint`` run green), and
-- the **fuzzer** (``repro race --inject``) observes the order digest
-  diverging between tie-break permutations.
+The race detector must demonstrably *catch* something, or a green run
+proves nothing.  This module is that something:
+:class:`RacyAccumulator` schedules two zero-delay handlers at the same
+instant whose effects do not commute, so the fuzzer
+(``repro race --inject``) observes the order digest diverging between
+tie-break permutations.
 
 Nothing in the production tree imports this module.
 """
@@ -45,8 +39,8 @@ class RacyAccumulator:
         The planted race: two zero-delay callbacks into shared state,
         dispatched in whatever order the tie-break policy says.
         """
-        self.sim.defer(0.0, self._stir)  # repro: allow[race/same-time-conflict]
-        self.sim.defer(0.0, self._fold)  # repro: allow[race/same-time-conflict]
+        self.sim.defer(0.0, self._stir)
+        self.sim.defer(0.0, self._fold)
 
     def _stir(self) -> None:
         self.order.append("stir")

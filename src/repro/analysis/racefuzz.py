@@ -1,21 +1,19 @@
-"""The schedule-permutation fuzzer: the dynamic race-detector prong.
+"""The schedule-permutation fuzzer: the one tie-break race detector.
 
-``repro race`` replays each registered system under a family of seeded
-tie-break permutations (:func:`repro.sim.tiebreak.permutation_policy`)
-and compares the full metrics image of every permuted run against the
-identity (FIFO) run.  A system whose behavior does not depend on
-equal-timestamp dispatch order produces the same bits under every
-permutation; one that does is racing on a scheduling accident.
+``repro race`` replays each registered system on every workload in
+:data:`REPLAYS` under a family of seeded tie-break permutations
+(:func:`repro.sim.tiebreak.permutation_policy`) and compares the full
+metrics image of every permuted run against the identity (FIFO) run.
+A system whose behavior does not depend on equal-timestamp dispatch
+order produces the same bits under every permutation; one that does is
+racing on a scheduling accident.
 
-Fuzz runs execute the collector with ``exact_reductions`` on: float
-aggregates over symmetric workers use exactly rounded sums
-(:func:`math.fsum`), so when permuted workers merely swap which idle
-interval each one absorbed, the aggregate is a pure function of the
-interval multiset and the run certifies *invariant*.  The production
-path keeps its canonical-order summation (the published digests pin
-that rounding), which is deterministic but not reassociation-free —
-the fuzzer's job is to prove the underlying intervals, not the
-rounding order, are schedule-independent.
+A race shows only on a path a replay runs, so the replays cover: a
+clean light-load point, a clean bimodal point loaded enough to queue
+(so the Shinjuku family preempts on its slice and ZygOS workers steal),
+and a fault plan whose crash, stall, straggler, wire, feedback and
+recovery windows all fall inside the scale-0.05 horizon (workers stop
+being symmetric, and the recovery paths run).
 
 Verdict taxonomy
 ----------------
@@ -35,15 +33,14 @@ wolf, so each permuted run gets one of three verdicts:
 
 The identity permutation (index 0) replays the historical schedule by
 construction — the same events in the same order the golden suites pin
-— so the fuzzer can never move the baseline it judges against (its
-reported digests differ from production digests only where exact
-summation rounds differently than the canonical order).
+— so the fuzzer can never move the baseline it judges against: its
+identity digests are the production digests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
@@ -53,10 +50,15 @@ from repro.experiments.executor import (
     metrics_to_jsonable,
 )
 from repro.experiments.harness import RunConfig, run_point_with_events
+from repro.faults.plan import FaultPlan, parse_fault_spec
 from repro.sim.tiebreak import permutation_policy
 from repro.systems import registry
 from repro.units import us
-from repro.workload.distributions import Fixed
+from repro.workload.distributions import (
+    BIMODAL_FIG2,
+    Fixed,
+    ServiceTimeDistribution,
+)
 
 VERDICT_INVARIANT = "invariant"
 VERDICT_REASSOCIATED = "reassociated"
@@ -71,6 +73,37 @@ ABS_TOL = 1e-12
 #: Severity order for aggregating one system's outcomes.
 _VERDICT_RANK = {VERDICT_INVARIANT: 0, VERDICT_REASSOCIATED: 1,
                  VERDICT_DIVERGENT: 2}
+
+
+@dataclass(frozen=True)
+class Replay:
+    """One workload every system is replayed on."""
+
+    name: str
+    rate_rps: float
+    distribution: ServiceTimeDistribution
+    #: Fault scenario; None runs clean.
+    faults: Optional[FaultPlan] = None
+
+
+#: The workloads ``repro race`` replays, in report order.  Each system
+#: runs its default config.  600k RPS is just past the 3-worker
+#: Shinjuku plateau, so queues build, the Shinjuku family preempts and
+#: ZygOS workers steal.  The fault plan's windows (in microseconds) sit
+#: inside the scale-0.05 horizon of 500 us: worker 0 stalls over
+#: [150, 250), worker 2 straggles 6x slower over [150, 400), worker 1
+#: dies at 300, the fabric loses and reorders packets, the feedback
+#: plane loses and delays updates, and timeouts, retries and the
+#: staleness fallback recover.
+REPLAYS: Tuple[Replay, ...] = (
+    Replay("fixed-2us", 200e3, Fixed(us(2.0))),
+    Replay("bimodal", 600e3, BIMODAL_FIG2),
+    Replay("faults", 300e3, BIMODAL_FIG2, parse_fault_spec(
+        "crash=1@300,stall=0@150+100,straggle=2@150+250,"
+        "straggle-factor=6,link-loss=0.01,link-reorder=0.02,"
+        "feedback-loss=0.05,feedback-stale-us=2,timeout-us=150,"
+        "retries=2,stale-after-us=50")),
+)
 
 
 @dataclass(frozen=True)
@@ -95,24 +128,38 @@ class PermutationOutcome:
     diffs: Tuple[FieldDiff, ...] = ()
 
 
-@dataclass
-class SystemRaceReport:
-    """Everything one system's permutation sweep produced."""
+def _worst(verdicts) -> str:
+    """The most severe of *verdicts* (invariant when there are none)."""
+    return max(verdicts, key=_VERDICT_RANK.__getitem__,
+               default=VERDICT_INVARIANT)
 
-    system: str
-    rate_rps: float
-    permutations: int
+
+@dataclass
+class ReplayReport:
+    """One replay's permutation sweep of one system."""
+
+    replay: str
     identity_digest: str
     outcomes: List[PermutationOutcome] = field(default_factory=list)
 
     @property
     def verdict(self) -> str:
         """The worst verdict across permutations."""
-        worst = VERDICT_INVARIANT
-        for outcome in self.outcomes:
-            if _VERDICT_RANK[outcome.verdict] > _VERDICT_RANK[worst]:
-                worst = outcome.verdict
-        return worst
+        return _worst(outcome.verdict for outcome in self.outcomes)
+
+
+@dataclass
+class SystemRaceReport:
+    """Everything one system's permutation sweeps produced."""
+
+    system: str
+    permutations: int
+    replays: List[ReplayReport] = field(default_factory=list)
+
+    @property
+    def verdict(self) -> str:
+        """The worst verdict across replays."""
+        return _worst(replay.verdict for replay in self.replays)
 
     def ok(self, strict: bool = False) -> bool:
         """Does this system pass (reassociation tolerated unless
@@ -175,42 +222,52 @@ def compare_metrics_images(baseline: Dict[str, Any],
     return VERDICT_INVARIANT, (), ()
 
 
-def fuzz_system(name: str, permutations: int = 4, policy_seed: int = 0,
-                rate_rps: float = 200e3, service_us: float = 2.0,
-                scale: float = 0.1, run_seed: int = 42
-                ) -> SystemRaceReport:
-    """Permutation-sweep one registered system at one load point.
+def fuzz_replay(factory: ConfiguredFactory, replay: Replay,
+                permutations: int, policy_seed: int,
+                config: RunConfig) -> ReplayReport:
+    """Permutation-sweep the system *factory* builds on one replay
+    (*config*'s fault plan is replaced by the replay's)."""
+    config = replace(config, faults=replay.faults)
 
-    Runs the identity policy first (the historical schedule), then each
-    non-identity permutation, comparing full metrics images.  All runs
-    share the workload seed and use exactly rounded collector
-    reductions — only the equal-timestamp dispatch order varies.
+    def run(index: int):
+        metrics, _events = run_point_with_events(
+            factory, replay.rate_rps, replay.distribution, config,
+            tiebreak=permutation_policy(index, policy_seed))
+        return metrics
+
+    base_metrics = run(0)
+    base_image = metrics_to_jsonable(base_metrics)
+    report = ReplayReport(replay=replay.name,
+                          identity_digest=metrics_digest([base_metrics]))
+    for index in range(1, permutations):
+        metrics = run(index)
+        verdict, drifts, diffs = compare_metrics_images(
+            base_image, metrics_to_jsonable(metrics))
+        report.outcomes.append(PermutationOutcome(
+            index=index, digest=metrics_digest([metrics]),
+            verdict=verdict, drifts=drifts, diffs=diffs))
+    return report
+
+
+def fuzz_system(name: str, permutations: int = 4, policy_seed: int = 0,
+                scale: float = 0.1, run_seed: int = 42) -> SystemRaceReport:
+    """Permutation-sweep one registered system on every replay in
+    :data:`REPLAYS` (:func:`fuzz_replay` runs one).
+
+    Each replay runs the identity policy first (the historical
+    schedule), then each non-identity permutation, comparing full
+    metrics images.  All runs of a replay share the workload seed — only
+    the equal-timestamp dispatch order varies.
     """
     if permutations < 1:
         raise ExperimentError(
             f"need at least 1 permutation, got {permutations}")
     factory = ConfiguredFactory.by_name(name)
     config = RunConfig(seed=run_seed).scaled(scale)
-    distribution = Fixed(us(service_us))
-    identity = permutation_policy(0, policy_seed)
-    base_metrics, _events = run_point_with_events(
-        factory, rate_rps, distribution, config, tiebreak=identity,
-        exact_reductions=True)
-    base_image = metrics_to_jsonable(base_metrics)
-    report = SystemRaceReport(
-        system=name, rate_rps=rate_rps, permutations=permutations,
-        identity_digest=metrics_digest([base_metrics]))
-    for index in range(1, permutations):
-        policy = permutation_policy(index, policy_seed)
-        metrics, _events = run_point_with_events(
-            factory, rate_rps, distribution, config, tiebreak=policy,
-            exact_reductions=True)
-        image = metrics_to_jsonable(metrics)
-        verdict, drifts, diffs = compare_metrics_images(base_image, image)
-        report.outcomes.append(PermutationOutcome(
-            index=index, digest=metrics_digest([metrics]),
-            verdict=verdict, drifts=drifts, diffs=diffs))
-    return report
+    return SystemRaceReport(
+        system=name, permutations=permutations,
+        replays=[fuzz_replay(factory, replay, permutations, policy_seed,
+                             config) for replay in REPLAYS])
 
 
 def fuzz_all(names: Optional[Sequence[str]] = None,
@@ -235,9 +292,8 @@ def fuzz_injected(permutations: int = 4,
             f"the injection needs >= 2 permutations, got {permutations}")
     identity_digest = racedemo.run_injected(
         permutation_policy(0, policy_seed))
-    report = SystemRaceReport(
-        system="injected-race-demo", rate_rps=0.0,
-        permutations=permutations, identity_digest=identity_digest)
+    report = ReplayReport(replay="planted",
+                          identity_digest=identity_digest)
     for index in range(1, permutations):
         digest = racedemo.run_injected(
             permutation_policy(index, policy_seed))
@@ -248,4 +304,5 @@ def fuzz_injected(permutations: int = 4,
                                  digest[:16]),))
         report.outcomes.append(PermutationOutcome(
             index=index, digest=digest, verdict=verdict, diffs=diffs))
-    return report
+    return SystemRaceReport(system="injected-race-demo",
+                            permutations=permutations, replays=[report])

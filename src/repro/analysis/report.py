@@ -11,16 +11,14 @@ import json
 from typing import Dict, List
 
 from repro.analysis.lint import LintResult
-from repro.analysis.racecheck import RACE_RULES
 from repro.analysis.rules import ALL_RULES, Finding, Severity
 
 
 def render_rules() -> str:
     """The ``--list-rules`` table: id, severity, summary per rule."""
-    catalog = list(ALL_RULES) + list(RACE_RULES)
-    width = max(len(rule.rule_id) for rule in catalog)
+    width = max(len(rule.rule_id) for rule in ALL_RULES)
     lines = ["determinism lint rules:"]
-    for rule in catalog:
+    for rule in ALL_RULES:
         lines.append(f"  {rule.rule_id:{width}s}  "
                      f"{rule.severity.value:7s}  {rule.summary}")
     lines.append("")
@@ -95,12 +93,12 @@ def render_result_json(result: LintResult) -> str:
 
 
 def render_race_report(reports, strict: bool = False) -> str:
-    """The ``repro race`` table: one verdict line per system.
+    """The ``repro race`` table: one verdict line per system and replay.
 
     *reports* is a list of
     :class:`~repro.analysis.racefuzz.SystemRaceReport`.  Reassociated
-    systems list the drifting fields (float summation reassociation,
-    tolerated unless *strict*); divergent systems list the fields that
+    replays list the drifting fields (float summation reassociation,
+    tolerated unless *strict*); divergent replays list the fields that
     actually moved.
     """
     from repro.analysis.racefuzz import (
@@ -109,25 +107,31 @@ def render_race_report(reports, strict: bool = False) -> str:
     )
     lines: List[str] = []
     width = max((len(r.system) for r in reports), default=8)
+    replay_width = max((len(replay.replay) for r in reports
+                        for replay in r.replays), default=8)
     failed = 0
     for report in reports:
-        verdict = report.verdict
-        lines.append(f"  {report.system:{width}s}  "
-                     f"{report.permutations} permutations  "
-                     f"{verdict:12s}  identity "
-                     f"{report.identity_digest[:12]}")
-        for outcome in report.outcomes:
-            if outcome.verdict == VERDICT_REASSOCIATED:
-                for drift in outcome.drifts:
-                    lines.append(
-                        f"      perm {outcome.index}: {drift.field} "
-                        f"drifted {drift.baseline!r} -> "
-                        f"{drift.value!r} (within tolerance)")
-            elif outcome.verdict == VERDICT_DIVERGENT:
-                for diff in outcome.diffs[:4]:
-                    lines.append(
-                        f"      perm {outcome.index}: {diff.field} "
-                        f"DIVERGED {diff.baseline!r} -> {diff.value!r}")
+        system = report.system
+        for replay in report.replays:
+            lines.append(f"  {system:{width}s}  "
+                         f"{replay.replay:{replay_width}s}  "
+                         f"{report.permutations} permutations  "
+                         f"{replay.verdict:12s}  identity "
+                         f"{replay.identity_digest[:12]}")
+            system = ""
+            for outcome in replay.outcomes:
+                if outcome.verdict == VERDICT_REASSOCIATED:
+                    for drift in outcome.drifts:
+                        lines.append(
+                            f"      perm {outcome.index}: {drift.field} "
+                            f"drifted {drift.baseline!r} -> "
+                            f"{drift.value!r} (within tolerance)")
+                elif outcome.verdict == VERDICT_DIVERGENT:
+                    for diff in outcome.diffs[:4]:
+                        lines.append(
+                            f"      perm {outcome.index}: {diff.field} "
+                            f"DIVERGED {diff.baseline!r} -> "
+                            f"{diff.value!r}")
         if not report.ok(strict=strict):
             failed += 1
     if failed:

@@ -184,12 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated registry names (default: every "
              "registered system)")
     race_parser.add_argument(
-        "--rate", type=float, default=200e3, metavar="RPS",
-        help="offered load per replay (default: 200e3)")
-    race_parser.add_argument(
-        "--service-us", type=float, default=2.0, metavar="US",
-        help="fixed service time, microseconds (default: 2.0)")
-    race_parser.add_argument(
         "--scale", type=float, default=0.1,
         help="horizon scale factor per replay (default: 0.1)")
     race_parser.add_argument(
@@ -204,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     race_parser.add_argument(
         "--inject", action="store_true",
         help="self-test: run the planted race instead and require "
-             "BOTH prongs (static pass + fuzzer) to catch it")
+             "the fuzzer to catch it")
     race_parser.add_argument(
         "--sanitize", action="store_true",
         help="replay on the observation-only sanitizing simulator")
@@ -393,19 +387,17 @@ def _default_baseline_path() -> Optional[Path]:
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism lint; exit 0 only when nothing survives.
 
-    Per-file rules and the interprocedural ``race/*`` family run
-    together over the same path set, and a baseline entry whose finding
-    no longer exists fails the run (``--prune-baseline`` drops such
-    entries instead) so the sanctioned-findings ledger can never rot.
+    Every per-file rule runs over the path set, and a baseline entry
+    whose finding no longer exists fails the run (``--prune-baseline``
+    drops such entries instead) so the sanctioned-findings ledger can
+    never rot.
     """
     from repro.analysis.lint import Baseline, lint_paths
-    from repro.analysis.racecheck import build_race_rules
     from repro.analysis.report import (
         render_result,
         render_result_json,
         render_rules,
     )
-    from repro.analysis.rules import ALL_RULES
     if args.list_rules:
         print(render_rules())
         return 0
@@ -414,18 +406,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # Fingerprints are relative to the source root so they are stable
     # across checkouts; explicit paths fall back to their own parents.
     root = package_dir.parent if not args.paths else None
-    rules = list(ALL_RULES) + list(build_race_rules(paths, root=root))
     baseline_path = (Path(args.baseline) if args.baseline
                      else _default_baseline_path())
     if args.update_baseline:
-        result = lint_paths(paths, root=root, rules=rules, baseline=None)
+        result = lint_paths(paths, root=root, baseline=None)
         target = baseline_path or Path.cwd() / BASELINE_FILENAME
         Baseline.from_findings(result.findings).save(target)
         print(f"baseline: wrote {len(result.findings)} finding(s) to "
               f"{target}")
         return 0
     baseline = Baseline.load(baseline_path)
-    result = lint_paths(paths, root=root, rules=rules, baseline=baseline)
+    result = lint_paths(paths, root=root, baseline=baseline)
     if result.unused_baseline and args.prune_baseline:
         stale = result.unused_baseline
         baseline.entries = [entry for entry in baseline.entries
@@ -445,6 +436,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_race(args: argparse.Namespace) -> int:
     """Run the schedule-permutation fuzzer (or its injection self-test)."""
     from repro.analysis.racefuzz import (
+        REPLAYS,
         VERDICT_DIVERGENT,
         fuzz_all,
         fuzz_injected,
@@ -452,28 +444,17 @@ def _cmd_race(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_race_report
     _apply_sanitize_flag(args)
     if args.inject:
-        from repro.analysis import racedemo
-        from repro.analysis.racecheck import scan_paths
-        package_dir = Path(repro.__file__).resolve().parent
-        demo_path = Path(racedemo.__file__).resolve()
-        static_hits = [
-            finding for finding in scan_paths([demo_path],
-                                              root=package_dir.parent)
-            if finding.rule_id == "race/same-time-conflict"]
         report = fuzz_injected(permutations=args.permutations,
                                policy_seed=args.policy_seed)
-        dynamic_caught = report.verdict == VERDICT_DIVERGENT
-        print("race --inject (planted tie-break-sensitive schedule):")
-        print(f"  static prong   {len(static_hits)} "
-              f"race/same-time-conflict finding(s) in racedemo "
-              f"{'[caught]' if static_hits else '[MISSED]'}")
-        flipped = sum(1 for o in report.outcomes
+        outcomes = report.replays[0].outcomes
+        flipped = sum(1 for o in outcomes
                       if o.verdict == VERDICT_DIVERGENT)
-        print(f"  dynamic prong  {flipped}/{len(report.outcomes)} "
-              f"permutations diverged from identity "
-              f"{'[caught]' if dynamic_caught else '[MISSED]'}")
-        if static_hits and dynamic_caught:
-            print("injection caught by both prongs")
+        caught = report.verdict == VERDICT_DIVERGENT
+        print("race --inject (planted tie-break-sensitive schedule):")
+        print(f"  {flipped}/{len(outcomes)} permutations diverged from "
+              f"identity {'[caught]' if caught else '[MISSED]'}")
+        if caught:
+            print("injection caught by the fuzzer")
             return 0
         print("injection MISSED; the race detector is not detecting",
               file=sys.stderr)
@@ -482,14 +463,13 @@ def _cmd_race(args: argparse.Namespace) -> int:
               if name.strip()] if args.systems else None)
     start = time.perf_counter()  # repro: allow[wall-clock]
     reports = fuzz_all(names, permutations=args.permutations,
-                       policy_seed=args.policy_seed, rate_rps=args.rate,
-                       service_us=args.service_us, scale=args.scale,
+                       policy_seed=args.policy_seed, scale=args.scale,
                        run_seed=args.seed)
     elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
     print(f"schedule-permutation fuzz: {len(reports)} system(s), "
+          f"{len(REPLAYS)} replays ({', '.join(r.name for r in REPLAYS)}), "
           f"{args.permutations} permutations each, policy seed "
-          f"{args.policy_seed}, {args.rate / 1e3:.0f}k RPS, "
-          f"scale {args.scale:g}:")
+          f"{args.policy_seed}, scale {args.scale:g}:")
     print(render_race_report(reports, strict=args.strict))
     print(f"[race fuzz in {elapsed:.1f}s]")
     return 0 if all(r.ok(strict=args.strict) for r in reports) else 1

@@ -146,7 +146,6 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
                           clients: Optional[ClientPool] = None,
                           sanitize: Optional[bool] = None,
                           tiebreak: Optional[TieBreakPolicy] = None,
-                          exact_reductions: bool = False,
                           ) -> Tuple[RunMetrics, int]:
     """Run one point and return (metrics, simulator events executed).
 
@@ -167,11 +166,6 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
     results must be bit-identical under any policy for a system free of
     tie-break races.
 
-    ``exact_reductions`` runs the collector with exactly rounded
-    (:func:`math.fsum`) wait summation instead of the digest-pinned
-    canonical-order accumulation; the fuzzer enables it so float
-    reassociation cannot masquerade as a schedule race.
-
     The point's memory lives and dies with the call: cyclic GC is
     paused from building the simulator until the summary is taken, so
     the whole simulated machine sits in the young generation, and once
@@ -188,7 +182,7 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
     gc.disable()
     try:
         outcome = _run_point(factory, rate_rps, distribution, config,
-                             clients, sanitize, tiebreak, exact_reductions)
+                             clients, sanitize, tiebreak)
         if gc_was_enabled:
             gc.collect(0)
         return outcome
@@ -219,7 +213,7 @@ def load_model() -> tuple:
 def _run_point(factory: SystemFactory, rate_rps: float,
                distribution: ServiceTimeDistribution, config: RunConfig,
                clients: Optional[ClientPool], sanitize: Optional[bool],
-               tiebreak: Optional[TieBreakPolicy], exact_reductions: bool,
+               tiebreak: Optional[TieBreakPolicy],
                ) -> Tuple[RunMetrics, int]:
     """Build, run and summarize one point; only the outcome escapes."""
     (MetricsCollector, Simulator, RngRegistry, tiebreak_from_env,
@@ -240,8 +234,7 @@ def _run_point(factory: SystemFactory, rate_rps: float,
         sim = Simulator()
     if tiebreak is not None:
         sim.set_tiebreak(tiebreak)
-    metrics = MetricsCollector(sim, warmup_ns=config.warmup_ns,
-                               exact_reductions=exact_reductions)
+    metrics = MetricsCollector(sim, warmup_ns=config.warmup_ns)
     system = factory(sim, rngs, metrics)
     plan = config.faults
     if plan is not None and not plan.is_null:

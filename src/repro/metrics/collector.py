@@ -29,15 +29,11 @@ whole run.
 
 Floating-point reductions have one residual order sensitivity: summing
 per-worker wait totals left-to-right rounds differently when the same
-totals appear in a different order.  ``exact_reductions=True`` switches
-those sums to :func:`math.fsum` (exactly rounded, a pure function of
-the value multiset).  The schedule-permutation fuzzer (``repro race``)
-runs collectors in that mode, so systems whose workers swap idle
-intervals under equal-timestamp permutation — symmetric cores racing on
-a shared queue, as in rpcvalet — certify *invariant* rather than
-merely *reassociated*: the wait multiset provably does not depend on
-the schedule, and the production path's canonical-order sum is frozen
-only to keep the published digests stable.
+totals appear in a different order.  The canonical fold order fixes
+that order, and the published digests pin its rounding; a system whose
+workers took different waits under a tie-break permutation would show
+here, which is what the schedule-permutation fuzzer (``repro race``)
+checks on this very summation.
 """
 
 from __future__ import annotations
@@ -73,23 +69,14 @@ class MetricsCollector:
     scope:
         This node's position in the scope tree; defaults to a fresh
         run-level root.  Use :meth:`scoped` rather than passing one.
-    exact_reductions:
-        Sum per-worker wait totals with :func:`math.fsum` (exactly
-        rounded, order-insensitive) instead of the canonical-order
-        left-to-right accumulation.  The race fuzzer enables this so
-        symmetric-worker systems certify invariant; the default stays
-        off because the published metrics digests pin the historical
-        summation order.
     """
 
     def __init__(self, sim: "Simulator", warmup_ns: float = 0.0,
-                 scope: Optional[MetricScope] = None,
-                 exact_reductions: bool = False):
+                 scope: Optional[MetricScope] = None):
         if warmup_ns < 0:
             raise ExperimentError(f"negative warmup: {warmup_ns}")
         self.sim = sim
         self.warmup_ns = warmup_ns
-        self.exact_reductions = exact_reductions
         self.scope = scope if scope is not None else MetricScope(ROOT_SCOPE_NAME)
         #: Child collectors by scope name, in creation order.
         self._children: Dict[str, "MetricsCollector"] = {}
@@ -124,8 +111,7 @@ class MetricsCollector:
         child = self._children.get(name)
         if child is None:
             child = MetricsCollector(self.sim, warmup_ns=self.warmup_ns,
-                                     scope=self.scope.child(name),
-                                     exact_reductions=self.exact_reductions)
+                                     scope=self.scope.child(name))
             self._children[name] = child
         return child
 
@@ -340,16 +326,10 @@ class MetricsCollector:
     def _sum_waits(self, waits: List[float]) -> float:
         """Reduce per-worker wait totals to one number.
 
-        Default: left-to-right accumulation over the canonical fold
-        order — bit-identical to the historical flat collector, which
-        the published metrics digests pin.  ``exact_reductions``
-        switches to :func:`math.fsum` (exactly rounded, a pure function
-        of the wait multiset) so the race fuzzer can certify that only
-        summation order, never the underlying intervals, depends on the
-        schedule.
+        Left-to-right accumulation over the canonical fold order —
+        bit-identical to the historical flat collector, which the
+        published metrics digests pin.
         """
-        if self.exact_reductions:
-            return math.fsum(waits)
         total = 0.0
         for wait in waits:
             total += wait

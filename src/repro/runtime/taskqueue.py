@@ -59,7 +59,9 @@ class TaskQueue:
         self._fifo: Deque[Request] = deque()
         self._srpt: List[Tuple[float, int, Request]] = []
         self._tiebreak = itertools.count()
-        self._getters: Deque["Event"] = deque()
+        #: Blocked dequeues as ``(wait start, rank, event)``, in service
+        #: order.
+        self._getters: Deque[Tuple[float, int, "Event"]] = deque()
         self._deq_label = f"deq:{name}"
         #: Diagnostics.
         self.enqueued = 0
@@ -88,18 +90,17 @@ class TaskQueue:
         # Hand directly to a waiting dispatcher if any.
         getters = self._getters
         while getters:
-            getter = getters.popleft()
+            _since, _rank, getter = getters.popleft()
             if getter._state == 0:  # pending (avoid the property hop)
                 request.state = RequestState.QUEUED
                 stamps = request.stamps
                 if "queued" not in stamps:
                     stamps["queued"] = self.sim.now
                 self.enqueued += 1
-                # Same-instant handoffs to symmetric dispatch workers:
-                # acquitted by 'repro race' (digest-invariant across
-                # tie-break permutations up to float summation
-                # reassociation in worker wait accounting).
-                getter.succeed(request)  # repro: allow[race/zero-delay-shared]
+                # The head getter is fixed by the model, not by the tie
+                # order of the dequeue calls: the longest waiter, and
+                # among waiters since one instant the lowest rank.
+                getter.succeed(request)
                 return True
         container = (self._fifo if self.policy is QueuePolicy.FIFO
                      else self._srpt)
@@ -124,14 +125,27 @@ class TaskQueue:
 
     # -- dequeue ----------------------------------------------------------------
 
-    def dequeue(self) -> "Event":
-        """Event-valued removal of the head request (blocks while empty)."""
+    def dequeue(self, rank: int = 0) -> "Event":
+        """Event-valued removal of the head request (blocks while empty).
+
+        Blocked callers are served longest-waiting first; callers that
+        began waiting at one instant are served in *rank* order (a
+        worker passes its id), so which consumer gets the next request
+        never depends on the tie order of their calls.
+        """
         ev = self.sim.event(label=self._deq_label)
         ok, request = self.try_dequeue()
         if ok:
             ev.succeed(request)
-        else:
-            self._getters.append(ev)
+            return ev
+        now = self.sim.now
+        getters = self._getters
+        # Waits start in clock order, so ">= now" means "since now".
+        slot = len(getters)
+        while slot and getters[slot - 1][0] >= now \
+                and getters[slot - 1][1] > rank:
+            slot -= 1
+        getters.insert(slot, (now, rank, ev))
         return ev
 
     def try_dequeue(self) -> Tuple[bool, Optional[Request]]:
@@ -147,10 +161,10 @@ class TaskQueue:
 
     def cancel_dequeue(self, event: "Event") -> None:
         """Withdraw a pending :meth:`dequeue`."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
+        for entry in self._getters:
+            if entry[2] is event:
+                self._getters.remove(entry)
+                return
 
     def peek(self) -> Optional[Request]:
         """The request that would be dequeued next, or None."""

@@ -2,16 +2,18 @@
 
 :class:`Simulator` owns the clock and the schedule, one binary heap.
 Time is in nanoseconds (see :mod:`repro.units`).  Events scheduled
-for the same instant are processed in FIFO order of scheduling (a
-strictly increasing tie key breaks ties), which makes runs fully
-deterministic for a fixed seed.  Every push draws its key from one
-source, :attr:`Simulator._next_key`: ``itertools.count(1).__next__``
-for FIFO, or ``map(policy.key, count(1)).__next__`` once
+for the same instant and tie rank are processed in FIFO order of
+scheduling (a strictly increasing tie key breaks ties), which makes
+runs fully deterministic for a fixed seed.  Every push draws its key
+from one source, :attr:`Simulator._next_key`:
+``itertools.count(1).__next__`` for FIFO, or
+``map(policy.key, count(1)).__next__`` once
 :meth:`Simulator.set_tiebreak` installs a permutation policy.
 
 This module is the only one that knows how an entry is scheduled and
 dispatched: every push in the kernel goes through
-:meth:`Simulator._push`, and :meth:`Simulator.run`,
+:meth:`Simulator._push` (or, for a ranked entry,
+:meth:`Simulator._push_ranked`), and :meth:`Simulator.run`,
 :meth:`Simulator.step` and :meth:`Simulator.run_until_event` all
 dispatch through one loop.
 
@@ -22,7 +24,13 @@ its constant factors small without ever changing *what* is scheduled:
 
 - A schedule entry is the 3-tuple ``(when, key, item)``: tuple
   comparison orders by time, then by tie key, and never reaches the
-  item because keys are unique.
+  item because keys are unique.  A *ranked* entry
+  (:meth:`Simulator.defer_ranked`, :meth:`Simulator.timeout_ranked`) adds
+  ``rank * 2**64`` to its key.  Policy keys are below ``2**64``
+  and ordinary entries are rank 0, so at one instant every entry of a
+  lower rank dispatches first, and the tie-break policy orders only
+  entries of one rank: a rank is the model's own statement of which
+  same-instant step goes first.
 - The schedule is one ``heapq`` list.  Pending entries scale with
   processes and armed timers, not with the horizon: the heap never
   held more than 32 entries on full-scale fig2, 54 on full-scale fig6
@@ -73,7 +81,7 @@ from typing import Any, Callable, Generator, Iterator, Optional
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, _Sleep
-from repro.sim.tiebreak import FIFO, TieBreakPolicy
+from repro.sim.tiebreak import FIFO, TB_MASK, TieBreakPolicy
 
 #: Freelist bound per pool: big enough to absorb steady-state churn,
 #: small enough that an idle simulator holds no meaningful memory.
@@ -83,6 +91,10 @@ _POOL_CAP = 4096
 #: entries once more than this many are queued and they are the
 #: majority.
 _COMPACT_MIN = 64
+
+#: Key distance between two tie ranks: one more than the largest key a
+#: tie-break policy can draw.
+_RANK_SPAN = TB_MASK + 1
 
 
 class _Deferred:
@@ -212,6 +224,28 @@ class Simulator:
             raise SchedulingError(f"negative or NaN timeout delay: {delay}")
         return self._start_timeout(self.now + delay, value, label)
 
+    def timeout_ranked(self, delay: float, rank: int) -> Timeout:
+        """:meth:`timeout` at tie rank *rank* (see :meth:`_push_ranked`).
+
+        For a process whose wake-up must come before or after the other
+        steps of its instant, whatever the tie-break order.
+        """
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN timeout delay: {delay}")
+        pool = self._timeout_pool
+        if pool:
+            ev = pool.pop()
+        else:
+            ev = Timeout.__new__(Timeout)
+            ev.sim = self
+            ev.callbacks = []
+        ev._value = None
+        ev._ok = True
+        ev._state = 1
+        ev.label = ""
+        self._push_ranked(self.now + delay, rank, ev)
+        return ev
+
     def timeout_at(self, when: float, value: Any = None,
                    label: str = "") -> Timeout:
         """Create an event that fires at exactly absolute time *when*.
@@ -263,6 +297,20 @@ class Simulator:
             cell = _Deferred(func, args)
         self._push(self.now + delay, cell)
 
+    def defer_ranked(self, delay: float, rank: int,
+                     func: Callable[..., None], *args) -> None:
+        """:meth:`defer` at tie rank *rank* (see :meth:`_push_ranked`)."""
+        if not delay >= 0:  # also rejects NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
+        pool = self._deferred_pool
+        if pool:
+            cell = pool.pop()
+            cell.func = func
+            cell.args = args
+        else:
+            cell = _Deferred(func, args)
+        self._push_ranked(self.now + delay, rank, cell)
+
     def defer_at(self, when: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` at absolute time *when*; fire-and-forget.
 
@@ -280,10 +328,21 @@ class Simulator:
     def _push(self, when: float, item: Any) -> None:
         """Schedule *item* at absolute time *when* (kernel use).
 
-        The only code that builds a schedule entry.  Callers validate
-        *when* (never in the past, never NaN).
+        With :meth:`_push_ranked`, the only code that builds a schedule
+        entry.  Callers validate *when* (never in the past, never NaN).
         """
         heappush(self._heap, (when, self._next_key(), item))
+
+    def _push_ranked(self, when: float, rank: int, item: Any) -> None:
+        """:meth:`_push` at tie rank *rank* (rank 0 is :meth:`_push`).
+
+        At one instant every entry of a lower rank dispatches before any
+        entry of a higher one; the tie-break policy orders entries of
+        one rank only.  A rank states which same-instant step a model
+        needs to go first; it moves no timestamp.
+        """
+        heappush(self._heap,
+                 (when, rank * _RANK_SPAN + self._next_key(), item))
 
     def _cancel(self, event: Event) -> None:
         """Count *event*'s withdrawn entry (hook for Event.cancel).

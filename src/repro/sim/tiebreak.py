@@ -22,10 +22,15 @@ the historical FIFO order, pinned by the golden differential suites.
 ``repro race --permutations N`` replays runs under indices ``0..N-1``
 and asserts the metrics digest is invariant — turning "we believe FIFO
 ties don't matter" into a checked property (see
-:mod:`repro.analysis.racecheck`).
+:mod:`repro.analysis.racefuzz`).  Where a model's same-instant order
+does matter, it says so with a tie rank
+(:meth:`~repro.sim.engine.Simulator.defer_ranked`,
+:meth:`~repro.sim.engine.Simulator.timeout_ranked`), which no policy
+can reorder.
 
-Every push in the kernel goes through ``Simulator._push``, which draws
-its key from one source, ``Simulator._next_key``:
+Every push in the kernel goes through ``Simulator._push`` (or
+``Simulator._push_ranked``), which draws its key from one source,
+``Simulator._next_key``:
 ``map(policy.key, count(1))`` under a permutation, a plain ``count(1)``
 under the identity.  Keys are baked into the ``(when, key, item)``
 schedule tuple at push time, so the heap orders by them directly.

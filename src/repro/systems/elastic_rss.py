@@ -110,8 +110,12 @@ class ElasticRssSystem(BaseSystem):
         hash-and-queue policy.
         """
         config = self.config
+        timeout_ranked = self.sim.timeout_ranked
         while True:
-            yield config.epoch_ns
+            # Tie rank 1: the epoch samples the depths after every
+            # ordinary step at its boundary (a crash draining a queue,
+            # a stall ending there), whatever the tie-break order.
+            yield timeout_ranked(config.epoch_ns, 1)
             depths = [len(queue) for queue in self.queues]
             max_depth = max(depths)
             for i, depth in enumerate(depths):

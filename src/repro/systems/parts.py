@@ -58,18 +58,31 @@ SERVICE_IP = 0x0A00000A
 SERVICE_PORT = 9000
 
 
+#: Tie rank of a hand-off landing in a store a thread polls: below every
+#: ordinary step (rank 0), so a poll at the instant it lands sees it
+#: whatever the tie-break order.  With the default costs that is the
+#: order the identity schedule already gave it: the 450 ns hop was
+#: scheduled before the 65 ns dispatcher op that can end with it.
+LANDING_RANK = -1
+
+
 def deferred(sim: "Simulator", delay_ns: float,
-             fn: Callable[..., None], *args) -> None:
+             fn: Callable[..., None], *args, rank: int = 0) -> None:
     """Run ``fn(*args)`` after *delay_ns*; immediately when zero.
 
     The standard inter-thread/inter-core handoff: a positive hop cost
     becomes a scheduled callback, a zero hop stays synchronous so it
     adds no kernel event.  Passing the arguments through (rather than
     closing over them) lets hot callers reuse one bound method instead
-    of allocating a closure per message.
+    of allocating a closure per message.  A nonzero *rank* schedules
+    the callback at that tie rank (a landing passes
+    :data:`LANDING_RANK`).
     """
     if delay_ns > 0:
-        sim.defer(delay_ns, fn, *args)
+        if rank:
+            sim.defer_ranked(delay_ns, rank, fn, *args)
+        else:
+            sim.defer(delay_ns, fn, *args)
     else:
         fn(*args)
 
@@ -273,7 +286,7 @@ class HostShinjukuPipeline:
             thread.busy_ns += pkt_ns
             yield pkt_ns
             request.stamp("networker_done", sim.now)
-            deferred(sim, hop, arrive, request)
+            deferred(sim, hop, arrive, request, rank=LANDING_RANK)
 
     def _ingest_arrive(self, request: Request) -> None:
         self.ingest.try_put(request)
@@ -401,7 +414,7 @@ class HostShinjukuPipeline:
         message = NotifyMessage(worker_id=worker_id, outcome=outcome,
                                 request=request)
         deferred(self.sim, self.costs.interthread_hop_ns,
-                 self._notification_arrive, message)
+                 self._notification_arrive, message, rank=LANDING_RANK)
 
     def _notification_arrive(self, message: NotifyMessage) -> None:
         self.notifications.try_put(message)

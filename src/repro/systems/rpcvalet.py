@@ -97,9 +97,10 @@ class RpcValetSystem(BaseSystem):
         """
         thread = worker.thread
         hw_delay = self.config.assign_cost_ns + self.config.delivery_ns
+        worker_id = worker.worker_id
         while True:
             worker.begin_wait()
-            request = yield self.task_queue.dequeue()
+            request = yield self.task_queue.dequeue(worker_id)
             worker.end_wait()
             yield hw_delay
             yield thread.execute(self.costs.worker_rx_ns)

@@ -108,7 +108,16 @@ class WorkStealingSystem(BaseSystem):
     # -- workers with stealing -------------------------------------------------------
 
     def _worker_loop(self, worker: WorkerCore):
+        """Run the own queue, steal when it is empty, sleep when all are.
+
+        Same-instant order is stated with tie ranks: a woken worker
+        looks at rank 1, after every request that lands at its instant
+        (rank 0), and a thief's probe ends at rank ``2 + worker_id``,
+        so every owner pops its own queue before anyone steals and
+        thieves take what is left in worker-id order.
+        """
         my_queue = self.queues[worker.worker_id]
+        timeout_ranked = self.sim.timeout_ranked
         while True:
             ok, request = my_queue.try_get()
             if not ok:
@@ -118,6 +127,7 @@ class WorkStealingSystem(BaseSystem):
                 # Nothing anywhere: sleep until new work arrives.
                 worker.begin_wait()
                 yield self._work_signal.wait()
+                yield timeout_ranked(0.0, 1)
                 worker.end_wait()
                 continue
             yield from run_to_completion(self, worker, request)
@@ -132,9 +142,12 @@ class WorkStealingSystem(BaseSystem):
         """Probe remote queues round-robin; returns a request or None."""
         thread = worker.thread
         n = self.config.workers
+        probe_ns = self.config.probe_cost_ns
+        rank = 2 + worker.worker_id
+        timeout_ranked = self.sim.timeout_ranked
         for offset in range(1, n):
             victim = (worker.worker_id + offset) % n
-            yield thread.execute(self.config.probe_cost_ns)
+            yield timeout_ranked(thread.execute(probe_ns), rank)
             ok, request = self.queues[victim].try_get()
             if ok:
                 yield thread.execute(self.config.steal_cost_ns)

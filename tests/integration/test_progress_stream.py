@@ -12,6 +12,7 @@ tests that compare two runs read two different fixtures.
 """
 
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -189,10 +190,13 @@ class TestExecutorEventStream:
         assert [e.seq for e in persistent] == [e.seq for e in per_call]
 
     def test_batches_get_distinct_numbers(self):
+        # Batch numbering needs no measurement: one short point each.
         events = []
         executor = make_executor(jobs=1, on_event=events.append)
-        executor.run_points(_specs(label="first"))
-        executor.run_points(_specs(label="second"))
+        short = RunConfig(seed=42, horizon_ns=2e5, warmup_ns=4e4)
+        for label in ("first", "second"):
+            executor.run_points([replace(_specs(label=label)[0],
+                                         config=short)])
         assert {e.batch for e in events if e.label == "first"} == {0}
         assert {e.batch for e in events if e.label == "second"} == {1}
 

@@ -1,10 +1,12 @@
 """Integration tests for the schedule-permutation fuzzer.
 
-Pins the three verdicts on live examples: a tie-insensitive system is
-``invariant``, the symmetric-worker float-summation case is
-``reassociated`` (and nothing worse), and the planted race in
-``racedemo`` is ``divergent``.  Also covers the ``REPRO_TIEBREAK``
-environment seam the CI job uses.
+Pins the three verdicts: a tie-insensitive system is ``invariant``, an
+ulp-scale float drift is ``reassociated`` (and nothing worse), and the
+planted races — the same-instant pair in ``racedemo`` and an
+asymmetric consumer pair on one shared
+:class:`~repro.runtime.taskqueue.TaskQueue` built here — are
+``divergent``.  Every registered system must pass on every replay.
+Also covers the ``REPRO_TIEBREAK`` environment seam the CI job uses.
 """
 
 from __future__ import annotations
@@ -13,19 +15,43 @@ import pytest
 
 from repro.analysis.racedemo import run_injected
 from repro.analysis.racefuzz import (
+    REPLAYS,
     VERDICT_DIVERGENT,
     VERDICT_INVARIANT,
     VERDICT_REASSOCIATED,
+    PermutationOutcome,
+    Replay,
+    ReplayReport,
+    SystemRaceReport,
     compare_metrics_images,
     fuzz_injected,
+    fuzz_replay,
     fuzz_system,
 )
+from repro.config import HostMachineConfig
 from repro.errors import ExperimentError
 from repro.experiments.executor import ConfiguredFactory, metrics_digest
 from repro.experiments.harness import RunConfig, run_point_with_events
+from repro.runtime.taskqueue import TaskQueue
+from repro.runtime.worker import ExecutionOutcome
 from repro.sim.tiebreak import TIEBREAK_ENV, permutation_policy
+from repro.systems import registry
+from repro.systems.base import BaseSystem
+from repro.systems.parts import build_host_machine, spawn_worker_pool
 from repro.units import us
 from repro.workload.distributions import Fixed
+
+#: The light-load Fixed 2 us point at 400k RPS the invariance cases use.
+FIXED_400K = Replay("fixed-2us-400k", 400e3, Fixed(us(2.0)))
+
+#: The run config of the CI grid (``repro race --scale 0.05``).
+GRID_CONFIG = RunConfig(seed=42).scaled(0.05)
+
+
+def _fuzz(system, replay, permutations=4):
+    """One registered system's permutation sweep of one replay."""
+    return fuzz_replay(ConfiguredFactory.by_name(system), replay,
+                       permutations, 0, GRID_CONFIG)
 
 #: ``run_injected()`` under the identity tie-break.
 INJECTED_DIGEST = ("ef9019a6a52d0b8d7ca8ff9eae361ab1f0e575a8e10eaf2fa5ad7a29"
@@ -72,36 +98,101 @@ class TestCompareImages:
         assert verdict == VERDICT_DIVERGENT
         assert diffs[0].field == "samples"
 
+    def test_reassociation_passes_unless_strict(self):
+        replay = ReplayReport("r", "0", [
+            PermutationOutcome(1, "0", VERDICT_INVARIANT),
+            PermutationOutcome(2, "1", VERDICT_REASSOCIATED)])
+        report = SystemRaceReport("s", 3, [replay])
+        assert report.verdict == VERDICT_REASSOCIATED
+        assert report.ok()
+        assert not report.ok(strict=True)
+
+
+class _AsymmetricSharedQueue(BaseSystem):
+    """The planted zero-delay-shared race: two consumers of one
+    :class:`TaskQueue`, worker 0 slower, that declare no order between
+    them (both dequeue at rank 0).
+
+    Both start waiting at t = 0, so which of them the queue hands the
+    first request to is the tie order of their dequeue calls — and with
+    asymmetric consumers that choice shows in the metrics.
+    """
+
+    name = "planted-shared-taskqueue"
+    #: Dequeue at the worker id instead: the order the queue declares.
+    ranked = False
+
+    def __init__(self, sim, rngs, metrics):
+        super().__init__(sim, rngs, metrics)
+        host = HostMachineConfig()
+        self.costs = host.costs
+        self.machine = build_host_machine(sim, host)
+        self.task_queue = TaskQueue(sim, name="plant-q")
+        self.workers = spawn_worker_pool(sim, self.machine, 2, self.costs)
+
+    def _start(self):
+        for worker in self.workers:
+            worker.attach_process(self.sim.process(self._loop(worker)))
+
+    def _server_ingress(self, request):
+        self.task_queue.enqueue(request)
+
+    def _loop(self, worker):
+        extra_ns = 500.0 if worker.worker_id == 0 else 0.0
+        rank = worker.worker_id if self.ranked else 0
+        while True:
+            worker.begin_wait()
+            request = yield self.task_queue.dequeue(rank)
+            worker.end_wait()
+            yield extra_ns
+            outcome = yield from worker.run_request(request)
+            if outcome is ExecutionOutcome.FINISHED:
+                self.respond(request)
+
+
+class _RankedPlant(_AsymmetricSharedQueue):
+    ranked = True
+
 
 class TestFuzzSystems:
+    @pytest.mark.parametrize("replay", REPLAYS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("system", sorted(registry.SYSTEM_MODULES))
+    def test_system_passes_replay(self, system, replay):
+        """The CI grid, one (system, replay) pair at a time."""
+        report = _fuzz(system, replay)
+        assert report.verdict != VERDICT_DIVERGENT, report.outcomes
+
+    def test_asymmetric_shared_taskqueue_plant_diverges(self):
+        report = fuzz_replay(ConfiguredFactory(_AsymmetricSharedQueue),
+                             REPLAYS[0], 4, 0, GRID_CONFIG)
+        assert report.verdict == VERDICT_DIVERGENT
+
+    def test_dequeue_rank_orders_the_plant(self):
+        """The same consumers with their ids as dequeue ranks: the
+        queue, not the tie order, picks who is served first."""
+        report = fuzz_replay(ConfiguredFactory(_RankedPlant), REPLAYS[0],
+                             4, 0, GRID_CONFIG)
+        assert report.verdict == VERDICT_INVARIANT
+
     def test_shinjuku_is_invariant(self):
-        report = fuzz_system("shinjuku", permutations=3, scale=0.05,
-                             rate_rps=400e3)
+        report = _fuzz("shinjuku", FIXED_400K, permutations=3)
         assert report.verdict == VERDICT_INVARIANT
-        assert report.ok()
-        assert report.ok(strict=True)
         assert all(o.digest == report.identity_digest
                    for o in report.outcomes)
 
-    def test_rpcvalet_is_invariant_under_exact_reductions(self):
-        """Symmetric workers swap idle intervals under permutation; the
-        interval multiset is invariant, and with the fuzzer's exactly
-        rounded wait summation the full metrics image is bit-identical
-        — invariant, not merely reassociated."""
-        report = fuzz_system("rpcvalet", permutations=3, scale=0.05,
-                             rate_rps=400e3)
+    def test_rpcvalet_is_invariant(self):
+        report = _fuzz("rpcvalet", FIXED_400K, permutations=3)
         assert report.verdict == VERDICT_INVARIANT
-        assert report.ok()
-        assert report.ok(strict=True)
         assert all(o.digest == report.identity_digest
                    for o in report.outcomes)
 
-    def test_rpcvalet_wait_sum_reassociates_without_exact_reductions(self):
-        """The production path's canonical-order summation (pinned by
-        the published digests) is what used to read as 'reassociated':
-        permuted workers hand the same wait totals to the sum in a
-        different order and the last ulp moves.  Pin that diagnosis so
-        the digest-vs-invariance tradeoff stays documented."""
+    def test_rpcvalet_is_bit_identical_at_800k(self):
+        """The dequeue rank fixes which idle worker takes each request,
+        so permuted runs give every worker the same waits and the
+        canonical-order wait summation is bit-identical.  Before the
+        rank, a request went to whichever worker's dequeue call ran
+        first, and ``worker_wait_fraction`` moved in the last ulp
+        here."""
         from repro.experiments.executor import metrics_to_jsonable
         factory = ConfiguredFactory.by_name("rpcvalet")
         config = RunConfig(seed=7).scaled(0.1)
@@ -112,16 +203,13 @@ class TestFuzzSystems:
                 factory, 800e3, dist, config,
                 tiebreak=permutation_policy(index, 0))
             images.append(metrics_to_jsonable(metrics))
-        verdict, drifts, diffs = compare_metrics_images(*images)
-        assert verdict == VERDICT_REASSOCIATED
-        assert {d.field for d in drifts} == {"worker_wait_fraction"}
-        assert not diffs
+        assert compare_metrics_images(*images)[0] == VERDICT_INVARIANT
 
     def test_injection_diverges_every_permutation(self):
         report = fuzz_injected(permutations=4)
         assert report.verdict == VERDICT_DIVERGENT
         assert not report.ok()
-        assert [o.verdict for o in report.outcomes] \
+        assert [o.verdict for o in report.replays[0].outcomes] \
             == [VERDICT_DIVERGENT] * 3
 
     def test_injected_digest_under_default_order_is_pinned(
@@ -137,7 +225,8 @@ class TestFuzzSystems:
 
     def test_single_permutation_sweep_is_vacuously_invariant(self):
         report = fuzz_system("rss", permutations=1, scale=0.02)
-        assert report.outcomes == []
+        assert [replay.outcomes for replay in report.replays] \
+            == [[]] * len(REPLAYS)
         assert report.verdict == VERDICT_INVARIANT
 
 

@@ -95,6 +95,21 @@ class TestCli:
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--rate", "300e3"],
+                                      ["--service-us", "5"]],
+                             ids=["rate", "service-us"])
+    def test_race_has_no_single_load_point(self, capsys, flag):
+        """'repro race' runs its fixed replay tuple: the single-replay
+        load flags are gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["race"] + flag)
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_race_inject_is_caught_by_the_fuzzer(self, capsys):
+        assert main(["race", "--inject", "--permutations", "2"]) == 0
+        assert "caught by the fuzzer" in capsys.readouterr().out
+
 
 def _figure_lines(out):
     """The printed figure alone: the ``[progress ...]``, ``[executor:

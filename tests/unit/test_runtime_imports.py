@@ -31,7 +31,7 @@ FORBIDDEN = (
     "numpy",
     "repro.analysis.lint",
     "repro.analysis.rules",
-    "repro.analysis.callgraph",
+    "repro.analysis.racefuzz",
     "repro.analysis.report",
 )
 

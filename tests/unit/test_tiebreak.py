@@ -148,3 +148,24 @@ class TestEngineSeam:
                 sim.defer(delay, order.append, i)
             sim.run()
             assert order == [1, 3, 4, 2, 0]
+
+    def test_ranks_order_an_instant_under_every_policy(self):
+        """At one instant every entry of a lower rank dispatches before
+        any entry of a higher one, whatever the policy; the policy only
+        orders entries of one rank."""
+        for policy in (FIFO, permutation_policy(1), permutation_policy(2)):
+            sim = Simulator()
+            sim.set_tiebreak(policy)
+            order = []
+
+            def resume(proc_rank):
+                yield sim.timeout_ranked(5.0, proc_rank)
+                order.append(("process", proc_rank))
+
+            for rank in (2, 1):
+                sim.process(resume(rank))
+                sim.defer_ranked(5.0, rank, order.append, ("defer", rank))
+            sim.defer(5.0, order.append, ("defer", 0))
+            sim.defer_ranked(5.0, -1, order.append, ("defer", -1))
+            sim.run()
+            assert [rank for _kind, rank in order] == [-1, 0, 1, 1, 2, 2]
