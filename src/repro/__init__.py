@@ -45,7 +45,6 @@ _EXPORTS = {
         # simulation kernel
         ("repro.sim.engine", ("Simulator",)),
         ("repro.sim.rng", ("RngRegistry",)),
-        ("repro.sim.trace", ("Tracer",)),
         # configuration
         ("repro.config", (
             "HostCosts", "ArmCosts", "OffloadWorkerCosts",

@@ -2,29 +2,22 @@
 
 Walks Python sources, runs every rule in
 :data:`repro.analysis.rules.ALL_RULES` over each file's AST, then
-subtracts two sanctioned escape hatches:
-
-- **inline suppressions** — ``# repro: allow[rule-id]`` (or a
-  comma-separated list, or ``allow[*]``) on the flagged line marks that
-  one site as reviewed-and-sanctioned;
-- **the baseline file** — a checked-in JSON list of finding
-  fingerprints (``.repro-lint-baseline.json`` at the repo root) for
-  legacy findings that are tracked but not yet fixed.  Fingerprints
-  hash the flagged source text, not line numbers, so unrelated edits do
-  not invalidate entries.
+subtracts the one sanctioned escape hatch: an inline suppression —
+``# repro: allow[rule-id]`` (or a comma-separated list, or
+``allow[*]``) on the flagged line marks that one site as
+reviewed-and-sanctioned.
 
 ``repro lint`` (see :mod:`repro.cli`) exits non-zero if anything
-survives both filters; CI runs it on every push.
+survives; CI runs it on every push.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.analysis.rules import (
     ALL_RULES,
@@ -36,9 +29,6 @@ from repro.errors import AnalysisError
 
 #: Inline suppression syntax: ``# repro: allow[rule-a, rule-b]``.
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
-
-#: Baseline schema version (bump on incompatible format changes).
-BASELINE_VERSION = 1
 
 
 def parse_suppressions(source_lines: Sequence[str]) -> Dict[int, Set[str]]:
@@ -65,83 +55,17 @@ def _is_suppressed(finding: Finding,
     return "*" in rule_ids or finding.rule_id in rule_ids
 
 
-class Baseline:
-    """The checked-in set of sanctioned finding fingerprints.
-
-    Each entry records the fingerprint plus human-facing context (rule,
-    path, flagged text, justification); only the fingerprint is used
-    for matching.
-    """
-
-    def __init__(self, entries: Optional[List[Dict[str, str]]] = None):
-        self.entries: List[Dict[str, str]] = list(entries or [])
-
-    @property
-    def fingerprints(self) -> Set[str]:
-        """The fingerprint set used for matching."""
-        return {entry["fingerprint"] for entry in self.entries
-                if "fingerprint" in entry}
-
-    @classmethod
-    def load(cls, path: Union[str, Path, None]) -> "Baseline":
-        """Read a baseline file; a missing path gives an empty baseline."""
-        if path is None:
-            return cls()
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise AnalysisError(f"unreadable baseline {path}: {exc}") from exc
-        if data.get("version") != BASELINE_VERSION:
-            raise AnalysisError(
-                f"baseline {path} has version {data.get('version')!r}; "
-                f"this linter writes version {BASELINE_VERSION}")
-        return cls(data.get("entries", []))
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding],
-                      justification: str = "baselined pre-existing "
-                      "finding; fix or justify before extending",
-                      ) -> "Baseline":
-        """A baseline accepting exactly *findings* (deduplicated)."""
-        entries: Dict[str, Dict[str, str]] = {}
-        for finding in findings:
-            entries.setdefault(finding.fingerprint, {
-                "fingerprint": finding.fingerprint,
-                "rule": finding.rule_id,
-                "path": finding.path,
-                "source": " ".join(finding.source_line.split()),
-                "justification": justification,
-            })
-        ordered = sorted(entries.values(),
-                         key=lambda e: (e["path"], e["rule"], e["source"]))
-        return cls(ordered)
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the baseline as stable, diff-friendly JSON."""
-        payload = {"version": BASELINE_VERSION, "entries": self.entries}
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
-
 @dataclass
 class LintResult:
     """Everything one lint run produced.
 
-    ``findings`` is what survived suppression — the failures.  The
-    tallies record how much was filtered and why, so the report can
-    show the full picture.
+    ``findings`` is what survived suppression — the failures;
+    ``inline_suppressed`` counts the sanctioned sites filtered out.
     """
 
     findings: List[Finding] = field(default_factory=list)
     inline_suppressed: int = 0
-    baseline_suppressed: int = 0
     files_checked: int = 0
-    #: Baseline fingerprints that matched nothing (stale entries).
-    unused_baseline: Set[str] = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
@@ -183,23 +107,16 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     return findings
 
 
-def lint_text(source: str, path: str = "<string>",
-              baseline: Optional[Baseline] = None) -> LintResult:
-    """Lint one source string with inline + baseline suppression applied."""
+def lint_text(source: str, path: str = "<string>") -> LintResult:
+    """Lint one source string with inline suppression applied."""
     raw = lint_source(source, path=path)
     allowed = parse_suppressions(source.splitlines())
-    baseline_fps = baseline.fingerprints if baseline is not None else set()
     result = LintResult(files_checked=1)
-    matched: Set[str] = set()
     for finding in raw:
         if _is_suppressed(finding, allowed):
             result.inline_suppressed += 1
-        elif finding.fingerprint in baseline_fps:
-            result.baseline_suppressed += 1
-            matched.add(finding.fingerprint)
         else:
             result.findings.append(finding)
-    result.unused_baseline = baseline_fps - matched
     return result
 
 
@@ -218,20 +135,16 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
 
 
 def lint_paths(paths: Sequence[Union[str, Path]],
-               root: Optional[Union[str, Path]] = None,
-               baseline: Optional[Baseline] = None) -> LintResult:
+               root: Optional[Union[str, Path]] = None) -> LintResult:
     """Lint every ``.py`` file under *paths*.
 
-    Finding paths (and therefore baseline fingerprints) are recorded
-    relative to *root* when given — pass the repo's ``src`` directory
-    so fingerprints are stable regardless of the absolute checkout
-    location or the current working directory.
+    Finding paths are recorded relative to *root* when given — pass
+    the repo's ``src`` directory so reports read the same regardless of
+    the absolute checkout location or the current working directory.
     """
     files = iter_python_files(paths)
     root_path = Path(root) if root is not None else None
-    baseline_fps = baseline.fingerprints if baseline is not None else set()
     combined = LintResult()
-    matched: Set[str] = set()
     for file_path in files:
         rel = file_path
         if root_path is not None:
@@ -243,13 +156,9 @@ def lint_paths(paths: Sequence[Union[str, Path]],
             source = file_path.read_text(encoding="utf-8")
         except OSError as exc:
             raise AnalysisError(f"cannot read {file_path}: {exc}") from exc
-        partial = lint_text(source, path=rel.as_posix(),
-                            baseline=baseline)
+        partial = lint_text(source, path=rel.as_posix())
         combined.findings.extend(partial.findings)
         combined.inline_suppressed += partial.inline_suppressed
-        combined.baseline_suppressed += partial.baseline_suppressed
         combined.files_checked += 1
-        matched.update(baseline_fps - partial.unused_baseline)
-    combined.unused_baseline = baseline_fps - matched
     combined.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return combined

@@ -1,8 +1,8 @@
 """Rendering lint results for terminals, CI logs, and tooling.
 
 Text output is the human/CI default; ``--format json`` emits a stable
-machine-readable document (rule ids, fingerprints, locations) so other
-tooling can diff lint runs or feed dashboards.
+machine-readable document (rule ids, locations) so other tooling can
+diff lint runs or feed dashboards.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ def render_rules() -> str:
                      f"{rule.severity.value:7s}  {rule.summary}")
     lines.append("")
     lines.append("suppress one site inline with '# repro: allow[rule-id]' "
-                 "(allow[*] for all rules);")
-    lines.append("track legacy findings in the baseline file via "
-                 "'repro lint --update-baseline'.")
+                 "(allow[*] for all rules).")
     return "\n".join(lines)
 
 
@@ -35,30 +33,21 @@ def _summary_line(result: LintResult) -> str:
     warnings = counts.get(Severity.WARNING, 0)
     return (f"{result.files_checked} files checked: "
             f"{errors} errors, {warnings} warnings, "
-            f"{result.inline_suppressed} inline-suppressed, "
-            f"{result.baseline_suppressed} baselined")
+            f"{result.inline_suppressed} inline-suppressed")
 
 
 def render_result(result: LintResult) -> str:
-    """Human-readable report: findings, stale-baseline notes, summary."""
+    """Human-readable report: findings, then a summary."""
     lines: List[str] = []
     for finding in result.findings:
         lines.append(finding.render())
-    if result.unused_baseline:
-        lines.append(
-            f"stale baseline: {len(result.unused_baseline)} entries "
-            "matched nothing (the findings were fixed); a stale "
-            "baseline fails the run — prune with --prune-baseline")
     lines.append(_summary_line(result))
-    if result.ok and not result.unused_baseline:
+    if result.ok:
         lines.append("determinism lint: clean")
-    elif result.ok:
-        lines.append("determinism lint: FAILED (stale baseline entries; "
-                     "prune with --prune-baseline)")
     else:
-        lines.append("determinism lint: FAILED (fix the findings above, "
-                     "add '# repro: allow[rule-id]' at reviewed sites, "
-                     "or baseline with --update-baseline)")
+        lines.append("determinism lint: FAILED (fix the findings above "
+                     "or add '# repro: allow[rule-id]' at reviewed "
+                     "sites)")
     return "\n".join(lines)
 
 
@@ -72,22 +61,15 @@ def _finding_to_jsonable(finding: Finding) -> Dict[str, object]:
         "line": finding.line,
         "col": finding.col,
         "source": finding.source_line,
-        "fingerprint": finding.fingerprint,
     }
 
 
 def render_result_json(result: LintResult) -> str:
-    """The same report as a stable JSON document.
-
-    ``ok`` is the CI gate: it goes false for surviving findings *and*
-    for stale baseline entries (which the text report flags too).
-    """
+    """The same report as a stable JSON document (``ok`` is the gate)."""
     return json.dumps({
-        "ok": result.ok and not result.unused_baseline,
+        "ok": result.ok,
         "files_checked": result.files_checked,
         "inline_suppressed": result.inline_suppressed,
-        "baseline_suppressed": result.baseline_suppressed,
-        "unused_baseline": sorted(result.unused_baseline),
         "findings": [_finding_to_jsonable(f) for f in result.findings],
     }, indent=2, sort_keys=True)
 

@@ -13,15 +13,13 @@ Each rule here has a stable id, a severity, a one-line summary, and a
 fix-it hint.  Rules are pluggable: subclass :class:`Rule`, implement
 :meth:`Rule.check`, and append an instance to :data:`ALL_RULES`.
 Findings can be silenced inline with ``# repro: allow[rule-id]`` on the
-flagged line, or via the checked-in baseline file (see
-``repro.analysis.lint``).
+flagged line (see ``repro.analysis.lint``).
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -66,19 +64,6 @@ class Finding:
     col: int
     source_line: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Hashes (rule, path, whitespace-normalized source text) — not
-        the line number — so unrelated edits that shift lines do not
-        invalidate baseline entries.  Identical flagged text twice in
-        one file shares a fingerprint and is baselined as one entry.
-        """
-        normalized = " ".join(self.source_line.split())
-        payload = f"{self.rule_id}|{self.path}|{normalized}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
         """``path:line:col: severity [rule-id] message`` plus the hint."""
         return (f"{self.path}:{self.line}:{self.col}: "
@@ -91,11 +76,11 @@ class Rule:
     """Base class for one lint rule.
 
     Subclasses set the four class attributes and implement
-    :meth:`check`; everything else (suppression, baselines, reporting)
+    :meth:`check`; everything else (suppression, reporting)
     is shared machinery in ``repro.analysis.lint``.
     """
 
-    #: Stable identifier used in ``allow[...]`` and baseline entries.
+    #: Stable identifier used in ``allow[...]`` and reports.
     rule_id: str = ""
     severity: Severity = Severity.ERROR
     #: One-line description shown by ``repro lint --list-rules``.

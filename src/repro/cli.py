@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.progress import ProgressLedger
 
 import repro
-from repro.analysis import BASELINE_FILENAME
 from repro.errors import ExperimentError, ReproError
 from repro.version import __version__
 
@@ -152,18 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: the installed "
              "repro package source)")
-    lint_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file of sanctioned findings (default: "
-             f"./{BASELINE_FILENAME} when present)")
-    lint_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write every current unsuppressed finding to the "
-             "baseline file and exit 0")
-    lint_parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop stale baseline entries (fingerprints no longer "
-             "emitted) instead of failing on them")
     lint_parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default: text)")
@@ -367,32 +354,13 @@ def _apply_sanitize_flag(args: argparse.Namespace) -> None:
         os.environ[SANITIZE_ENV] = "1"
 
 
-def _default_baseline_path() -> Optional[Path]:
-    """Where the checked-in baseline lives, if discoverable.
-
-    Prefers ``./.repro-lint-baseline.json`` (running from the repo
-    root, as CI does), falling back to the source checkout root
-    derived from the installed package (src layout).
-    """
-    cwd_baseline = Path.cwd() / BASELINE_FILENAME
-    if cwd_baseline.exists():
-        return cwd_baseline
-    package_root = Path(repro.__file__).resolve().parent
-    repo_baseline = package_root.parents[1] / BASELINE_FILENAME
-    if repo_baseline.exists():
-        return repo_baseline
-    return None
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism lint; exit 0 only when nothing survives.
 
-    Every per-file rule runs over the path set, and a baseline entry
-    whose finding no longer exists fails the run (``--prune-baseline``
-    drops such entries instead) so the sanctioned-findings ledger can
-    never rot.
+    Every per-file rule runs over the path set; only an inline
+    ``# repro: allow[rule-id]`` sanctions a finding.
     """
-    from repro.analysis.lint import Baseline, lint_paths
+    from repro.analysis.lint import lint_paths
     from repro.analysis.report import (
         render_result,
         render_result_json,
@@ -403,34 +371,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     package_dir = Path(repro.__file__).resolve().parent
     paths = [Path(p) for p in args.paths] or [package_dir]
-    # Fingerprints are relative to the source root so they are stable
-    # across checkouts; explicit paths fall back to their own parents.
+    # Paths are reported relative to the source root so reports read
+    # the same across checkouts; explicit paths keep their own form.
     root = package_dir.parent if not args.paths else None
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else _default_baseline_path())
-    if args.update_baseline:
-        result = lint_paths(paths, root=root, baseline=None)
-        target = baseline_path or Path.cwd() / BASELINE_FILENAME
-        Baseline.from_findings(result.findings).save(target)
-        print(f"baseline: wrote {len(result.findings)} finding(s) to "
-              f"{target}")
-        return 0
-    baseline = Baseline.load(baseline_path)
-    result = lint_paths(paths, root=root, baseline=baseline)
-    if result.unused_baseline and args.prune_baseline:
-        stale = result.unused_baseline
-        baseline.entries = [entry for entry in baseline.entries
-                            if entry.get("fingerprint") not in stale]
-        target = baseline_path or Path.cwd() / BASELINE_FILENAME
-        baseline.save(target)
-        print(f"baseline: pruned {len(stale)} stale entr"
-              f"{'y' if len(stale) == 1 else 'ies'} from {target}")
-        result.unused_baseline = set()
+    result = lint_paths(paths, root=root)
     if args.format == "json":
         print(render_result_json(result))
     else:
         print(render_result(result))
-    return 0 if result.ok and not result.unused_baseline else 1
+    return 0 if result.ok else 1
 
 
 def _cmd_race(args: argparse.Namespace) -> int:

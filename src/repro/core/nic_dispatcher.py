@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
     from repro.sim.events import Timeout
     from repro.sim.process import Process
-    from repro.sim.trace import Tracer
 
 
 class NicDispatcherPipeline:
@@ -79,8 +78,6 @@ class NicDispatcherPipeline:
         Worker-selection policy (default: the paper's).
     on_drop:
         Called when the bounded task queue rejects a request.
-    tracer:
-        Optional structured tracer.
     """
 
     DST_PORT_WORK = 9000  # UDP port workers listen for work on
@@ -93,8 +90,7 @@ class NicDispatcherPipeline:
                  queue_capacity: Optional[int] = None,
                  on_drop: Optional[Callable[[Request], None]] = None,
                  on_dispatch: Optional[Callable[[int], None]] = None,
-                 on_notify: Optional[Callable[[int], None]] = None,
-                 tracer: Optional["Tracer"] = None):
+                 on_notify: Optional[Callable[[int], None]] = None):
         if len(threads) != 3:
             raise SchedulingError(
                 f"the dispatcher pipeline needs 3 ARM threads, got {len(threads)}")
@@ -111,7 +107,6 @@ class NicDispatcherPipeline:
         #: scanner's execution-status estimates).
         self.on_dispatch = on_dispatch
         self.on_notify = on_notify
-        self.tracer = tracer
 
         self.task_queue = TaskQueue(sim, capacity=queue_capacity,
                                     name="nic-taskq")
@@ -191,10 +186,6 @@ class NicDispatcherPipeline:
                 self.dispatched += 1
                 if self.on_dispatch is not None:
                     self.on_dispatch(worker_id)
-                if self.tracer is not None:
-                    self.tracer.emit("nic-qm", "assign",
-                                     request=request.request_id,
-                                     worker=worker_id)
                 # Shared-memory hop to the packet-TX core.
                 self._hand_to_tx(request, worker_id)
                 continue
@@ -206,10 +197,6 @@ class NicDispatcherPipeline:
                 accepted = task_queue.enqueue(request)
                 if not accepted and self.on_drop is not None:
                     self.on_drop(request)
-                if self.tracer is not None:
-                    self.tracer.emit("nic-qm", "enqueue",
-                                     request=request.request_id,
-                                     accepted=accepted)
                 continue
             yield wait()
 
@@ -269,10 +256,6 @@ class NicDispatcherPipeline:
                 thread.busy_ns += tx_ns
                 yield tx_ns
                 transmit(build(request, worker_id))
-                if self.tracer is not None:
-                    self.tracer.emit("nic-tx", "send",
-                                     request=request.request_id,
-                                     worker=worker_id)
 
     def _flush_due(self, _flush: "Timeout") -> None:
         """The flush deadline beat the next packet: wake the TX core.
@@ -333,11 +316,6 @@ class NicDispatcherPipeline:
                 pass
             else:
                 self.completions += 1
-            if self.tracer is not None:
-                self.tracer.emit("nic-rx", "notify",
-                                 request=payload.request.request_id,
-                                 worker=payload.worker_id,
-                                 outcome=payload.outcome)
             fire()
 
     # -- diagnostics -------------------------------------------------------------------

@@ -161,10 +161,9 @@ def run_point_with_events(factory: SystemFactory, rate_rps: float,
 
     ``tiebreak`` installs an equal-timestamp ordering policy on the
     fresh simulator (see :mod:`repro.sim.tiebreak`); the default None
-    defers to ``REPRO_TIEBREAK`` (identity/FIFO when unset).  The
-    schedule-permutation fuzzer (``repro race``) drives this seam —
-    results must be bit-identical under any policy for a system free of
-    tie-break races.
+    keeps the identity (FIFO) order.  The schedule-permutation fuzzer
+    (``repro race``) drives this seam — results must be bit-identical
+    under any policy for a system free of tie-break races.
 
     The point's memory lives and dies with the call: cyclic GC is
     paused from building the simulator until the summary is taken, so
@@ -203,11 +202,10 @@ def load_model() -> tuple:
     from repro.metrics.collector import MetricsCollector
     from repro.sim.engine import Simulator
     from repro.sim.rng import RngRegistry
-    from repro.sim.tiebreak import tiebreak_from_env
     from repro.workload.arrivals import PoissonArrivals
     from repro.workload.generator import OpenLoopLoadGenerator
-    return (MetricsCollector, Simulator, RngRegistry, tiebreak_from_env,
-            PoissonArrivals, OpenLoopLoadGenerator)
+    return (MetricsCollector, Simulator, RngRegistry, PoissonArrivals,
+            OpenLoopLoadGenerator)
 
 
 def _run_point(factory: SystemFactory, rate_rps: float,
@@ -216,12 +214,10 @@ def _run_point(factory: SystemFactory, rate_rps: float,
                tiebreak: Optional[TieBreakPolicy],
                ) -> Tuple[RunMetrics, int]:
     """Build, run and summarize one point; only the outcome escapes."""
-    (MetricsCollector, Simulator, RngRegistry, tiebreak_from_env,
-     PoissonArrivals, OpenLoopLoadGenerator) = load_model()
+    (MetricsCollector, Simulator, RngRegistry, PoissonArrivals,
+     OpenLoopLoadGenerator) = load_model()
     if sanitize is None:
         sanitize = sanitize_enabled()
-    if tiebreak is None:
-        tiebreak = tiebreak_from_env()
     if sanitize:
         from repro.analysis.sanitizer import (
             SanitizedRngRegistry,
@@ -239,8 +235,7 @@ def _run_point(factory: SystemFactory, rate_rps: float,
     plan = config.faults
     if plan is not None and not plan.is_null:
         from repro.faults.injector import FaultInjector
-        injector = FaultInjector(sim, rngs, plan, metrics=metrics,
-                                 tracer=getattr(system, "tracer", None))
+        injector = FaultInjector(sim, rngs, plan, metrics=metrics)
         injector.attach(system)
     ingress = system.ingress
     if sanitize:

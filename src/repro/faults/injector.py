@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.packet import Packet
     from repro.runtime.worker import WorkerCore
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
     from repro.systems.base import BaseSystem
 
 #: Request states from which no fault action makes sense.
@@ -102,19 +101,14 @@ class FaultInjector:
         Run collector; gains the live :class:`FaultCounters` so the
         final :class:`~repro.metrics.summary.RunMetrics` carries a
         fault summary.
-    tracer:
-        Optional tracer; every fault and recovery action is emitted
-        under component ``"faults"``.
     """
 
     def __init__(self, sim: "Simulator", rngs: RngRegistry, plan: FaultPlan,
-                 metrics: Optional["MetricsCollector"] = None,
-                 tracer: Optional["Tracer"] = None):
+                 metrics: Optional["MetricsCollector"] = None):
         self.sim = sim
         self.rngs = rngs
         self.plan = plan
         self.metrics = metrics
-        self.tracer = tracer
         self.counters = FaultCounters()
         self.system: Optional["BaseSystem"] = None
         self.recovery: Optional[RecoveryManager] = None
@@ -162,7 +156,7 @@ class FaultInjector:
         if self.plan.recovery.active:
             self.recovery = RecoveryManager(
                 self.sim, system, self.plan.recovery, self.counters,
-                metrics=self.metrics, tracer=self.tracer)
+                metrics=self.metrics)
             system.recovery = self.recovery
         if self.plan.recovery.staleness_threshold_ns > 0:
             board = getattr(system, "status_board", None)
@@ -171,7 +165,7 @@ class FaultInjector:
                 dispatcher.policy = StalenessFallbackPolicy(
                     self.sim, dispatcher.policy, board,
                     self.plan.recovery.staleness_threshold_ns,
-                    counters=self.counters, tracer=self.tracer)
+                    counters=self.counters)
 
     def _restrict_queues(self, system: "BaseSystem", capacity: int) -> None:
         """Tighten every *work* queue reachable from *system*.
@@ -244,13 +238,10 @@ class FaultInjector:
         u -= plan.corrupt_prob
         if u < plan.reorder_prob:
             self.counters.link_reorders += 1
-            if self.tracer is not None:
-                self.tracer.emit("faults", "link_reorder", where=where,
-                                 delay_ns=plan.reorder_delay_ns)
             return "reorder", plan.reorder_delay_ns
         return "deliver", 0.0
 
-    def on_packet_lost(self, packet: "Packet", where: str, kind: str) -> None:
+    def on_packet_lost(self, packet: "Packet", kind: str) -> None:
         """Account a destroyed packet and route its payload to recovery.
 
         A lost request or response packet strands the request; it is
@@ -264,9 +255,6 @@ class FaultInjector:
             self.counters.link_corruptions += 1
         else:
             self.counters.link_drops += 1
-        if self.tracer is not None:
-            self.tracer.emit("faults", f"link_{kind}", where=where,
-                             packet=getattr(packet, "packet_id", None))
         payload = getattr(packet, "payload", None)
         request: Optional[Request] = None
         if isinstance(payload, (RequestPayload, ResponsePayload)):
@@ -284,7 +272,7 @@ class FaultInjector:
         if request is None or request.state in _TERMINAL:
             return
         if self.recovery is not None and self.recovery.can_retry(request):
-            self.recovery.schedule_retry(request, where=where)
+            self.recovery.schedule_retry(request)
         elif self.system is not None:
             self.system.drop(request, reason="fault")
 
@@ -320,8 +308,6 @@ class FaultInjector:
         if tracker is None or tracker.outstanding(worker_id) <= 0:
             return
         tracker.debit(worker_id)
-        if self.tracer is not None:
-            self.tracer.emit("faults", "credit_reclaim", worker=worker_id)
         signal = getattr(dispatcher, "_work_signal", None)
         if signal is not None:
             signal.fire()
@@ -334,8 +320,6 @@ class FaultInjector:
             return False
         if self._feedback_rng.random() < self.plan.feedback.loss_prob:
             self.counters.feedback_lost += 1
-            if self.tracer is not None:
-                self.tracer.emit("faults", "feedback_lost")
             return True
         return False
 
@@ -354,10 +338,6 @@ class FaultInjector:
         for wid, start_ns, duration_ns in self.plan.workers.stalls:
             if wid == worker_id and start_ns <= now < start_ns + duration_ns:
                 self.counters.worker_stalls += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "faults", "worker_stall", worker=worker_id,
-                        penalty_ns=start_ns + duration_ns - now)
                 return (start_ns + duration_ns) - now
         return 0.0
 
@@ -374,9 +354,6 @@ class FaultInjector:
         if worker.crashed:
             return
         self.counters.worker_crashes += 1
-        if self.tracer is not None:
-            self.tracer.emit("faults", "worker_crash", worker=worker_id,
-                             at_ns=self.sim.now)
         worker.crash()
         self.system.on_worker_crash(worker)
 

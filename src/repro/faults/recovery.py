@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultCounters
     from repro.metrics.collector import MetricsCollector
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
     from repro.systems.base import BaseSystem
 
 _TERMINAL = (RequestState.COMPLETED, RequestState.DROPPED)
@@ -46,14 +45,12 @@ class RecoveryManager:
 
     def __init__(self, sim: "Simulator", system: "BaseSystem",
                  plan: RecoveryPlan, counters: "FaultCounters",
-                 metrics: Optional["MetricsCollector"] = None,
-                 tracer: Optional["Tracer"] = None):
+                 metrics: Optional["MetricsCollector"] = None):
         self.sim = sim
         self.system = system
         self.plan = plan
         self.counters = counters
         self.metrics = metrics
-        self.tracer = tracer
         #: request_id -> wire-fault retries consumed.
         self._attempts: Dict[int, int] = {}
         #: request_id -> crashed-worker failover re-steers consumed.
@@ -89,10 +86,6 @@ class RecoveryManager:
             self.sim.defer(self.plan.timeout_ns, self._expire, request)
             return
         self.counters.timeouts += 1
-        if self.tracer is not None:
-            self.tracer.emit("faults", "timeout",
-                             request=request.request_id,
-                             state=request.state.value)
         self.system.drop(request, reason="timeout")
 
     # -- retry (wire faults) -----------------------------------------------
@@ -103,7 +96,7 @@ class RecoveryManager:
                 self._attempts.get(request.request_id, 0)
                 < self.plan.max_retries)
 
-    def schedule_retry(self, request: Request, where: str = "") -> None:
+    def schedule_retry(self, request: Request) -> None:
         """Re-inject *request* after exponential backoff, or drop it."""
         attempts = self._attempts.get(request.request_id, 0)
         if attempts >= self.plan.max_retries:
@@ -113,16 +106,12 @@ class RecoveryManager:
         self.counters.retries += 1
         delay = (self.plan.retry_backoff_ns
                  * self.plan.backoff_multiplier ** attempts)
-        if self.tracer is not None:
-            self.tracer.emit("faults", "retry", request=request.request_id,
-                             attempt=attempts + 1, where=where,
-                             backoff_ns=delay)
         self.sim.defer(delay, self._reinject, request)
 
     # -- failover (crashed workers) ------------------------------------------
 
-    def failover(self, request: Request, worker_id: int) -> None:
-        """Re-steer an orphan off crashed *worker_id*, or drop it.
+    def failover(self, request: Request) -> None:
+        """Re-steer an orphan off a crashed worker, or drop it.
 
         Bounded like retries; a plan with timeouts but zero retries
         still gets one failover re-steer per request — failover is the
@@ -137,9 +126,6 @@ class RecoveryManager:
             return
         self._failovers[request.request_id] = count + 1
         self.counters.failovers += 1
-        if self.tracer is not None:
-            self.tracer.emit("faults", "failover",
-                             request=request.request_id, worker=worker_id)
         self.sim.defer(self.plan.retry_backoff_ns, self._reinject, request)
 
     def _reinject(self, request: Request) -> None:
@@ -165,14 +151,12 @@ class StalenessFallbackPolicy(SchedulingPolicy):
 
     def __init__(self, sim: "Simulator", inner: SchedulingPolicy,
                  board: "CoreStatusBoard", staleness_ns: float,
-                 counters: Optional["FaultCounters"] = None,
-                 tracer: Optional["Tracer"] = None):
+                 counters: Optional["FaultCounters"] = None):
         self.sim = sim
         self.inner = inner
         self.board = board
         self.staleness_ns = staleness_ns
         self.counters = counters
-        self.tracer = tracer
         self._fallback = StrictRoundRobinPolicy()
 
     def select_worker(self, tracker: "OutstandingTracker",
@@ -181,8 +165,5 @@ class StalenessFallbackPolicy(SchedulingPolicy):
         if self.sim.now - freshest > self.staleness_ns:
             if self.counters is not None:
                 self.counters.stale_fallbacks += 1
-            if self.tracer is not None:
-                self.tracer.emit("faults", "stale_fallback",
-                                 age_ns=self.sim.now - freshest)
             return self._fallback.select_worker(tracker, request)
         return self.inner.select_worker(tracker, request)

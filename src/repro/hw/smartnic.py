@@ -161,10 +161,9 @@ class StingraySmartNic:
         extra_ns = 0.0
         injector = self.sim.fault_injector
         if injector is not None and injector.link_active:
-            where = f"nic:{self.name}"
-            verdict, extra_ns = injector.link_verdict(where)
+            verdict, extra_ns = injector.link_verdict(f"nic:{self.name}")
             if verdict not in ("deliver", "reorder"):
-                injector.on_packet_lost(packet, where=where, kind=verdict)
+                injector.on_packet_lost(packet, kind=verdict)
                 return
         fp = self._ports.get(packet.eth.dst.value)
         if fp is None:

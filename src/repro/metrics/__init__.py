@@ -1,1 +1,1 @@
-"""Measurement: latency reservoirs, summaries, run collectors."""
+"""Measurement: latency reservoirs, summaries, one flat collector per run."""

@@ -5,12 +5,12 @@ keep every sample and compute exact percentiles — no sketch error in
 the tail, which matters when the statistic of record is p99 ("we refer
 to the 99th percentile latency as the tail latency", §4).
 
-Reservoirs are mergeable (:class:`~repro.metrics.scope.MergeableCollector`):
-every reported statistic is a function of the sorted sample multiset,
-so folding two reservoirs is exactly equivalent to one reservoir having
-recorded both sample streams, regardless of recording or merge order.
-The sorted view is computed once per mutation epoch and cached; ``add``,
-``extend``, and ``merge_from`` all invalidate it.
+Every reported statistic is a function of the sorted sample multiset,
+so it does not depend on the order samples were recorded in: a
+tie-break permutation that swaps two same-instant completions cannot
+move it.  The sorted view
+is computed once per mutation epoch and cached; ``add`` and ``extend``
+invalidate it.
 
 The mean sums the sorted view in numpy's float64 pairwise order (see
 :func:`_pairwise_sum`), so every digest taken when this module used
@@ -71,24 +71,6 @@ class LatencyReservoir:
         """Record many samples at once."""
         self._samples.extend(values)
         self._sorted = None
-
-    # -- merging -----------------------------------------------------------
-
-    def merge_from(self, other: "LatencyReservoir") -> None:
-        """Fold *other*'s samples into this reservoir.
-
-        Equivalent to having recorded both sample streams into one
-        reservoir: every statistic reads from the sorted multiset, so
-        the result is bit-identical however the samples were split.
-        """
-        self._samples.extend(other._samples)
-        self._sorted = None
-
-    def merged(self, other: "LatencyReservoir") -> "LatencyReservoir":
-        """A new reservoir holding both inputs' samples."""
-        result = LatencyReservoir()
-        result._samples = self._samples + other._samples
-        return result
 
     def __len__(self) -> int:
         return len(self._samples)

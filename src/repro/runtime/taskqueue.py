@@ -159,10 +159,11 @@ class TaskQueue:
             return True, request
         return False, None
 
-    def cancel_dequeue(self, event: "Event") -> None:
-        """Withdraw a pending :meth:`dequeue`."""
+    def cancel_dequeue(self, rank: int) -> None:
+        """Withdraw the pending :meth:`dequeue` made with *rank*, if any
+        (the consumer behind it is gone)."""
         for entry in self._getters:
-            if entry[2] is event:
+            if entry[1] == rank:
                 self._getters.remove(entry)
                 return
 

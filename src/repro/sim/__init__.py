@@ -10,5 +10,4 @@ simpy, written from scratch for this reproduction.  The public surface:
   with support for interrupts (used to model preemption).
 - :mod:`~repro.sim.primitives` — FIFO stores and broadcast signals.
 - :mod:`~repro.sim.rng` — named, independently seeded random streams.
-- :mod:`~repro.sim.trace` — structured execution traces.
 """

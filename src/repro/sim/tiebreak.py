@@ -39,20 +39,13 @@ schedule tuple at push time, so the heap orders by them directly.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.errors import SimulationError
 
 #: Tie keys live in [0, 2**64): plenty of headroom above any realistic
 #: event count, and the affine mix is a bijection on this ring.
 TB_MASK = (1 << 64) - 1
-
-#: Environment variable carrying a policy spec (``"<index>"`` or
-#: ``"<index>:<seed>"``); read by the harness so parallel worker
-#: processes inherit the permutation, exactly like ``REPRO_SANITIZE``.
-TIEBREAK_ENV = "REPRO_TIEBREAK"
 
 
 @dataclass(frozen=True)
@@ -115,33 +108,3 @@ def permutation_policy(index: int, seed: int = 0) -> TieBreakPolicy:
     mult = int.from_bytes(digest[:8], "big") | 1
     add = int.from_bytes(digest[8:], "big")
     return TieBreakPolicy(mult=mult, add=add, index=index, seed=seed)
-
-
-def parse_tiebreak_spec(spec: str) -> TieBreakPolicy:
-    """Parse ``"<index>"`` or ``"<index>:<seed>"`` into a policy."""
-    text = spec.strip()
-    try:
-        if ":" in text:
-            index_text, seed_text = text.split(":", 1)
-            return permutation_policy(int(index_text), int(seed_text))
-        return permutation_policy(int(text))
-    except ValueError as exc:
-        raise SimulationError(
-            f"bad {TIEBREAK_ENV} spec {spec!r}; expected "
-            "'<index>' or '<index>:<seed>'") from exc
-
-
-def tiebreak_from_env(env: Optional[Dict[str, str]] = None
-                      ) -> Optional[TieBreakPolicy]:
-    """The policy ``REPRO_TIEBREAK`` asks for, or None when unset/empty.
-
-    *env* defaults to ``os.environ``.  An identity spec (``"0"``)
-    returns the identity policy object rather than None, so callers can
-    still distinguish "explicitly FIFO" from "unconfigured".
-    """
-    if env is None:
-        env = os.environ  # type: ignore[assignment]
-    value = env.get(TIEBREAK_ENV, "").strip()
-    if not value:
-        return None
-    return parse_tiebreak_spec(value)

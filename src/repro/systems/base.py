@@ -6,11 +6,9 @@ harness:
 - :meth:`BaseSystem.start` — spawn its processes (call before run);
 - :meth:`BaseSystem.ingress` — accept one client request (the load
   generator's callback);
-- completions/drops land in this system's *host scope*: a child of the
-  run-level :class:`~repro.metrics.collector.MetricsCollector` the
-  harness hands in.  Scoped recording rolls up, so the run-level
-  collector still sees everything (bit-identically — the golden suites
-  pin it), while per-host/per-worker breakdowns come for free.
+- completions/drops land in the run's
+  :class:`~repro.metrics.collector.MetricsCollector`, which the harness
+  hands in and summarizes.
 
 The client<->server wire (ToR switch + cables) is a fixed one-way
 latency charged on ingress and on the response, identical across
@@ -20,7 +18,7 @@ systems so comparisons isolate the server-side scheduling design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.metrics.collector import MetricsCollector
@@ -31,7 +29,6 @@ from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 #: One-way client<->server network latency (same rack, cut-through ToR).
 DEFAULT_CLIENT_WIRE_NS = us(1.0)
@@ -53,20 +50,14 @@ class BaseSystem:
 
     def __init__(self, sim: "Simulator", rngs: RngRegistry,
                  metrics: MetricsCollector,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
         if client_wire_ns < 0:
             raise SimulationError(f"negative client wire: {client_wire_ns}")
         self.sim = sim
         self.rngs = rngs
-        #: The run-level collector the harness owns (arrivals land
-        #: here; the fault injector pins its counters here).
-        self.run_metrics = metrics
-        #: This system's host scope — all completions/drops record
-        #: here and roll up into :attr:`run_metrics`.
-        self.metrics = metrics.scoped(self.name)
+        #: The run's collector: completions and drops record here.
+        self.metrics = metrics
         self.client_wire_ns = client_wire_ns
-        self.tracer = tracer
         self.workers: List[WorkerCore] = []
         self._started = False
         #: A :class:`~repro.faults.recovery.RecoveryManager`, installed
@@ -118,10 +109,6 @@ class BaseSystem:
         self.metrics.record_completion(request)
         if self.recovery is not None:
             self.recovery.note_complete(request)
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "complete",
-                             request=request.request_id,
-                             latency_ns=request.latency_ns)
 
     def drop(self, request: Request, reason: str = "overflow") -> None:
         """Record a dropped request, tagged with why it was dropped.
@@ -139,28 +126,18 @@ class BaseSystem:
         request.state = RequestState.DROPPED
         request.stamp("dropped", self.sim.now)
         self.metrics.record_drop(request, reason)
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "drop",
-                             request=request.request_id, reason=reason)
 
     # -- fault/recovery hooks ----------------------------------------------------
 
     def worker_failed(self, worker: WorkerCore, request: Request) -> None:
         """A crashed worker orphaned *request*: fail over or drop it."""
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "worker_failed",
-                             worker=worker.worker_id,
-                             request=request.request_id)
         if self.recovery is not None:
-            self.recovery.failover(request, worker.worker_id)
+            self.recovery.failover(request)
         else:
             self.drop(request, reason="fault")
 
     def on_worker_crash(self, worker: WorkerCore) -> None:
         """A worker core just died: stop steering new work to it."""
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "worker_crash",
-                             worker=worker.worker_id)
         tracker = getattr(self, "tracker", None)
         if (tracker is not None and hasattr(tracker, "mark_down")
                 and worker.worker_id < tracker.n_workers):

@@ -39,7 +39,6 @@ from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,8 @@ class ElasticRssSystem(BaseSystem):
     def __init__(self, sim: "Simulator", rngs: RngRegistry,
                  metrics: MetricsCollector,
                  config: Optional[ElasticRssConfig] = None,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
-        super().__init__(sim, rngs, metrics, client_wire_ns, tracer)
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
+        super().__init__(sim, rngs, metrics, client_wire_ns)
         self.config = config = (config if config is not None
                                 else ElasticRssConfig())
         self.costs = config.host.costs
@@ -128,8 +126,6 @@ class ElasticRssSystem(BaseSystem):
                 self.rss = RssSteering(n_queues=config.workers,
                                        weights=self._weights)
             self.rebalances += 1
-            if self.tracer is not None:
-                self.tracer.emit(self.name, "rebalance", depths=depths)
 
     # -- data path ------------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from repro.systems.shinjuku_offload import ShinjukuOffloadSystem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 
 def ideal_offload_config(workers: int = 4,
@@ -86,9 +85,8 @@ class IdealOffloadSystem(ShinjukuOffloadSystem):
                  metrics: MetricsCollector,
                  config: Optional[ShinjukuOffloadConfig] = None,
                  policy: Optional[SchedulingPolicy] = None,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
         if config is None:
             config = ideal_offload_config()
         super().__init__(sim, rngs, metrics, config=config, policy=policy,
-                         client_wire_ns=client_wire_ns, tracer=tracer)
+                         client_wire_ns=client_wire_ns)

@@ -34,7 +34,6 @@ from repro.systems.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,8 @@ class MicaSystem(BaseSystem):
     def __init__(self, sim: "Simulator", rngs: RngRegistry,
                  metrics: MetricsCollector,
                  config: Optional[MicaSystemConfig] = None,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
-        super().__init__(sim, rngs, metrics, client_wire_ns, tracer)
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
+        super().__init__(sim, rngs, metrics, client_wire_ns)
         self.config = config = (config if config is not None
                                 else MicaSystemConfig())
         self.costs = config.host.costs

@@ -45,9 +45,7 @@ from repro.sim.primitives import Signal, Store
 from repro.systems.base import NotifyMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.metrics.collector import MetricsCollector
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
     from repro.systems.base import BaseSystem
 
 #: IANA protocol number for UDP (what the steering hardware hashes).
@@ -207,23 +205,13 @@ class HostShinjukuPipeline:
                  policy: Optional[SchedulingPolicy] = None,
                  mailbox_depth: int = 1,
                  rx_ring_depth: int = RX_RING_DEPTH,
-                 tracer: Optional["Tracer"] = None,
-                 tracer_scope: Optional[str] = None,
-                 on_drop: Optional[Callable[[Request], None]] = None,
-                 metrics: Optional["MetricsCollector"] = None):
+                 on_drop: Optional[Callable[[Request], None]] = None):
         self.sim = sim
         self.costs = costs
         self.respond = respond
         self.on_drop = on_drop
         self.name = name
-        #: This pipeline's metric scope (a child of the owning system's
-        #: host scope) — per-shard breakdowns for sharded systems.  The
-        #: roll-up deduplicates workers, so registering the subset here
-        #: on top of the host-level registration never double-counts.
-        self.metrics = metrics
         self.policy = policy if policy is not None else CentralizedFifoPolicy()
-        self.tracer = tracer
-        self.tracer_scope = tracer_scope if tracer_scope is not None else name
         self.mailbox_depth = mailbox_depth
         # §4.1 pinning: networker + dispatcher share one physical core.
         self.networker_thread = machine.allocate_thread(f"{name}-networker")
@@ -244,8 +232,6 @@ class HostShinjukuPipeline:
     def attach_workers(self, workers: Sequence[WorkerCore]) -> None:
         """Bind the worker subset this pipeline dispatches to."""
         self.workers = list(workers)
-        if self.metrics is not None:
-            self.metrics.attach_workers(self.workers)
         self.mailboxes = [
             Store(self.sim, capacity=self.mailbox_depth,
                   name=f"{self.name}-mbox{i}")
@@ -362,9 +348,6 @@ class HostShinjukuPipeline:
         self.dispatched += 1
         deferred(self.sim, self.costs.interthread_hop_ns,
                  self.mailboxes[worker_id].try_put, request)
-        if self.tracer is not None:
-            self.tracer.emit(self.tracer_scope, "dispatch",
-                             request=request.request_id, worker=worker_id)
 
     # -- workers -------------------------------------------------------------------
 

@@ -86,7 +86,7 @@ def register_system(name: str, config: Optional[Type] = None,
     """Class decorator binding a served system to the registry.
 
     ``name`` is the public lookup key (it must match the class's
-    ``name`` attribute so traces, metrics labels, and registry lookups
+    ``name`` attribute so reports, metrics labels, and registry lookups
     agree); ``config`` is the dataclass :func:`build` validates
     explicit configs against; ``default_config`` overrides the default
     construction for systems whose canonical config is a preset rather
@@ -143,7 +143,7 @@ def build(name: str, sim: "Simulator", rngs: "RngRegistry",
     ``config_cls()``).  An explicit config must be an instance of the
     registered config class — a Shinjuku config can never silently
     drive an RSS dataplane.  Extra keyword arguments (``policy``,
-    ``tracer``, ``client_wire_ns``, ...) pass through to the
+    ``client_wire_ns``, ...) pass through to the
     constructor.
     """
     entry = get(name)

@@ -30,7 +30,6 @@ from repro.systems.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,8 @@ class RpcValetSystem(BaseSystem):
     def __init__(self, sim: "Simulator", rngs: RngRegistry,
                  metrics: MetricsCollector,
                  config: Optional[RpcValetConfig] = None,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
-        super().__init__(sim, rngs, metrics, client_wire_ns, tracer)
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
+        super().__init__(sim, rngs, metrics, client_wire_ns)
         self.config = config = (config if config is not None
                                 else RpcValetConfig())
         self.costs = config.host.costs
@@ -82,6 +80,12 @@ class RpcValetSystem(BaseSystem):
                 self._worker_loop(worker),
                 label=f"rpcvalet-worker{worker.worker_id}")
             worker.attach_process(process)
+
+    def on_worker_crash(self, worker: WorkerCore) -> None:
+        """A core that dies idle is still blocked on the queue: withdraw
+        its dequeue, so the next request goes to a live core."""
+        super().on_worker_crash(worker)
+        self.task_queue.cancel_dequeue(worker.worker_id)
 
     def _server_ingress(self, request: Request) -> None:
         request.stamp("nic_rx", self.sim.now)

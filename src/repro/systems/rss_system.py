@@ -35,7 +35,6 @@ from repro.systems.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,8 @@ class RssSystem(BaseSystem):
     def __init__(self, sim: "Simulator", rngs: RngRegistry,
                  metrics: MetricsCollector,
                  config: Optional[RssSystemConfig] = None,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
-        super().__init__(sim, rngs, metrics, client_wire_ns, tracer)
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
+        super().__init__(sim, rngs, metrics, client_wire_ns)
         self.config = config = (config if config is not None
                                 else RssSystemConfig())
         self.costs = config.host.costs

@@ -39,7 +39,6 @@ from repro.systems.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,8 @@ class ShardedShinjukuSystem(BaseSystem):
     def __init__(self, sim: "Simulator", rngs: RngRegistry,
                  metrics: MetricsCollector,
                  config: Optional[ShardedShinjukuConfig] = None,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
-        super().__init__(sim, rngs, metrics, client_wire_ns, tracer)
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
+        super().__init__(sim, rngs, metrics, client_wire_ns)
         self.config = config = (config if config is not None
                                 else ShardedShinjukuConfig())
         self.costs = config.host.costs
@@ -108,8 +106,7 @@ class ShardedShinjukuSystem(BaseSystem):
             self.workers.extend(shard_workers)
             shard = _Shard(sim, self.machine, self.costs,
                            respond=self.respond, name=f"shard{shard_index}",
-                           mailbox_depth=1, on_drop=self.drop,
-                           metrics=self.metrics.scoped(f"shard{shard_index}"))
+                           mailbox_depth=1, on_drop=self.drop)
             shard.attach_workers(shard_workers)
             self.shards.append(shard)
 

@@ -37,7 +37,6 @@ from repro.systems.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 
 @register_system(
@@ -55,9 +54,8 @@ class ShinjukuSystem(BaseSystem):
                  metrics: MetricsCollector,
                  config: Optional[ShinjukuConfig] = None,
                  policy: Optional[SchedulingPolicy] = None,
-                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 tracer: Optional["Tracer"] = None):
-        super().__init__(sim, rngs, metrics, client_wire_ns, tracer)
+                 client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS):
+        super().__init__(sim, rngs, metrics, client_wire_ns)
         self.config = config = (config if config is not None
                                 else ShinjukuConfig())
         self.costs = config.host.costs
@@ -66,8 +64,7 @@ class ShinjukuSystem(BaseSystem):
             sim, self.machine, self.costs, respond=self.respond,
             name=self.name, policy=policy,
             mailbox_depth=config.worker_mailbox_depth,
-            tracer=tracer, tracer_scope=self.name,
-            on_drop=self.drop, metrics=self.metrics)
+            on_drop=self.drop)
         self.workers = spawn_worker_pool(
             sim, self.machine, config.workers, self.costs,
             preemption=config.preemption)

@@ -54,7 +54,6 @@ from repro.systems.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.trace import Tracer
 
 #: UDP port the service listens on.
 SERVICE_PORT = 9000
@@ -74,9 +73,8 @@ class ShinjukuOffloadSystem(BaseSystem):
                  config: Optional[ShinjukuOffloadConfig] = None,
                  policy: Optional[SchedulingPolicy] = None,
                  client_wire_ns: float = DEFAULT_CLIENT_WIRE_NS,
-                 ddio: Optional[DdioModel] = None,
-                 tracer: Optional["Tracer"] = None):
-        super().__init__(sim, rngs, metrics, client_wire_ns, tracer)
+                 ddio: Optional[DdioModel] = None):
+        super().__init__(sim, rngs, metrics, client_wire_ns)
         self.config = config = (config if config is not None
                                 else ShinjukuOffloadConfig())
         #: Optional DDIO payload-placement model (§5.2).  When set, the
@@ -162,8 +160,7 @@ class ShinjukuOffloadSystem(BaseSystem):
             rx_port=self.notify_port, worker_macs=worker_macs,
             policy=policy, on_drop=self.drop,
             on_dispatch=(self.scanner.note_dispatch if self.scanner else None),
-            on_notify=(self.scanner.note_notify if self.scanner else None),
-            tracer=tracer)
+            on_notify=(self.scanner.note_notify if self.scanner else None))
 
     # -- lifecycle ---------------------------------------------------------------------------
 
@@ -214,9 +211,6 @@ class ShinjukuOffloadSystem(BaseSystem):
                 defer(hop, submit, request)
             else:
                 submit(request)
-            if self.tracer is not None:
-                self.tracer.emit(self.name, "networker",
-                                 request=request.request_id)
 
     # -- workers (Figure 1 steps ❸-❺) -----------------------------------------------------------
 
@@ -297,11 +291,8 @@ class ShinjukuOffloadSystem(BaseSystem):
     # -- uplink egress: responses leave the NIC toward the client --------------------------------
 
     def _uplink_egress(self, packet: Packet) -> None:
+        # Only responses leave the NIC toward the client in this
+        # topology; anything else is discarded.
         payload = packet.payload
         if isinstance(payload, ResponsePayload):
             self.respond(payload.request)
-            return
-        # Anything else leaving the NIC is unexpected in this topology.
-        if self.tracer is not None:
-            self.tracer.emit(self.name, "unexpected_egress",
-                             packet=packet.packet_id)

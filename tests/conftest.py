@@ -11,14 +11,6 @@ from repro.sim.rng import RngRegistry
 from repro.units import ms
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_tiebreak(monkeypatch):
-    """Strip ``REPRO_TIEBREAK`` so an ambient permutation spec (e.g. a
-    CI race job's environment) cannot skew golden digests; tests that
-    exercise the seam set it explicitly."""
-    monkeypatch.delenv("REPRO_TIEBREAK", raising=False)
-
-
 @pytest.fixture
 def sim() -> Simulator:
     """A fresh simulator."""

@@ -58,8 +58,7 @@ def run_chaos(name, spec, rate, config=None):
         system = registry.build(name, sim, rngs, collector)
     else:
         system = registry.build(name, sim, rngs, collector, config=config)
-    injector = FaultInjector(sim, rngs, plan, metrics=collector,
-                             tracer=getattr(system, "tracer", None))
+    injector = FaultInjector(sim, rngs, plan, metrics=collector)
     injector.attach(system)
     sim.watch_system(system)
     ingress = sim.tracking_ingress(system.ingress)
@@ -173,3 +172,28 @@ def test_timeout_reaper_bounds_scheduling_delay():
     # bounded: the p99 cannot sit far beyond deadline + service + wire.
     assert metrics.latency is not None
     assert metrics.latency.p99_ns < us(60.0)
+
+
+@pytest.mark.parametrize("name", sorted(PACKET_SYSTEMS))
+def test_lost_dispatch_packets_refund_their_credit(name):
+    """A request packet destroyed on its way to a worker VF never
+    produces the notification that debits its dispatcher credit; the
+    injector refunds it.  Under heavy wire loss, once the load stops and
+    every retry has played out, no worker may still hold a credit."""
+    plan = parse_fault_spec("link-loss=0.2,retries=4,timeout-us=300")
+    rngs = SanitizedRngRegistry(SEED)
+    sim = SanitizedSimulator(rngs=rngs)
+    collector = MetricsCollector(sim, warmup_ns=WARMUP)
+    system = registry.build(name, sim, rngs, collector)
+    injector = FaultInjector(sim, rngs, plan, metrics=collector)
+    injector.attach(system)
+    system.start()
+    OpenLoopLoadGenerator(
+        sim, system.ingress, PoissonArrivals(600e3), rngs, collector,
+        horizon_ns=HORIZON, distribution=DIST).start()
+    sim.run(until=HORIZON + ms(5.0), max_events=50_000_000)
+    tracker = system.dispatcher.tracker
+    assert injector.counters.link_drops > 0
+    assert [tracker.outstanding(w) for w in range(tracker.n_workers)] \
+        == [0] * tracker.n_workers
+    assert collector.completed_all > 0

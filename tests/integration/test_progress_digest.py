@@ -33,7 +33,7 @@ from repro.experiments.progress import (
 
 #: The committed golden: SHA-256 over the canonical JSON image of all
 #: eighteen full-scale fig2 points (seed 42).  Pinned since the bench
-#: harness landed; the scoped-collector refactor must not move it.
+#: harness landed; no refactor of the collector may move it.
 FIG2_DIGEST = ("6cf80a3c0fedef8715b493f77836c658"
                "819ecf6c218ea670038a054db6f00dbc")
 

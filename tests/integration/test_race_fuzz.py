@@ -6,7 +6,6 @@ planted races — the same-instant pair in ``racedemo`` and an
 asymmetric consumer pair on one shared
 :class:`~repro.runtime.taskqueue.TaskQueue` built here — are
 ``divergent``.  Every registered system must pass on every replay.
-Also covers the ``REPRO_TIEBREAK`` environment seam the CI job uses.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.experiments.executor import ConfiguredFactory, metrics_digest
 from repro.experiments.harness import RunConfig, run_point_with_events
 from repro.runtime.taskqueue import TaskQueue
 from repro.runtime.worker import ExecutionOutcome
-from repro.sim.tiebreak import TIEBREAK_ENV, permutation_policy
+from repro.sim.tiebreak import permutation_policy
 from repro.systems import registry
 from repro.systems.base import BaseSystem
 from repro.systems.parts import build_host_machine, spawn_worker_pool
@@ -212,11 +211,9 @@ class TestFuzzSystems:
         assert [o.verdict for o in report.replays[0].outcomes] \
             == [VERDICT_DIVERGENT] * 3
 
-    def test_injected_digest_under_default_order_is_pinned(
-            self, monkeypatch):
+    def test_injected_digest_under_default_order_is_pinned(self):
         """The demo's digest (SHA-256 over the JSON of its dispatch
         order and mix) is stable under the kernel's own tie-break."""
-        monkeypatch.delenv(TIEBREAK_ENV, raising=False)
         assert run_injected() == INJECTED_DIGEST
 
     def test_injection_needs_two_permutations(self):
@@ -230,21 +227,27 @@ class TestFuzzSystems:
         assert report.verdict == VERDICT_INVARIANT
 
 
-class TestEnvironmentSeam:
+class TestExplicitPolicyOnly:
+    """A run's tie-break order comes from its ``tiebreak=`` argument and
+    nothing else: no environment variable reaches the kernel.  The
+    planted race makes the order visible in the digest."""
+
     @staticmethod
     def _run_digest(tiebreak):
-        factory = ConfiguredFactory.by_name("rss")
-        config = RunConfig(seed=42).scaled(0.02)
+        factory = ConfiguredFactory(_AsymmetricSharedQueue)
         metrics, _events = run_point_with_events(
-            factory, 200e3, Fixed(us(2.0)), config, tiebreak=tiebreak)
+            factory, 200e3, Fixed(us(2.0)), GRID_CONFIG, tiebreak=tiebreak)
         return metrics_digest([metrics])
 
-    def test_env_spec_equals_explicit_policy(self, monkeypatch):
-        explicit = self._run_digest(permutation_policy(1))
-        monkeypatch.setenv(TIEBREAK_ENV, "1")
-        assert self._run_digest(None) == explicit
+    def test_environment_does_not_reorder_a_run(self, monkeypatch):
+        default = self._run_digest(None)
+        permuted = [self._run_digest(permutation_policy(i))
+                    for i in (1, 2, 3)]
+        assert any(digest != default for digest in permuted)
+        for spec in ("1", "2", "3"):
+            monkeypatch.setenv("REPRO_TIEBREAK", spec)
+            assert self._run_digest(None) == default
 
-    def test_env_unset_equals_identity(self, monkeypatch):
-        monkeypatch.delenv(TIEBREAK_ENV, raising=False)
+    def test_default_order_is_the_identity_policy(self):
         assert self._run_digest(None) \
             == self._run_digest(permutation_policy(0))

@@ -98,9 +98,16 @@ class TestPercentileProperties:
     @given(samples, samples)
     @settings(max_examples=40, deadline=None)
     def test_insertion_order_irrelevant(self, a, b):
+        """Every statistic reads the sorted multiset, so no recording
+        order (a tie-break permutation's, say) can move one."""
         r1 = LatencyReservoir()
         r1.extend(a + b)
         r2 = LatencyReservoir()
-        r2.extend(b + a)
-        for p in (50.0, 99.0):
+        for value in b + a:
+            r2.add(value)
+        for res in (r1, r2):
+            assert len(res) == len(a) + len(b)
+        assert r1.mean() == r2.mean()
+        assert (r1.minimum(), r1.maximum()) == (r2.minimum(), r2.maximum())
+        for p in (0.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0):
             assert r1.percentile(p) == r2.percentile(p)

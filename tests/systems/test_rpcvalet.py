@@ -82,3 +82,19 @@ class TestNoPreemptionWeakness:
                           self.HARSH, FAST)
         shinjuku = run_point(shinjuku_factory, load, self.HARSH, FAST)
         assert shinjuku.latency.p99_ns < valet.latency.p99_ns
+
+
+class TestCrashWhileIdle:
+    def test_idle_crash_strands_no_request(self):
+        """Worker 1 dies at 300 us with nothing to run.  Its blocked
+        dequeue is withdrawn, so no later request is handed to the dead
+        core and none needs failing over."""
+        from repro.faults.plan import parse_fault_spec
+        config = RunConfig(seed=42, faults=parse_fault_spec(
+            "crash=1@300,timeout-us=150,retries=2")).scaled(0.1)
+        metrics = run_point(_factory(RpcValetConfig()), 50e3,
+                            Fixed(us(2.0)), config)
+        assert metrics.faults.worker_crashes == 1
+        assert metrics.faults.failovers == 0
+        assert metrics.faults.drops_fault == 0
+        assert metrics.throughput.completed == metrics.throughput.generated

@@ -2,8 +2,8 @@
 
 Each rule gets a positive fixture (must flag), a negative fixture
 (must stay silent), and a suppression fixture (flag silenced by
-``# repro: allow[rule-id]``).  Engine-level tests cover the baseline
-file, fingerprint stability, path walking, and the CLI subcommand.
+``# repro: allow[rule-id]``).  Engine-level tests cover path walking
+and the CLI subcommand.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 import repro
 from repro.analysis.lint import (
-    Baseline,
     lint_paths,
     lint_source,
     lint_text,
@@ -318,17 +317,6 @@ class TestEngine:
         ids = [rule.rule_id for rule in ALL_RULES]
         assert len(ids) == len(set(ids))
 
-    def test_fingerprint_ignores_line_number(self):
-        a = lint_source("import time\nt = time.time()\n", "mod.py")
-        b = lint_source("import time\n\n\nt = time.time()\n", "mod.py")
-        assert a[0].fingerprint == b[0].fingerprint
-        assert a[0].line != b[0].line
-
-    def test_fingerprint_distinguishes_paths(self):
-        a = lint_source("import time\nt = time.time()\n", "a.py")
-        b = lint_source("import time\nt = time.time()\n", "b.py")
-        assert a[0].fingerprint != b[0].fingerprint
-
 
 class TestSimTimeArith:
     def test_accumulating_an_instant_flagged(self):
@@ -367,39 +355,6 @@ class TestSimTimeArith:
             def record(self, gap):
                 self.now += gap  # repro: allow[sim-time-arith]
         """) == []
-
-
-class TestBaseline:
-    SOURCE = "import time\nt = time.time()\n"
-
-    def test_baseline_suppresses_matching_finding(self):
-        findings = lint_source(self.SOURCE, "mod.py")
-        baseline = Baseline.from_findings(findings)
-        result = lint_text(self.SOURCE, "mod.py", baseline=baseline)
-        assert result.ok
-        assert result.baseline_suppressed == 1
-
-    def test_baseline_round_trips_through_disk(self, tmp_path):
-        findings = lint_source(self.SOURCE, "mod.py")
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(path)
-        loaded = Baseline.load(path)
-        assert loaded.fingerprints == {findings[0].fingerprint}
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "absent.json").fingerprints == set()
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(AnalysisError):
-            Baseline.load(path)
-
-    def test_unused_entries_reported(self, tmp_path):
-        baseline = Baseline([{"fingerprint": "deadbeefdeadbeef"}])
-        result = lint_text("x = 1\n", "mod.py", baseline=baseline)
-        assert result.ok
-        assert result.unused_baseline == {"deadbeefdeadbeef"}
 
 
 class TestLintPaths:
@@ -463,17 +418,6 @@ class TestLintCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "wall-clock"
-        assert payload["findings"][0]["fingerprint"]
-
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        bad = self._write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(bad), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -483,53 +427,3 @@ class TestLintCli:
         listed = [line.split()[0] for line in out.splitlines()
                   if line.startswith("  ")]
         assert listed == [rule.rule_id for rule in ALL_RULES]
-
-    def test_stale_baseline_fails_the_run(self, tmp_path, capsys):
-        """Fixing a baselined finding must fail lint until the ledger
-        is pruned — sanctioned-findings entries can never rot."""
-        bad = self._write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(bad), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        bad.write_text("x = 1\n")  # the finding is fixed
-        capsys.readouterr()
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline" in out
-        assert "--prune-baseline" in out
-
-    def test_prune_baseline_drops_stale_entries(self, tmp_path, capsys):
-        bad = self._write_violation(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(bad), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        bad.write_text("x = 1\n")
-        capsys.readouterr()
-        assert main(["lint", str(bad), "--baseline", str(baseline),
-                     "--prune-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 stale entry" in out
-        assert "clean" in out
-        assert Baseline.load(baseline).fingerprints == set()
-        # And the pruned ledger now passes a plain run.
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-
-    def test_prune_keeps_live_entries(self, tmp_path, capsys):
-        """Pruning removes only the stale fingerprints."""
-        first = tmp_path / "first.py"
-        second = tmp_path / "second.py"
-        first.write_text("import time\nt = time.time()\n")
-        second.write_text("key = hash('name')\n")
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(first), str(second),
-                     "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert len(Baseline.load(baseline).fingerprints) == 2
-        second.write_text("x = 1\n")  # fix one of the two
-        capsys.readouterr()
-        assert main(["lint", str(first), str(second),
-                     "--baseline", str(baseline),
-                     "--prune-baseline"]) == 0
-        remaining = Baseline.load(baseline).fingerprints
-        assert len(remaining) == 1
-        assert "1 baselined" in capsys.readouterr().out

@@ -80,6 +80,27 @@ class TestSummaries:
         collector.record_drop(_request(arrival=us(1.0)))  # warmup: ignored
         assert collector.dropped == 1
 
+    def test_drops_keyed_by_reason(self, sim):
+        collector = MetricsCollector(sim, warmup_ns=ms(1.0))
+        for reason in ("overflow", "fault", "overflow", "timeout"):
+            collector.record_drop(_request(arrival=ms(2.0)), reason)
+        collector.record_drop(_request(arrival=us(1.0)), "fault")  # warmup
+        assert collector.dropped == 4
+        assert collector.dropped_by_reason == {
+            "overflow": 2, "fault": 1, "timeout": 1}
+
+    def test_fault_block_reads_drop_reasons(self, sim):
+        from repro.faults.injector import FaultCounters
+        collector = MetricsCollector(sim)
+        assert collector.summarize(offered_rps=1000.0).faults is None
+        collector.fault_counters = FaultCounters(link_drops=3)
+        collector.record_drop(_request(arrival=0.0), "fault")
+        collector.record_drop(_request(arrival=0.0), "timeout")
+        faults = collector.summarize(offered_rps=1000.0).faults
+        assert faults.link_drops == 3
+        assert (faults.drops_overflow, faults.drops_fault,
+                faults.drops_timeout) == (0, 1, 1)
+
     def test_no_samples_summary(self, sim):
         collector = MetricsCollector(sim)
         metrics = collector.summarize(offered_rps=1000.0)
@@ -137,6 +158,22 @@ class TestWorkerWaitFraction:
         sim.timeout(ms(1.0))
         sim.run()
         assert collector.worker_wait_fraction() == pytest.approx(1.0)
+
+    def test_open_wait_is_read_without_being_closed(self, sim):
+        """A worker still waiting at the horizon counts its open wait,
+        and reading the fraction leaves the interval open."""
+        from repro.hw.cpu import CpuCore
+        from repro.runtime.worker import WorkerCore
+        collector = MetricsCollector(sim)
+        busy = WorkerCore(sim, 0, CpuCore(sim, "c0", 2.3).threads[0])
+        idle = WorkerCore(sim, 1, CpuCore(sim, "c1", 2.3).threads[0])
+        collector.attach_workers([busy, idle])
+        idle.begin_wait()
+        sim.timeout(ms(1.0))
+        sim.run()
+        assert collector.worker_wait_fraction() == pytest.approx(0.5)
+        assert idle.wait_ns == 0.0
+        assert idle._wait_started == 0.0
 
     def test_no_workers_is_zero(self, sim):
         assert MetricsCollector(sim).worker_wait_fraction() == 0.0

@@ -101,14 +101,3 @@ class TestSortedViewCache:
         assert res.percentile(50.0) == 10.0
         res.extend([1.0, 2.0])
         assert res.percentile(0.0) == 1.0
-
-    def test_merge_from_invalidates_cache(self):
-        res = LatencyReservoir()
-        res.extend([5.0, 15.0])
-        assert res.maximum() == 15.0
-        other = LatencyReservoir()
-        other.extend([25.0, 1.0])
-        res.merge_from(other)
-        assert res.maximum() == 25.0
-        assert res.minimum() == 1.0
-        assert len(res) == 4

@@ -61,10 +61,20 @@ class TestFifo:
     def test_cancel_dequeue(self, sim):
         queue = TaskQueue(sim)
         ev = queue.dequeue()
-        queue.cancel_dequeue(ev)
+        queue.cancel_dequeue(0)
         queue.enqueue(Request(10.0))
         assert len(queue) == 1
         assert not ev.triggered
+
+    def test_cancel_dequeue_withdraws_only_that_rank(self, sim):
+        queue = TaskQueue(sim)
+        first = queue.dequeue(1)
+        second = queue.dequeue(2)
+        queue.cancel_dequeue(1)
+        request = Request(10.0)
+        queue.enqueue(request)
+        assert not first.triggered
+        assert second.triggered and second.value is request
 
 
 class TestCapacity:

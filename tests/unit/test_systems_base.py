@@ -75,14 +75,11 @@ class TestLifecycle:
         assert request.state is RequestState.DROPPED
         assert metrics.dropped == 1
 
-    def test_tracing_on_completion(self, sim, rngs, metrics):
-        from repro.sim.trace import Tracer
-        tracer = Tracer(sim)
-        system = _MiniSystem(sim, rngs, metrics, client_wire_ns=0.0,
-                             tracer=tracer)
+    def test_completion_records_latency_sample(self, sim, rngs, metrics):
+        system = _MiniSystem(sim, rngs, metrics, client_wire_ns=us(1.0))
         system.start()
         request = Request(service_ns=0.0, arrival_ns=0.0)
         system.ingress(request)
-        records = tracer.records(component="mini", action="complete")
-        assert len(records) == 1
-        assert records[0].fields["request"] == request.request_id
+        sim.run()
+        assert metrics.completed == 1
+        assert metrics.latency.samples() == [request.latency_ns]

@@ -15,11 +15,8 @@ from repro.sim.engine import Simulator
 from repro.sim.tiebreak import (
     FIFO,
     TB_MASK,
-    TIEBREAK_ENV,
     TieBreakPolicy,
-    parse_tiebreak_spec,
     permutation_policy,
-    tiebreak_from_env,
 )
 
 
@@ -65,36 +62,6 @@ class TestPolicy:
     def test_negative_index_rejected(self):
         with pytest.raises(SimulationError):
             permutation_policy(-1)
-
-
-class TestSpecParsing:
-    def test_bare_index(self):
-        policy = parse_tiebreak_spec("2")
-        assert policy.index == 2
-        assert policy.seed == 0
-
-    def test_index_with_seed(self):
-        policy = parse_tiebreak_spec("3:17")
-        assert (policy.index, policy.seed) == (3, 17)
-        assert policy == permutation_policy(3, 17)
-
-    @pytest.mark.parametrize("spec", ["", "x", "1:y", "1:2:3", "-2"])
-    def test_bad_specs_raise(self, spec):
-        with pytest.raises(SimulationError):
-            parse_tiebreak_spec(spec)
-
-    def test_env_unset_is_none(self):
-        assert tiebreak_from_env({}) is None
-        assert tiebreak_from_env({TIEBREAK_ENV: "  "}) is None
-
-    def test_env_zero_is_explicit_identity(self):
-        policy = tiebreak_from_env({TIEBREAK_ENV: "0"})
-        assert policy is not None
-        assert policy.is_identity
-
-    def test_env_spec_matches_direct_derivation(self):
-        policy = tiebreak_from_env({TIEBREAK_ENV: "2:5"})
-        assert policy == permutation_policy(2, 5)
 
 
 class TestEngineSeam:
