@@ -50,7 +50,7 @@ from repro.sim.primitives import Signal, Store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.events import Timeout
+    from repro.sim.events import Event
     from repro.sim.process import Process
 
 
@@ -257,7 +257,7 @@ class NicDispatcherPipeline:
                 yield tx_ns
                 transmit(build(request, worker_id))
 
-    def _flush_due(self, _flush: "Timeout") -> None:
+    def _flush_due(self, _flush: "Event") -> None:
         """The flush deadline beat the next packet: wake the TX core.
 
         Costs one schedule push at the deadline (the relay event

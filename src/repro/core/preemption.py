@@ -41,7 +41,7 @@ from repro.units import cycles_to_ns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
-    from repro.sim.events import Timeout
+    from repro.sim.events import Event
 
 
 class PreemptionDriver:
@@ -77,7 +77,7 @@ class PreemptionDriver:
         self._armed = False
         #: Handle on the pending expiry event so cancel() can withdraw
         #: it from the schedule instead of letting it pop as a no-op.
-        self._expiry: Optional["Timeout"] = None
+        self._expiry: Optional["Event"] = None
         # Prebound once: arm() runs per dispatched request.
         self._expire_cb = self._expire
         #: Interrupts actually sent toward the worker.
@@ -149,7 +149,7 @@ class PreemptionDriver:
         self._generation += 1
         self._armed = True
         assert self._slice_ns is not None
-        # A pooled timeout instead of defer_at(): the same priority and
+        # A timeout instead of defer_at(): the same priority and
         # tie-key consumption, a push at exactly at + slice, and a
         # handle that lets cancel() withdraw the expiry eagerly.  The per-arm (generation, cause)
         # pair rides in the event's value so a stale expiry racing a
@@ -162,7 +162,7 @@ class PreemptionDriver:
         self.thread.busy_ns += cost
         return cost
 
-    def _expire(self, event: "Timeout") -> None:
+    def _expire(self, event: "Event") -> None:
         generation, cause = event._value
         if generation != self._generation:
             return  # cancelled or re-armed before expiry

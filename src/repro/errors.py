@@ -37,10 +37,6 @@ class ProcessInterrupt(ReproError):
         return f"ProcessInterrupt(cause={self.cause!r})"
 
 
-class QueueFullError(SimulationError):
-    """A bounded queue rejected an item because it was at capacity."""
-
-
 class ConfigError(ReproError):
     """An invalid configuration value was supplied."""
 

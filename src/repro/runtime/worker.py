@@ -100,8 +100,11 @@ class WorkerCore:
     # -- wait accounting (Figure 6's "110% more time waiting") ----------------
 
     def begin_wait(self) -> None:
-        """Mark the start of a waiting-for-work interval."""
-        if self._wait_started is None:
+        """Mark the start of a waiting-for-work interval.
+
+        A crashed core waits for nothing: it opens no interval.
+        """
+        if self._wait_started is None and not self.crashed:
             self._wait_started = self.sim.now
 
     def end_wait(self) -> None:
@@ -128,11 +131,14 @@ class WorkerCore:
 
         An episode in its interruptible service phase is cut short and
         reported :attr:`ExecutionOutcome.FAILED`; a core between
-        requests simply fails the next episode it is offered.
+        requests simply fails the next episode it is offered.  A wait
+        interval still open closes here, so a dead core's remaining
+        time does not count as waiting for work.
         """
         if self.crashed:
             return
         self.crashed = True
+        self.end_wait()
         if self._interruptible and self._process is not None:
             self._process.interrupt("crash")
 

@@ -38,22 +38,23 @@ its constant factors small without ever changing *what* is scheduled:
 - One loop dispatches every event.  Instrumentation such as the
   sanitizer observes through :attr:`Simulator.observer`, a hook the
   loop calls after each counted event, instead of a second loop.
-- Processed :class:`~repro.sim.events.Timeout` and
-  :class:`~repro.sim.events.Event` objects are recycled through small
-  per-simulator freelists — but only when the kernel holds the *last*
-  reference (checked via ``sys.getrefcount``), so an event is never
-  reused while user code can still see it.  Subclasses such as
-  processes are never pooled.
-- :meth:`defer` / :meth:`defer_at` schedule a bare callback through a
-  pooled :class:`_Deferred` cell instead of a Timeout-plus-lambda pair;
-  they consume exactly one tie key and one schedule push, just like
-  :meth:`timeout`, so swapping a Timeout callback for a deferred one
-  cannot reorder a run.  The run loop dispatches these cells first.
+- The schedule holds two kinds of entry, and the loop has one branch
+  for each: a :class:`~repro.sim.events._Deferred` callback cell, which
+  it runs as ``func(*args)``, and an :class:`~repro.sim.events.Event`
+  (a :class:`~repro.sim.process.Process` is one), whose callbacks it
+  runs unless the event was cancelled.
+- :meth:`defer` / :meth:`defer_at` schedule a bare callback in a fresh
+  cell instead of an event-plus-lambda pair; they consume exactly one
+  tie key and one schedule push, just like :meth:`timeout`, so swapping
+  a timeout callback for a deferred one cannot reorder a run.
 - A process that yields a bare delay (``yield d``) sleeps on its own
-  :class:`~repro.sim.process._Sleep` cell: the same ``now + d`` push
-  with one tie key that ``yield sim.timeout(d)`` makes, but no
-  Timeout, callbacks list or bound method per wait.  Sleep cells are
-  never pooled.
+  cell, which points at the process's resume trampoline: the same
+  ``now + d`` push with one tie key that ``yield sim.timeout(d)``
+  makes, but no event or callbacks list per wait.
+- Nothing is recycled: with processes sleeping on their own cells,
+  timeouts are rare (about 35,000 against 1.5 million events on
+  full-scale fig2), and freelists bought no measurable time
+  (EXPERIMENTS.md, "Perf methodology").
 - Cancelled events (:meth:`Event.cancel`) stay in the heap and are
   skipped at dispatch — without advancing the event count — and
   compacted away once they dominate, so cancel-heavy workloads
@@ -75,17 +76,12 @@ import gc
 
 from heapq import heapify, heappop, heappush
 from itertools import count as _count
-from sys import getrefcount
-from typing import Any, Callable, Generator, Iterator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import Event, Timeout
-from repro.sim.process import Process, _Sleep
+from repro.sim.events import Event, _Deferred
+from repro.sim.process import Process
 from repro.sim.tiebreak import FIFO, TB_MASK, TieBreakPolicy
-
-#: Freelist bound per pool: big enough to absorb steady-state churn,
-#: small enough that an idle simulator holds no meaningful memory.
-_POOL_CAP = 4096
 
 #: Compaction threshold: the heap is rebuilt without its cancelled
 #: entries once more than this many are queued and they are the
@@ -95,21 +91,6 @@ _COMPACT_MIN = 64
 #: Key distance between two tie ranks: one more than the largest key a
 #: tie-break policy can draw.
 _RANK_SPAN = TB_MASK + 1
-
-
-class _Deferred:
-    """A pooled schedule entry carrying a bare callback.
-
-    Not an :class:`Event`: it has no value, no callbacks list, and no
-    observable lifecycle, which is exactly what lets the kernel recycle
-    it unconditionally after firing.  Never escapes the kernel.
-    """
-
-    __slots__ = ("func", "args")
-
-    def __init__(self, func: Callable[..., None], args: tuple):
-        self.func = func
-        self.args = args
 
 
 class Simulator:
@@ -147,7 +128,6 @@ class Simulator:
 
     __slots__ = ("now", "_heap", "_next_key",
                  "event_count", "_running", "observer", "fault_injector",
-                 "_timeout_pool", "_event_pool", "_deferred_pool",
                  "_cancelled", "_tiebreak")
 
     def __init__(self, start_time: float = 0.0):
@@ -162,9 +142,6 @@ class Simulator:
         #: channels) can consult it without threading a new parameter
         #: through every constructor.
         self.fault_injector = None
-        self._timeout_pool: list = []
-        self._event_pool: list = []
-        self._deferred_pool: list = []
         #: Cancelled entries still queued in the heap.
         self._cancelled = 0
         #: Tie-break policy: equal-``when`` events dispatch in tie-key
@@ -200,31 +177,22 @@ class Simulator:
     # -- factories -----------------------------------------------------------
 
     def event(self, label: str = "") -> Event:
-        """Create a fresh pending :class:`Event` (possibly recycled)."""
-        pool = self._event_pool
-        if pool:
-            # Pooled events arrive with an empty, reusable callbacks list.
-            ev = pool.pop()
-            ev._value = None
-            ev._ok = None
-            ev._state = 0
-            ev.label = label
-            return ev
+        """Create a fresh pending :class:`Event`."""
         return Event(self, label=label)
 
-    def timeout(self, delay: float, value: Any = None, label: str = "") -> Timeout:
+    def timeout(self, delay: float, value: Any = None, label: str = "") -> Event:
         """Create an event that fires *delay* ns from now.
 
         A process that only needs to wait should ``yield delay``
         instead: the same schedule push, without the event.  Create a
-        Timeout only when its handle is needed: for
+        timeout only when its handle is needed: for
         :meth:`Event.cancel` or callbacks.
         """
         if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"negative or NaN timeout delay: {delay}")
         return self._start_timeout(self.now + delay, value, label)
 
-    def timeout_ranked(self, delay: float, rank: int) -> Timeout:
+    def timeout_ranked(self, delay: float, rank: int) -> Event:
         """:meth:`timeout` at tie rank *rank* (see :meth:`_push_ranked`).
 
         For a process whose wake-up must come before or after the other
@@ -232,22 +200,12 @@ class Simulator:
         """
         if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"negative or NaN timeout delay: {delay}")
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = []
-        ev._value = None
-        ev._ok = True
-        ev._state = 1
-        ev.label = ""
+        ev = self._triggered(None, "")
         self._push_ranked(self.now + delay, rank, ev)
         return ev
 
     def timeout_at(self, when: float, value: Any = None,
-                   label: str = "") -> Timeout:
+                   label: str = "") -> Event:
         """Create an event that fires at exactly absolute time *when*.
 
         Unlike :meth:`defer_at` (which pushes at
@@ -259,20 +217,25 @@ class Simulator:
                 f"timeout_at({when}) is in the past (now={self.now})")
         return self._start_timeout(when, value, label)
 
-    def _start_timeout(self, when: float, value: Any, label: str) -> Timeout:
-        """Schedule a pooled or fresh Timeout at absolute time *when*."""
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = []
+    def _start_timeout(self, when: float, value: Any, label: str) -> Event:
+        """Schedule a timeout event at absolute time *when*."""
+        ev = self._triggered(value, label)
+        self._push(when, ev)
+        return ev
+
+    def _triggered(self, value: Any, label: str) -> Event:
+        """A succeeded, not yet scheduled :class:`Event` of *value*.
+
+        Timeouts are the most allocated event, so this sets the slots
+        directly instead of running the ``__init__`` chain.
+        """
+        ev = Event.__new__(Event)
+        ev.sim = self
+        ev.callbacks = []
         ev._value = value
         ev._ok = True
         ev._state = 1
         ev.label = label
-        self._push(when, ev)
         return ev
 
     def process(self, generator: Generator, label: str = "") -> Process:
@@ -283,33 +246,18 @@ class Simulator:
         """Run ``func(*args)`` after *delay* ns; fire-and-forget.
 
         The scheduling arithmetic and tie-key consumption are identical
-        to :meth:`timeout`'s; ``defer`` simply returns no handle and
-        recycles its schedule cell.
+        to :meth:`timeout`'s; ``defer`` simply returns no handle.
         """
         if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"negative or NaN delay: {delay}")
-        pool = self._deferred_pool
-        if pool:
-            cell = pool.pop()
-            cell.func = func
-            cell.args = args
-        else:
-            cell = _Deferred(func, args)
-        self._push(self.now + delay, cell)
+        self._push(self.now + delay, _Deferred(func, args))
 
     def defer_ranked(self, delay: float, rank: int,
                      func: Callable[..., None], *args) -> None:
         """:meth:`defer` at tie rank *rank* (see :meth:`_push_ranked`)."""
         if not delay >= 0:  # also rejects NaN
             raise SchedulingError(f"negative or NaN delay: {delay}")
-        pool = self._deferred_pool
-        if pool:
-            cell = pool.pop()
-            cell.func = func
-            cell.args = args
-        else:
-            cell = _Deferred(func, args)
-        self._push_ranked(self.now + delay, rank, cell)
+        self._push_ranked(self.now + delay, rank, _Deferred(func, args))
 
     def defer_at(self, when: float, func: Callable[..., None], *args) -> None:
         """Run ``func(*args)`` at absolute time *when*; fire-and-forget.
@@ -378,11 +326,6 @@ class Simulator:
         Includes lazily-cancelled stragglers not yet compacted away.
         """
         return len(self._heap)
-
-    def pending_entries(self) -> Iterator[tuple]:
-        """All pending schedule tuples, in no particular order
-        (diagnostics and tests)."""
-        return iter(self._heap)
 
     # -- the loop --------------------------------------------------------------
 
@@ -462,9 +405,6 @@ class Simulator:
         heap = self._heap
         pop = heappop
         observe = self.observer
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        deferred_pool = self._deferred_pool
         # Hoist the per-iteration None check: an unbounded run compares
         # against +inf, which no event time ever exceeds.
         horizon = float("inf") if until is None else until
@@ -474,46 +414,13 @@ class Simulator:
                 if heap[0][0] > horizon:
                     self.now = until
                     return False
-                # Unpack straight off the pop: holding the tuple in
-                # a local would keep a third reference to the event
-                # and silently disable the getrefcount recycling.
                 when, _key, event = pop(heap)
-                cls = event.__class__
-                if cls is _Deferred:
+                if event.__class__ is _Deferred:
+                    # A defer() callback, a process's sleep, or the
+                    # no-op an interrupt left in an orphaned sleep.
                     self.now = when
                     count += 1
-                    func, args = event.func, event.args
-                    event.func = event.args = None
-                    if len(deferred_pool) < _POOL_CAP:
-                        deferred_pool.append(event)
-                    func(*args)
-                elif cls is _Sleep:
-                    # A process's bare-delay sleep (or the no-op
-                    # left behind by an interrupt): never pooled.
-                    self.now = when
-                    count += 1
-                    event.wake()
-                elif cls is Timeout:
-                    if event._state == 3:  # cancelled: vanish
-                        self._cancelled -= 1
-                        continue
-                    self.now = when
-                    count += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._state = 2
-                    for callback in callbacks:
-                        callback(event)
-                    # Recycle only exact-class events the kernel holds the
-                    # last reference to (local + getrefcount argument = 2):
-                    # anything user code kept a handle on stays untouched.
-                    # The detached callbacks list rides along (cleared), so
-                    # pooled events always carry an empty list ready to use.
-                    if getrefcount(event) == 2 and \
-                            len(timeout_pool) < _POOL_CAP:
-                        del callbacks[:]
-                        event.callbacks = callbacks
-                        event._value = None
-                        timeout_pool.append(event)
+                    event.func(*event.args)
                 else:
                     if event._state == 3:  # cancelled: vanish
                         self._cancelled -= 1
@@ -524,13 +431,6 @@ class Simulator:
                     event._state = 2
                     for callback in callbacks:
                         callback(event)
-                    if cls is Event:
-                        if getrefcount(event) == 2 and \
-                                len(event_pool) < _POOL_CAP:
-                            del callbacks[:]
-                            event.callbacks = callbacks
-                            event._value = None
-                            event_pool.append(event)
                 if observe is not None:
                     observe()
                 if count >= stop:
@@ -543,20 +443,6 @@ class Simulator:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-
-    # -- teardown ------------------------------------------------------------
-
-    def pool_sizes(self) -> dict:
-        """Current freelist occupancy (diagnostics and tests)."""
-        return {"timeout": len(self._timeout_pool),
-                "event": len(self._event_pool),
-                "deferred": len(self._deferred_pool)}
-
-    def close(self) -> None:
-        """Drop all pooled objects (teardown; the simulator stays usable)."""
-        self._timeout_pool.clear()
-        self._event_pool.clear()
-        self._deferred_pool.clear()
 
     def __repr__(self) -> str:
         return (f"<Simulator t={self.now:.1f}ns "

@@ -19,6 +19,10 @@ events flow through a sweep and enum identity checks are measurably
 slower; the public :attr:`Event.state` property still answers with the
 :class:`EventState` enum.  Triggering schedules the event through
 ``Simulator._push``, the one place that builds schedule entries.
+
+The schedule holds two kinds of entry: an :class:`Event` (a
+:class:`~repro.sim.process.Process` is one) and a :class:`_Deferred`
+callback cell.
 """
 
 from __future__ import annotations
@@ -144,7 +148,6 @@ class Event:
         is skipped (uncounted, clock untouched) when it surfaces, or
         compacted away under cancel-heavy load.
         Pending or already-processed events return False unchanged.
-        A cancelled event is never recycled through the kernel pools.
         """
         if self._state != _TRIGGERED:
             return False
@@ -157,13 +160,18 @@ class Event:
         return f"<{type(self).__name__}{tag} {_STATES[self._state].value}>"
 
 
-class Timeout(Event):
-    """An event that fires at a fixed simulated time.
+class _Deferred:
+    """A schedule entry carrying a bare callback: the loop runs
+    ``func(*args)``.
 
-    Create one with :meth:`Simulator.timeout` or
-    :meth:`Simulator.timeout_at`: timeouts are the single most
-    allocated object in a sweep, so the simulator schedules fresh and
-    pooled ones alike without an ``__init__`` chain.
+    Not an :class:`Event`: it has no value, no callbacks list and no
+    observable lifecycle.  :meth:`Simulator.defer` pushes a fresh one
+    per call; each process owns one for its bare-delay sleeps.  Never
+    escapes the kernel.
     """
 
-    __slots__ = ()
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: Callable[..., None], args: tuple):
+        self.func = func
+        self.args = args

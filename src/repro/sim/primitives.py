@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional, TYPE_CHECKING
 
-from repro.errors import QueueFullError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.events import Event, _PENDING, _TRIGGERED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -113,11 +113,6 @@ class Store:
             self.max_depth = depth
         return True
 
-    def put_or_raise(self, item: Any) -> None:
-        """Put that raises :class:`QueueFullError` instead of blocking."""
-        if not self.try_put(item):
-            raise QueueFullError(f"store {self.name!r} full (capacity={self.capacity})")
-
     def get(self) -> Event:
         """Remove and return the oldest item (event-valued)."""
         sim = self.sim
@@ -126,12 +121,7 @@ class Store:
             # Item available: build the event already triggered and
             # schedule it directly — one frame instead of the three-call
             # event()/succeed() chain on the hottest ring path.
-            pool = sim._event_pool
-            if pool:
-                ev = pool.pop()
-                ev.label = self._get_label
-            else:
-                ev = Event(sim, label=self._get_label)
+            ev = Event(sim, label=self._get_label)
             ev._value = items.popleft()
             ev._ok = True
             ev._state = _TRIGGERED

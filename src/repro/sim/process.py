@@ -17,47 +17,44 @@ the generator at its current wait point.  The generator may catch it,
 save state, and continue — exactly how the paper's workers react to a
 local-APIC timer interrupt.
 
-Hot-path note: the resume trampoline binds ``generator.send`` /
+Hot-path note: every resume goes through one trampoline,
+:meth:`Process._resume`, which binds ``generator.send`` /
 ``generator.throw`` once at start (a bound-method lookup per event is
 measurable at fig2 scale), reads event state as the kernel's internal
 int, and tests the yielded value's exact class before anything else.
 A bare ``int``/``float`` delay is the common case: it makes the same
 ``Simulator._push`` at ``now + d`` (one tie key) that
-``sim.timeout(d)`` would, but the entry carries the process's own
-:class:`_Sleep` cell, which the kernel fires straight into
-:meth:`Process._wake` — no Timeout, callbacks list or bound method is
-allocated per wait.  An interrupt during a sleep turns the scheduled
-cell into a no-op (it still fires and is counted, like an orphaned
-Timeout) and gives the process a fresh cell.
+``sim.timeout(d)`` would, but the entry is the process's own
+:class:`~repro.sim.events._Deferred` cell, which the kernel fires
+straight into ``_resume`` with a shared succeeded event of value
+None — no event or callbacks list is allocated per wait.  An
+interrupt during a sleep turns the scheduled cell into a no-op (it
+still fires and is counted, like an orphaned timeout) and gives the
+process a fresh cell.  An interrupt is itself a failed event whose
+exception ``_resume`` throws into the generator.
 """
 
 from __future__ import annotations
 
 from numbers import Real
-from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, TYPE_CHECKING
 
 from repro.errors import ProcessInterrupt, SchedulingError, SimulationError
-from repro.sim.events import Event, Timeout, _PENDING, _PROCESSED
+from repro.sim.events import Event, _Deferred, _PENDING, _PROCESSED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
 
-def _asleep() -> None:
-    """The wake hook of a sleep cell whose process was interrupted."""
+def _asleep(_slept: Event) -> None:
+    """The callback of a sleep cell whose process was interrupted."""
 
 
-class _Sleep:
-    """A process's own schedule cell for bare-delay sleeps.
-
-    Not an :class:`Event`: the kernel dispatches it by calling
-    :attr:`wake`.  It is never pooled; each process owns one at a time.
-    """
-
-    __slots__ = ("wake",)
-
-    def __init__(self, wake: Callable[[], None]):
-        self.wake = wake
+#: What an ended sleep resumes its process with: a succeeded event of
+#: value None, shared by every sleep cell.
+_SLEPT = Event(None, label="slept")
+_SLEPT._ok = True
+_SLEPT._state = _PROCESSED
 
 
 class Process(Event):
@@ -79,7 +76,7 @@ class Process(Event):
         self._throw = throw
         #: The pending Event, or this process's sleep cell, or None.
         self._waiting_on: Any = None
-        self._cell = _Sleep(self._wake)
+        self._cell = _Deferred(self._resume, (_SLEPT,))
         # Kick off on the next kernel step at the current instant.
         bootstrap = sim.event(label=f"start:{label}" if label else "start:")
         bootstrap.callbacks.append(self._resume)
@@ -105,7 +102,7 @@ class Process(Event):
         self._detach()
         poke = self.sim.event(label=f"interrupt:{self.label}")
         poke.callbacks.append(self._deliver_interrupt)
-        poke.succeed(ProcessInterrupt(cause))
+        poke.fail(ProcessInterrupt(cause))
 
     def cut_wait(self) -> None:
         """End the current wait early: resume with None at this instant.
@@ -135,8 +132,8 @@ class Process(Event):
         if target is self._cell:
             # Sleeping: the scheduled cell fires as a no-op and a fresh
             # cell serves the process's next sleep.
-            target.wake = _asleep
-            self._cell = _Sleep(self._wake)
+            target.func = _asleep
+            self._cell = _Deferred(self._resume, (_SLEPT,))
         elif target._state != _PROCESSED:
             try:
                 target.callbacks.remove(self._resume)
@@ -144,12 +141,10 @@ class Process(Event):
                 pass
 
     def _deliver_interrupt(self, poke: Event) -> None:
-        if self._state != _PENDING:
-            return
         # A resume may have been re-armed between interrupt() and delivery
         # (the interrupted wait completed at the same instant); detach again.
         self._detach()
-        self._advance(throw=poke._value)
+        self._resume(poke)
 
     def _resume(self, event: Event) -> None:
         # The per-event trampoline: one kernel callback per resume, so
@@ -173,7 +168,7 @@ class Process(Event):
             return
         # Re-arm (the body of _wait_on, inlined for the common cases: a
         # bare delay — _sleep's body — or an unprocessed same-simulator
-        # Timeout or plain Event: Store gets/puts and Signal waits are
+        # plain Event: timeouts, Store gets/puts and Signal waits are
         # exact-class Events).
         cls = target.__class__
         if cls is float or cls is int:
@@ -182,56 +177,16 @@ class Process(Event):
                 cell = self._waiting_on = self._cell
                 sim._push(sim.now + target, cell)
                 return
-        elif (cls is Timeout or cls is Event) and target.sim is self.sim \
+        elif cls is Event and target.sim is self.sim \
                 and target._state != _PROCESSED:
             self._waiting_on = target
             target.callbacks.append(self._resume)
-            return
-        self._wait_on(target)
-
-    def _wake(self) -> None:
-        # A bare-delay sleep ended: _resume's body for a successful
-        # value-None event, minus the event.
-        self._waiting_on = None
-        try:
-            target = self._send(None)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Exception as exc:
-            self.fail(exc)
-            return
-        cls = target.__class__
-        if cls is float or cls is int:
-            if target >= 0:
-                self._sleep(target)
-                return
-        elif (cls is Timeout or cls is Event) and target.sim is self.sim \
-                and target._state != _PROCESSED:
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
-            return
-        self._wait_on(target)
-
-    def _advance(self, send: Any = None, throw: Optional[BaseException] = None):
-        try:
-            if throw is not None:
-                target = self._throw(throw)
-            else:
-                target = self._send(send)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Exception as exc:
-            # An uncaught interrupt kills the process too; treat it as a
-            # failure so waiters notice rather than hanging.
-            self.fail(exc)
             return
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
         """Validate the yielded *target* and arm the next resume."""
-        if target.__class__ is not Timeout and not isinstance(target, Event):
+        if not isinstance(target, Event):
             if isinstance(target, Real) and not isinstance(target, bool):
                 delay = float(target)
                 if delay >= 0:  # NaN fails this test too

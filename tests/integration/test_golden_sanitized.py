@@ -1,7 +1,7 @@
 """Golden differential with the sanitizer force-enabled.
 
-The hot-path work (pooled events, the one ``run()`` loop, inlined
-primitives) is only acceptable if a sanitized run — the same loop with
+The hot-path work (the one ``run()`` loop, process sleeps on callback
+cells, inlined primitives) is only acceptable if a sanitized run — the same loop with
 ``SanitizedSimulator``'s observer checking invariants after every
 event — still reproduces the pre-refactor golden fixture bit for bit.
 Unlike the CI-env-driven golden suite, these tests force

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator, _COMPACT_MIN, _Deferred
+from repro.sim.engine import Simulator, _COMPACT_MIN
+from repro.sim.events import _Deferred
 
 
 delays = st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -64,6 +65,74 @@ class TestSimultaneityFifo:
         assert order == expected
 
 
+class TestFifoAcrossDrains:
+    @given(st.lists(st.integers(min_value=1, max_value=40),
+                    min_size=2, max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_equal_timestamp_fifo_across_batches(self, sizes):
+        """Batches of same-instant timeouts, each drained before the
+        next is armed, fire in creation order."""
+        order = []
+        sim = Simulator()
+        index = 0
+        for batch, size in enumerate(sizes):
+            # Distinct gaps per batch keep batches at distinct instants;
+            # within a batch every event lands on the same timestamp.
+            for k in range(size):
+                ev = sim.timeout(float(batch + 1))
+                ev.callbacks.append(
+                    lambda _e, i=index + k: order.append(i))
+            index += size
+            sim.run()
+        assert order == list(range(sum(sizes)))
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e5,
+                              allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=120))
+    @settings(max_examples=50, deadline=None)
+    def test_mixed_delay_order_matches_stable_sort(self, ds):
+        """Mixed delays fire in stable (time, creation) order across two
+        full drain cycles."""
+        sim = Simulator()
+        for cycle in range(2):
+            order = []
+            start = sim.now  # nonzero on cycle 2: delays may absorb
+            for index, delay in enumerate(ds):
+                ev = sim.timeout(delay)
+                ev.callbacks.append(lambda _e, i=index: order.append(i))
+            sim.run()
+            expected = [i for _t, i in
+                        sorted((start + d, i) for i, d in enumerate(ds))]
+            assert order == expected, f"cycle {cycle} reordered"
+
+    @given(st.lists(st.sampled_from(["timeout", "event", "defer", "run"]),
+                    min_size=1, max_size=80),
+           st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry_fires_once(self, ops, delay_mod):
+        """Timeouts, succeeded events and deferred cells armed between
+        drains each fire exactly once, and each counts as one event."""
+        sim = Simulator()
+        fired = []
+        for step, op in enumerate(ops):
+            delay = float(step % (delay_mod + 1))
+            if op == "timeout":
+                sim.timeout(delay).callbacks.append(
+                    lambda _e, i=step: fired.append(i))
+            elif op == "event":
+                ev = sim.event(label="prop")
+                ev.callbacks.append(lambda _e, i=step: fired.append(i))
+                ev.succeed(delay=delay)
+            elif op == "defer":
+                sim.defer(delay, fired.append, step)
+            else:
+                sim.run()
+        sim.run()
+        armed = [i for i, op in enumerate(ops) if op != "run"]
+        assert sorted(fired) == armed
+        assert sim.event_count == len(armed)
+
+
 class TestProcessScheduling:
     @given(st.lists(st.floats(min_value=0.1, max_value=1000.0,
                               allow_nan=False), min_size=1, max_size=30))
@@ -82,7 +151,7 @@ class TestProcessScheduling:
         assert proc.value >= sum(ds) * (1 - 1e-9)
 
 
-class TestEngineOrderUnderRecycling:
+class TestEngineOrderAcrossDrains:
     @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e7,
                                         allow_nan=False,
                                         allow_infinity=False),
@@ -91,8 +160,8 @@ class TestEngineOrderUnderRecycling:
     @settings(max_examples=60, deadline=None)
     def test_timeout_cancel_rearm_fires_in_stable_order(self, plan):
         """Full-engine check: randomized delays, cancellations, and
-        re-armed replacements fire in stable (time, creation) order.
-        Two drain cycles run the second on recycled pooled objects."""
+        re-armed replacements fire in stable (time, creation) order,
+        over two drain cycles."""
         sim = Simulator()
         for cycle in range(2):
             order = []
@@ -148,7 +217,7 @@ class TestOneHeapSchedule:
         sim = Simulator()
         fired = []
         created = {}     # tag -> when; tags count up in creation order
-        handles = []     # (tag, Timeout) pairs cancel/rearm pick from
+        handles = []     # (tag, timeout) pairs cancel/rearm pick from
         cancelled = set()
 
         def arm(kind, delay):
@@ -162,7 +231,7 @@ class TestOneHeapSchedule:
                 handles.append((tag, ev))
 
         def check_window():
-            dead = sum(1 for entry in sim.pending_entries()
+            dead = sum(1 for entry in sim._heap
                        if entry[2].__class__ is not _Deferred
                        and entry[2].cancelled)
             assert dead == sim._cancelled

@@ -98,3 +98,19 @@ class TestCrashWhileIdle:
         assert metrics.faults.failovers == 0
         assert metrics.faults.drops_fault == 0
         assert metrics.throughput.completed == metrics.throughput.generated
+
+    def test_dead_core_stops_counting_as_waiting(self):
+        """Worker 1 dies at 300 us into a 1 ms point at 1.5M RPS.  Its
+        remaining 700 us are not time spent waiting for work, so the
+        eight-core wait fraction drops by 700 / 8000 against the
+        crash-free point."""
+        from repro.faults.plan import parse_fault_spec
+        load = (1.5e6, Fixed(us(2.0)))
+        clean = run_point(_factory(RpcValetConfig()), *load,
+                          RunConfig(seed=42).scaled(0.1))
+        crashed = run_point(_factory(RpcValetConfig()), *load,
+                            RunConfig(seed=42, faults=parse_fault_spec(
+                                "crash=1@300")).scaled(0.1))
+        assert crashed.faults.worker_crashes == 1
+        assert clean.worker_wait_fraction == 0.4873983613438803
+        assert crashed.worker_wait_fraction == 0.3998983613438803

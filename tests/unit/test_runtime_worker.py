@@ -182,6 +182,18 @@ class TestWaitAccounting:
         worker.end_wait()
         assert worker.wait_ns == 0.0
 
+    def test_crash_while_waiting_stops_the_wait(self, sim):
+        """A core that dies waiting accrues the wait up to its death and
+        none after it, however long the run goes on."""
+        worker = _worker(sim)
+        worker.begin_wait()
+        sim.defer(100.0, worker.crash)
+        sim.defer(200.0, worker.begin_wait)
+        sim.defer(500.0, worker.end_wait)
+        sim.run()
+        assert worker.wait_ns == pytest.approx(100.0)
+        assert worker._wait_started is None
+
 
 class TestSpuriousInterrupts:
     def test_interrupt_between_requests_is_spurious(self, sim):

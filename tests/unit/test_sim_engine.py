@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.sanitizer import SanitizedSimulator
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
+from repro.sim.events import Event, EventState
 from repro.sim.primitives import Signal, Store
 
 
@@ -169,6 +170,44 @@ class TestTimeoutAt:
         assert hits == []
 
 
+class TestTimeoutEvents:
+    @pytest.mark.parametrize("make", [
+        lambda sim: sim.timeout(4.0),
+        lambda sim: sim.timeout_at(4.0),
+        lambda sim: sim.timeout_ranked(4.0, 0),
+    ], ids=["timeout", "timeout_at", "timeout_ranked"])
+    def test_builds_a_plain_triggered_event(self, sim, make):
+        """Each timeout factory skips ``Event.__init__`` yet sets every
+        slot it would: a plain triggered Event with no callbacks that
+        fires once, at its time."""
+        ev = make(sim)
+        assert type(ev) is Event
+        assert ev.state is EventState.TRIGGERED
+        assert ev.ok and ev.value is None
+        assert ev.callbacks == [] and ev.label == ""
+        hits = []
+        ev.callbacks.append(lambda e: hits.append(sim.now))
+        sim.run()
+        assert hits == [4.0]
+        assert ev.processed
+
+    def test_held_timeout_keeps_its_value(self, sim):
+        """A timeout the caller still holds keeps its own value after it
+        fires, and later timeouts are new objects with their own."""
+        held = sim.timeout(1.0, value="mine")
+        for _ in range(8):
+            sim.timeout(1.0, value="other")
+        sim.run()
+        assert held.processed and held.value == "mine"
+        fresh = sim.timeout(2.0, value="new")
+        assert fresh is not held
+        fired = []
+        fresh.callbacks.append(lambda ev: fired.append(ev.value))
+        sim.run()
+        assert fired == ["new"]
+        assert held.value == "mine"
+
+
 class TestNanDelays:
     """NaN (and negative) delays fail at the call site with
     SchedulingError instead of deep inside the schedule heap."""
@@ -178,10 +217,9 @@ class TestNanDelays:
         with pytest.raises(SchedulingError):
             sim.timeout(bad)
 
-    def test_timeout_after_pool_warmup(self, sim):
+    def test_timeout_after_a_drained_run(self, sim):
         sim.timeout(1.0)
         sim.run()
-        assert sim.pool_sizes()["timeout"] == 1
         with pytest.raises(SchedulingError):
             sim.timeout(math.nan)
 
@@ -324,8 +362,8 @@ def _wake_get(sim, log):
 @pytest.mark.parametrize("arm", [_wake_try_put, _wake_fire, _wake_get],
                          ids=["try_put", "fire", "get"])
 def test_same_instant_fifo_after_a_run_stopped_at_until(sim_cls, arm):
-    """Once ``run(until=...)`` has left the clock past the near-heap
-    window, a Timeout(0) and a store/signal wake-up scheduled after it
+    """Once ``run(until=...)`` has moved the clock to its horizon,
+    a timeout(0) and a store/signal wake-up scheduled after it
     at the same instant still dispatch in scheduling order."""
     sim = sim_cls()
     log = []

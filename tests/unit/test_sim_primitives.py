@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import QueueFullError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.primitives import Signal, Store
 
 
@@ -94,12 +94,6 @@ class TestBoundedStore:
         assert store.try_put(2)
         assert not store.try_put(3)
         assert len(store) == 2
-
-    def test_put_or_raise(self, sim):
-        store = Store(sim, capacity=1)
-        store.put_or_raise("a")
-        with pytest.raises(QueueFullError):
-            store.put_or_raise("b")
 
     def test_blocking_put_waits_for_space(self, sim):
         store = Store(sim, capacity=1)

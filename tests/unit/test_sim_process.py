@@ -62,12 +62,12 @@ class TestBasicExecution:
 
     @pytest.mark.parametrize("delay", [3.0, 50_000.0, 5e9])
     def test_every_sleep_push_matches_a_timeout(self, delay):
-        """The three places a sleep is pushed — inline after an Event
-        wait (``_resume``), after a sleep (``_wake``) and the slow path
-        for other reals (``_wait_on``) — order same-instant ties and
-        count events exactly as ``yield sim.timeout(d)``, for short,
-        mid-range and far-future delays alike.  Process ``t`` always
-        waits on Timeouts and ties with the sleepers at every step."""
+        """A sleep pushed after an Event wait, after a sleep (both
+        inline in ``_resume``) and on the slow path for other reals
+        (``_wait_on``) orders same-instant ties and counts events
+        exactly as ``yield sim.timeout(d)``, for short, mid-range and
+        far-future delays alike.  Process ``t`` always waits on
+        timeouts and ties with the sleepers at every step."""
         def trace(use_timeout):
             sim = Simulator()
             go = sim.event()
@@ -75,7 +75,8 @@ class TestBasicExecution:
 
             def sleeper(sim, name):
                 yield go
-                # Pushed by _resume, then _wake, then _wait_on.
+                # Pushed by _resume after an event, then after a
+                # sleep, then by _wait_on.
                 for step, kind in enumerate(("inline", "wake", "slow")):
                     if use_timeout or name == "t":
                         yield sim.timeout(delay)
@@ -274,7 +275,7 @@ class TestInterrupts:
     def test_interrupt_during_sleep(self, sim):
         """An interrupted bare-delay sleep never resumes the process;
         its stale cell still fires and counts, like an orphaned
-        Timeout."""
+        timeout."""
         log = []
 
         def worker(sim):
