@@ -12,7 +12,7 @@ terminal::
     repro systems              # every registered system, with configs
     repro run --system rss --rate 200e3     # one point of one system
     repro table-t1             # in-text claims, paper vs measured
-    repro all                  # everything (several minutes)
+    repro all                  # every figure plus T1, as one batch
     repro lint                 # determinism static analysis over src
     repro lint --list-rules    # the rule catalog
     repro race                 # schedule-permutation fuzzer (tie races)
@@ -31,11 +31,10 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.executor import SweepExecutor
-    from repro.experiments.progress import ProgressLedger
+    from repro.experiments.executor import Plan
 
 import repro
 from repro.errors import ExperimentError, ReproError
@@ -218,31 +217,84 @@ def _jobs_arg(text: str) -> int:
     return jobs
 
 
-def _run_figure(fig_id: str, scale: float, seed: int,
-                executor: "SweepExecutor") -> None:
-    from repro.experiments.figures import ALL_FIGURES
-    from repro.experiments.harness import RunConfig
-    from repro.experiments.report import render_executor_stats, render_figure
+def _execute(args: argparse.Namespace,
+             plan: "Plan") -> Tuple[Any, str, float]:
+    """Run *plan* as one batch on the executor the flags ask for.
+
+    ``--progress`` attaches a console printer and — when a cache
+    directory exists to anchor it — a fresh ``progress.jsonl`` ledger
+    that ``repro watch`` tails, closed with its done sentinel however
+    the batch ends.  Returns the plan's result, the ``[executor: ...]``
+    stats line and the batch's wall time in seconds.
+    """
+    from repro.experiments.executor import make_executor, run_plan
+    from repro.experiments.progress import (
+        ConsoleProgress,
+        ProgressLedger,
+        multiplex,
+    )
+    from repro.experiments.report import render_executor_stats
+    # Built before the ledger: a bad --cache-dir is reported as such.
+    executor = make_executor(jobs=args.jobs, cache_dir=args.cache_dir,
+                             point_timeout_s=args.point_timeout,
+                             max_retries=args.max_retries)
+    ledger = (ProgressLedger.in_cache_dir(args.cache_dir)
+              if args.progress and args.cache_dir is not None else None)
+    if args.progress:
+        executor.on_event = multiplex(ConsoleProgress(), ledger)
+    _apply_sanitize_flag(args)
     # The one sanctioned wall-clock site: operator-facing elapsed-time
     # reporting, which never feeds simulated state or cached results.
     start = time.perf_counter()  # repro: allow[wall-clock]
-    figure = ALL_FIGURES[fig_id](config=RunConfig(seed=seed), scale=scale,
-                                 executor=executor)
-    print(render_figure(figure))
-    print(render_executor_stats(executor.stats, jobs=executor.jobs))
+    try:
+        result = run_plan(plan, executor)
+    finally:
+        if ledger is not None:
+            ledger.write_done()
     elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
-    print(f"[{fig_id} regenerated in {elapsed:.1f}s]")
+    return (result, render_executor_stats(executor.stats, jobs=executor.jobs),
+            elapsed)
 
 
-def _print_t1(seed: int) -> None:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """``fig2``..``fig6`` and ``all``: every point in one executor batch.
+
+    ``all`` joins the five figure plans and table T1's (at its full
+    horizon whatever ``--scale`` is), so a ``--cache-dir`` re-run
+    serves T1 from the cache like any figure point.
+    """
+    from repro.experiments.executor import Plan
+    from repro.experiments.figures import plan_figure
+    from repro.experiments.harness import RunConfig
+    from repro.experiments.report import render_figure, render_t1
+    config = RunConfig(seed=args.seed)
+    everything = args.command == "all"
+    fig_ids = list(_FIGURE_DESCRIPTIONS) if everything else [args.command]
+    plans = [plan_figure(fig_id, config, args.scale) for fig_id in fig_ids]
+    if everything:
+        from repro.experiments.tables import plan_t1
+        plans.append(plan_t1(config))
+    results, stats, elapsed = _execute(args, Plan.join(plans))
+    print("\n\n".join(render_figure(figure)
+                      for figure in results[:len(fig_ids)]))
+    if everything:
+        print()
+        print(render_t1(results[-1]))
+    print(stats)
+    print(f"[{args.command} regenerated in {elapsed:.1f}s]")
+    return 0
+
+
+def _cmd_table_t1(args: argparse.Namespace) -> int:
     """Measure and print the in-text claims table."""
     from repro.experiments.harness import RunConfig
     from repro.experiments.report import render_t1
     from repro.experiments.tables import table_t1
-    print(render_t1(table_t1(RunConfig(seed=seed))))
+    print(render_t1(table_t1(RunConfig(seed=args.seed))))
+    return 0
 
 
-def _cmd_systems() -> int:
+def _cmd_systems(_args: argparse.Namespace) -> int:
     """Print the registry: one line per system."""
     from repro.systems import registry
     print("registered systems:")
@@ -256,28 +308,20 @@ def _cmd_systems() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one (system, rate) point by registry name and report it."""
-    from repro.experiments.executor import ConfiguredFactory, PointSpec
+    from repro.experiments.executor import ConfiguredFactory, Plan, PointSpec
     from repro.experiments.harness import RunConfig
-    from repro.experiments.report import render_executor_stats
     from repro.faults.plan import parse_fault_spec
     from repro.units import us
     from repro.workload.distributions import Fixed
-    factory = ConfiguredFactory.by_name(args.system)
     config = RunConfig(seed=args.seed).scaled(args.scale)
     if getattr(args, "faults", None):
         config = replace(config, faults=parse_fault_spec(args.faults))
-    distribution = Fixed(us(args.service_us))
-    executor, ledger = _make_executor(args)
-    _apply_sanitize_flag(args)
-    start = time.perf_counter()  # repro: allow[wall-clock]
-    try:
-        metrics = executor.run_point(PointSpec(
-            factory=factory, rate_rps=args.rate,
-            distribution=distribution, config=config, label=args.system))
-    finally:
-        if ledger is not None:
-            ledger.write_done()
-    elapsed = time.perf_counter() - start  # repro: allow[wall-clock]
+    spec = PointSpec(factory=ConfiguredFactory.by_name(args.system),
+                     rate_rps=args.rate,
+                     distribution=Fixed(us(args.service_us)), config=config,
+                     label=args.system)
+    metrics, stats, elapsed = _execute(
+        args, Plan((spec,), lambda results: results[0]))
     throughput = metrics.throughput
     print(f"{args.system} @ {args.rate / 1e3:.0f}k RPS offered, "
           f"fixed {args.service_us:g}us service (seed {args.seed}):")
@@ -310,36 +354,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"stale fallbacks {faults.stale_fallbacks}")
         print(f"  goodput     {faults.goodput_rps / 1e3:.1f}k RPS "
               f"(unassisted completions)")
-    print(render_executor_stats(executor.stats, jobs=executor.jobs))
+    print(stats)
     print(f"[{args.system} point in {elapsed:.1f}s]")
     return 0
-
-
-def _make_executor(args: argparse.Namespace,
-                   ) -> Tuple["SweepExecutor", Optional["ProgressLedger"]]:
-    """The executor (and progress ledger) the flags ask for.
-
-    ``--progress`` attaches a console printer and — when a cache
-    directory exists to anchor it — opens a fresh ``progress.jsonl``
-    ledger that ``repro watch`` tails.  The caller owns the returned
-    ledger and must ``write_done()`` it when the sweep finishes.
-    """
-    from repro.experiments.executor import make_executor
-    from repro.experiments.progress import (
-        ConsoleProgress,
-        ProgressLedger,
-        multiplex,
-    )
-    ledger = None
-    console = None
-    if args.progress:
-        console = ConsoleProgress()
-        if args.cache_dir is not None:
-            ledger = ProgressLedger.in_cache_dir(args.cache_dir)
-    return make_executor(jobs=args.jobs, cache_dir=args.cache_dir,
-                         on_event=multiplex(console, ledger),
-                         point_timeout_s=args.point_timeout,
-                         max_retries=args.max_retries), ledger
 
 
 def _apply_sanitize_flag(args: argparse.Namespace) -> None:
@@ -473,66 +490,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  {'watch':9s} live scoreboard of a --progress "
               f"--cache-dir sweep")
         return 0
-    if args.command == "systems":
-        return _cmd_systems()
-    if args.command == "run":
-        try:
-            return _cmd_run(args)
-        except ReproError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "table-t1":
-        _print_t1(args.seed)
-        return 0
-    if args.command == "lint":
-        try:
-            return _cmd_lint(args)
-        except ReproError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "race":
-        try:
-            return _cmd_race(args)
-        except ReproError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "watch":
-        try:
-            return _cmd_watch(args)
-        except ReproError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "all":
-        try:
-            executor, ledger = _make_executor(args)
-        except ExperimentError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-        _apply_sanitize_flag(args)
-        try:
-            for fig_id in _FIGURE_DESCRIPTIONS:
-                _run_figure(fig_id, args.scale, args.seed, executor)
-                print()
-        finally:
-            if ledger is not None:
-                ledger.write_done()
-        _print_t1(args.seed)
-        return 0
-    if args.command in _FIGURE_DESCRIPTIONS:
-        try:
-            executor, ledger = _make_executor(args)
-        except ExperimentError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-        _apply_sanitize_flag(args)
-        try:
-            _run_figure(args.command, args.scale, args.seed, executor)
-        finally:
-            if ledger is not None:
-                ledger.write_done()
-        return 0
-    parser.error(f"unknown command {args.command!r}")
-    return 2  # pragma: no cover - parser.error raises
+    commands = {"systems": _cmd_systems, "run": _cmd_run,
+                "table-t1": _cmd_table_t1, "lint": _cmd_lint,
+                "race": _cmd_race, "watch": _cmd_watch, "all": _cmd_sweep,
+                **dict.fromkeys(_FIGURE_DESCRIPTIONS, _cmd_sweep)}
+    try:
+        return commands[args.command](args)
+    except ReproError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from itertools import islice
 import os
 import tempfile
 import time
@@ -108,6 +109,30 @@ class PointSpec:
     config: RunConfig
     #: Display / cache-key name of the system under test.
     label: str = "system"
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The points a result needs, and how their metrics become it:
+    :func:`run_plan` runs ``specs`` as one batch and hands their
+    metrics, in order, to ``assemble``."""
+
+    specs: Tuple[PointSpec, ...]
+    assemble: Callable[[Sequence[RunMetrics]], Any]
+
+    @staticmethod
+    def join(plans: Sequence["Plan"],
+             assemble: Callable[[List[Any]], Any] = list) -> "Plan":
+        """One plan over every point of *plans*, in order; its result is
+        ``assemble`` of their results."""
+
+        def assemble_all(metrics: Sequence[RunMetrics]) -> Any:
+            rest = iter(metrics)
+            return assemble([plan.assemble(list(islice(rest, len(plan.specs))))
+                             for plan in plans])
+
+        return Plan(tuple(spec for plan in plans for spec in plan.specs),
+                    assemble_all)
 
 
 @dataclass(frozen=True)
@@ -643,3 +668,12 @@ def default_executor() -> SweepExecutor:
     executor-less sweeps feeding one subscriber.
     """
     return make_executor()
+
+
+def run_plan(plan: Plan, executor: Optional[SweepExecutor] = None,
+             on_event: Optional[ProgressCallback] = None) -> Any:
+    """Run *plan*'s points as one batch on *executor* (without one, on
+    :func:`default_executor`) and assemble its result.  *on_event*
+    subscribes to that batch's progress stream."""
+    return plan.assemble((executor or default_executor()).run_points(
+        plan.specs, on_event=on_event))

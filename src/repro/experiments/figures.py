@@ -1,9 +1,12 @@
 """One definition per evaluation figure (§4.1).
 
-Each ``figureN`` function reruns that figure's experiment and returns a
-:class:`FigureResult` whose series mirror the paper's plot: same
-workloads, same worker counts, same outstanding-request targets, same
-preemption settings.  ``scale`` shrinks horizons for quick runs (tests
+Each figure is a plan (:func:`plan_figure`): the points it needs plus
+how their metrics become a :class:`FigureResult` whose series mirror
+the paper's plot — same workloads, same worker counts, same
+outstanding-request targets, same preemption settings.  Figures 2, 4,
+5 and 6 are rows of one table, :data:`SWEEP_FIGURES`; Figure 3 is its
+own grid.  ``figureN`` (= ``ALL_FIGURES["figN"]``) runs one figure as
+one executor batch.  ``scale`` shrinks horizons for quick runs (tests
 use ``scale=0.2``; benches run at 1.0).
 
 Absolute RPS values come from the simulator's calibration, not the 2019
@@ -13,8 +16,18 @@ the shape criteria each figure is judged on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.config import (
     PreemptionConfig,
@@ -23,17 +36,23 @@ from repro.config import (
 )
 from repro.experiments.executor import (
     ConfiguredFactory,
+    Plan,
     PointSpec,
     SweepExecutor,
-    default_executor,
+    run_plan,
 )
 from repro.experiments.harness import (
     LoadSweepResult,
     RunConfig,
-    load_sweep,
+    sweep_plan,
 )
+from repro.metrics.summary import RunMetrics
 from repro.units import us
-from repro.workload.distributions import BIMODAL_FIG2, Fixed
+from repro.workload.distributions import (
+    BIMODAL_FIG2,
+    Fixed,
+    ServiceTimeDistribution,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.progress import ProgressCallback
@@ -68,204 +87,181 @@ class FigureResult:
     sweeps: List[LoadSweepResult] = field(default_factory=list)
 
 
-def _sweep_pair(shinjuku_config: ShinjukuConfig,
-                offload_config: ShinjukuOffloadConfig,
-                distribution, rates: Sequence[float],
-                config: RunConfig,
-                executor: Optional[SweepExecutor] = None,
-                on_event: Optional["ProgressCallback"] = None,
-                ) -> Tuple[LoadSweepResult, LoadSweepResult]:
+@dataclass(frozen=True)
+class SweepFigure:
+    """A Shinjuku-vs-Offload load-sweep figure (:data:`SWEEP_FIGURES`)."""
+
+    title: str
+    notes: str
+    distribution: ServiceTimeDistribution
+    #: Offered rates (RPS) when the caller names none.
+    rates: Tuple[float, ...]
+    shinjuku: ShinjukuConfig
+    offload: ShinjukuOffloadConfig
+    #: Horizon multiple on top of ``scale``.
+    horizon_factor: float = 1.0
+
+
+#: Figures 2, 4, 5 and 6 (§4.1).
+SWEEP_FIGURES: Dict[str, SweepFigure] = {
+    # "Shinjuku has 3 workers and Shinjuku-Offload has 4 (up to 4
+    # outstanding requests).  The preemption time slice is 10 µs."
+    "fig2": SweepFigure(
+        title="99.5% 5us / 0.5% 100us bimodal; slice 10us; 3 vs 4 workers",
+        notes="Expected shape: both hold low tails under dispersion; "
+              "Offload sustains more load (its dispatcher costs no host "
+              "core).",
+        distribution=BIMODAL_FIG2,
+        rates=(100e3, 200e3, 300e3, 350e3, 400e3, 450e3, 500e3, 550e3,
+               600e3),
+        shinjuku=ShinjukuConfig(workers=3, preemption=SLICE_10US),
+        offload=ShinjukuOffloadConfig(workers=4, outstanding_per_worker=4,
+                                      preemption=SLICE_10US)),
+    "fig4": SweepFigure(
+        title="Fixed 5us; no preemption; 3 vs 4 workers",
+        notes="Expected shape: Offload outperforms - its extra worker is "
+              "the freed host core.",
+        distribution=Fixed(us(5.0)),
+        rates=(100e3, 200e3, 300e3, 400e3, 450e3, 500e3, 550e3, 600e3,
+               650e3, 700e3),
+        shinjuku=ShinjukuConfig(workers=3, preemption=NO_PREEMPTION),
+        offload=ShinjukuOffloadConfig(workers=4, outstanding_per_worker=4,
+                                      preemption=NO_PREEMPTION)),
+    "fig5": SweepFigure(
+        title="Fixed 100us; 15 vs 16 workers (<=2 outstanding)",
+        notes="Expected shape: Offload wins at large service times - "
+              "communication overhead amortizes, extra worker dominates.",
+        distribution=Fixed(us(100.0)),
+        rates=(25e3, 50e3, 75e3, 100e3, 120e3, 135e3, 145e3, 155e3, 165e3),
+        shinjuku=ShinjukuConfig(workers=15, preemption=NO_PREEMPTION),
+        offload=ShinjukuOffloadConfig(workers=16, outstanding_per_worker=2,
+                                      preemption=NO_PREEMPTION),
+        # Long services need a longer window for stable p99s.
+        horizon_factor=4.0),
+    # The bottleneck figure (§5.1).
+    "fig6": SweepFigure(
+        title="Fixed 1us; 15 vs 16 workers (<=5 outstanding)",
+        notes="Expected shape: Shinjuku greatly outperforms - the ARM "
+              "dispatcher and packetized communication are the "
+              "bottleneck; Offload workers spend far more time waiting "
+              "for work.",
+        distribution=Fixed(us(1.0)),
+        rates=(500e3, 1000e3, 1250e3, 1500e3, 2000e3, 2500e3, 3000e3,
+               3500e3, 4000e3, 4500e3),
+        shinjuku=ShinjukuConfig(workers=15, preemption=NO_PREEMPTION),
+        offload=ShinjukuOffloadConfig(workers=16, outstanding_per_worker=5,
+                                      preemption=NO_PREEMPTION)),
+}
+
+
+def _plan_sweep_figure(fig_id: str, config: RunConfig, scale: float,
+                       rates: Optional[Sequence[float]] = None) -> Plan:
+    """Both systems' sweeps of one :data:`SWEEP_FIGURES` row."""
+    row = SWEEP_FIGURES[fig_id]
+    run_config = config.scaled(scale * row.horizon_factor)
+    if rates is None:
+        rates = row.rates
     # By-name factories stay picklable + fingerprintable, so figure
     # sweeps can fan out across worker processes and land in the cache.
-    shinjuku = load_sweep(
-        ConfiguredFactory.by_name("shinjuku", shinjuku_config), rates,
-        distribution, config, system_name="Shinjuku", executor=executor,
-        on_event=on_event)
-    offload = load_sweep(
-        ConfiguredFactory.by_name("shinjuku-offload", offload_config), rates,
-        distribution, config, system_name="Shinjuku-Offload",
-        executor=executor, on_event=on_event)
-    return shinjuku, offload
+    # Shinjuku first: equal-cost points launch in submission order, and
+    # Offload's overloaded points first raise peak RSS (fig6: +0.13 MiB).
+    sweeps = [sweep_plan(ConfiguredFactory.by_name(name, system_config),
+                         rates, row.distribution, run_config, label)
+              for name, label, system_config in (
+                  ("shinjuku", "Shinjuku", row.shinjuku),
+                  ("shinjuku-offload", "Shinjuku-Offload", row.offload))]
+
+    def assemble(results: List[LoadSweepResult]) -> FigureResult:
+        offload_first = results[::-1]
+        series = [FigureSeries(label=s.system_name,
+                               xs=[x / 1e5 for x in s.xs_achieved_rps()],
+                               ys=s.ys_p99_us())
+                  for s in offload_first]
+        return FigureResult(figure_id=fig_id, title=row.title, series=series,
+                            notes=row.notes, sweeps=offload_first)
+
+    return Plan.join(sweeps, assemble)
 
 
-def _to_figure(figure_id: str, title: str, notes: str,
-               sweeps: Sequence[LoadSweepResult]) -> FigureResult:
-    series = [
-        FigureSeries(label=s.system_name,
-                     xs=[x / 1e5 for x in s.xs_achieved_rps()],
-                     ys=s.ys_p99_us())
-        for s in sweeps]
-    return FigureResult(figure_id=figure_id, title=title, series=series,
-                        notes=notes, sweeps=list(sweeps))
-
-
-# ---------------------------------------------------------------------------
-# Figure 2 — bimodal 99.5% 5 µs / 0.5% 100 µs, 10 µs slice
-# ---------------------------------------------------------------------------
-
-def figure2(config: Optional[RunConfig] = None, scale: float = 1.0,
-            rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
-            on_event: Optional["ProgressCallback"] = None) -> FigureResult:
-    """Tail latency vs throughput for the Figure 2 bimodal workload.
-
-    "Shinjuku has 3 workers and Shinjuku-Offload has 4 (up to 4
-    outstanding requests).  The preemption time slice is 10 µs."
-    """
-    run_config = (config if config is not None else RunConfig()).scaled(scale)
-    if rates is None:
-        rates = [100e3, 200e3, 300e3, 350e3, 400e3, 450e3, 500e3, 550e3, 600e3]
-    shinjuku, offload = _sweep_pair(
-        ShinjukuConfig(workers=3, preemption=SLICE_10US),
-        ShinjukuOffloadConfig(workers=4, outstanding_per_worker=4,
-                              preemption=SLICE_10US),
-        BIMODAL_FIG2, rates, run_config, executor=executor,
-        on_event=on_event)
-    return _to_figure(
-        "fig2",
-        "99.5% 5us / 0.5% 100us bimodal; slice 10us; 3 vs 4 workers",
-        "Expected shape: both hold low tails under dispersion; "
-        "Offload sustains more load (its dispatcher costs no host core).",
-        [offload, shinjuku])
-
-
-# ---------------------------------------------------------------------------
-# Figure 3 — throughput vs outstanding requests (queuing optimization)
-# ---------------------------------------------------------------------------
-
-def figure3(config: Optional[RunConfig] = None, scale: float = 1.0,
-            outstanding: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
-            worker_counts: Sequence[int] = (16, 4),
-            overload_rps: float = 2.5e6,
-            executor: Optional[SweepExecutor] = None,
-            on_event: Optional["ProgressCallback"] = None) -> FigureResult:
+def _plan_figure3(config: RunConfig, scale: float,
+                  outstanding: Sequence[int] = (1, 2, 3, 4, 5, 6, 7),
+                  worker_counts: Sequence[int] = (16, 4),
+                  overload_rps: float = 2.5e6) -> Plan:
     """Offload saturation throughput vs outstanding requests per worker.
 
     "Fixed 1 µs service time.  Shinjuku-Offload [with 4 and 16
     workers]" — preemption off, overload offered, plateau measured.
     """
-    run_config = (config if config is not None else RunConfig()).scaled(scale)
+    run_config = config.scaled(scale)
     grid = [(workers, k) for workers in worker_counts for k in outstanding]
-    factories = {
-        (workers, k): ConfiguredFactory.by_name(
-            "shinjuku-offload",
-            ShinjukuOffloadConfig(workers=workers, outstanding_per_worker=k,
-                                  preemption=NO_PREEMPTION))
-        for workers, k in grid}
-    # One batch for the whole grid, so a multi-worker executor fans the
-    # cells out instead of seeing fourteen single-point sweeps.  The
-    # outstanding target joins the label: every grid cell runs at the
-    # same overload rate, and (label, rate) is how progress streams and
-    # ``repro watch`` curves tell points apart — two cells must never
-    # alias.
-    specs = [PointSpec(factory=factories[cell], rate_rps=overload_rps,
-                       distribution=Fixed(us(1.0)), config=run_config,
-                       label=f"Shinjuku-Offload/{cell[0]}w/k{cell[1]}")
-             for cell in grid]
-    results = (executor or default_executor()).run_points(
-        specs, on_event=on_event)
-    capacities = {cell: metrics.throughput.achieved_rps
-                  for cell, metrics in zip(grid, results)}
-    series: List[FigureSeries] = []
-    for workers in worker_counts:
-        series.append(FigureSeries(
-            label=f"{workers} workers", xs=[float(k) for k in outstanding],
-            ys=[capacities[(workers, k)] / 1e5 for k in outstanding],
-            x_label="outstanding requests",
-            y_label="throughput (100k RPS)"))
-    return FigureResult(
-        "fig3", "Fixed 1us; Shinjuku-Offload throughput vs outstanding",
-        series=series,
-        notes="Expected shape: throughput rises with outstanding then "
-              "plateaus; 16 workers level earlier (dispatcher-bound) and "
-              "higher; 4 workers gain the most from 1 -> 5.")
+    # The outstanding target joins the label: every grid cell runs at
+    # the same overload rate, and (label, rate) is how progress streams
+    # and ``repro watch`` curves tell points apart — two cells must
+    # never alias.
+    specs = tuple(
+        PointSpec(factory=ConfiguredFactory.by_name(
+                      "shinjuku-offload",
+                      ShinjukuOffloadConfig(workers=workers,
+                                            outstanding_per_worker=k,
+                                            preemption=NO_PREEMPTION)),
+                  rate_rps=overload_rps, distribution=Fixed(us(1.0)),
+                  config=run_config,
+                  label=f"Shinjuku-Offload/{workers}w/k{k}")
+        for workers, k in grid)
+
+    def assemble(results: Sequence[RunMetrics]) -> FigureResult:
+        capacities = {cell: metrics.throughput.achieved_rps
+                      for cell, metrics in zip(grid, results)}
+        series = [
+            FigureSeries(
+                label=f"{workers} workers",
+                xs=[float(k) for k in outstanding],
+                ys=[capacities[(workers, k)] / 1e5 for k in outstanding],
+                x_label="outstanding requests",
+                y_label="throughput (100k RPS)")
+            for workers in worker_counts]
+        return FigureResult(
+            "fig3", "Fixed 1us; Shinjuku-Offload throughput vs outstanding",
+            series=series,
+            notes="Expected shape: throughput rises with outstanding then "
+                  "plateaus; 16 workers level earlier (dispatcher-bound) "
+                  "and higher; 4 workers gain the most from 1 -> 5.")
+
+    return Plan(specs, assemble)
 
 
-# ---------------------------------------------------------------------------
-# Figure 4 — fixed 5 µs, no preemption, 3 vs 4 workers
-# ---------------------------------------------------------------------------
+def plan_figure(fig_id: str, config: Optional[RunConfig] = None,
+                scale: float = 1.0, **overrides: Any) -> Plan:
+    """The plan of figure *fig_id* (a key of :data:`ALL_FIGURES`).
 
-def figure4(config: Optional[RunConfig] = None, scale: float = 1.0,
-            rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
-            on_event: Optional["ProgressCallback"] = None) -> FigureResult:
-    """Tail vs throughput at fixed 5 µs (§4.1's second workload)."""
-    run_config = (config if config is not None else RunConfig()).scaled(scale)
-    if rates is None:
-        rates = [100e3, 200e3, 300e3, 400e3, 450e3, 500e3, 550e3,
-                 600e3, 650e3, 700e3]
-    shinjuku, offload = _sweep_pair(
-        ShinjukuConfig(workers=3, preemption=NO_PREEMPTION),
-        ShinjukuOffloadConfig(workers=4, outstanding_per_worker=4,
-                              preemption=NO_PREEMPTION),
-        Fixed(us(5.0)), rates, run_config, executor=executor,
-        on_event=on_event)
-    return _to_figure(
-        "fig4", "Fixed 5us; no preemption; 3 vs 4 workers",
-        "Expected shape: Offload outperforms - its extra worker is the "
-        "freed host core.",
-        [offload, shinjuku])
+    *overrides* are the figure's keyword overrides: ``rates`` for a
+    load-sweep figure; ``outstanding``, ``worker_counts`` and
+    ``overload_rps`` for Figure 3.
+    """
+    config = config if config is not None else RunConfig()
+    if fig_id == "fig3":
+        return _plan_figure3(config, scale, **overrides)
+    return _plan_sweep_figure(fig_id, config, scale, **overrides)
 
 
-# ---------------------------------------------------------------------------
-# Figure 5 — fixed 100 µs, 15 vs 16 workers, <= 2 outstanding
-# ---------------------------------------------------------------------------
-
-def figure5(config: Optional[RunConfig] = None, scale: float = 1.0,
-            rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
-            on_event: Optional["ProgressCallback"] = None) -> FigureResult:
-    """Tail vs throughput at fixed 100 µs (§4.1's third workload)."""
-    # Long services need a longer window for stable p99s.
-    run_config = (config if config is not None
-                  else RunConfig()).scaled(scale * 4.0)
-    if rates is None:
-        rates = [25e3, 50e3, 75e3, 100e3, 120e3, 135e3, 145e3, 155e3, 165e3]
-    shinjuku, offload = _sweep_pair(
-        ShinjukuConfig(workers=15, preemption=NO_PREEMPTION),
-        ShinjukuOffloadConfig(workers=16, outstanding_per_worker=2,
-                              preemption=NO_PREEMPTION),
-        Fixed(us(100.0)), rates, run_config, executor=executor,
-        on_event=on_event)
-    return _to_figure(
-        "fig5", "Fixed 100us; 15 vs 16 workers (<=2 outstanding)",
-        "Expected shape: Offload wins at large service times - "
-        "communication overhead amortizes, extra worker dominates.",
-        [offload, shinjuku])
+def run_figure(fig_id: str, config: Optional[RunConfig] = None,
+               scale: float = 1.0,
+               executor: Optional[SweepExecutor] = None,
+               on_event: Optional["ProgressCallback"] = None,
+               **overrides: Any) -> FigureResult:
+    """Regenerate figure *fig_id* as one executor batch (both systems'
+    points together)."""
+    return run_plan(plan_figure(fig_id, config, scale, **overrides),
+                    executor, on_event)
 
 
-# ---------------------------------------------------------------------------
-# Figure 6 — fixed 1 µs, 15 vs 16 workers, <= 5 outstanding
-# ---------------------------------------------------------------------------
-
-def figure6(config: Optional[RunConfig] = None, scale: float = 1.0,
-            rates: Optional[Sequence[float]] = None,
-            executor: Optional[SweepExecutor] = None,
-            on_event: Optional["ProgressCallback"] = None) -> FigureResult:
-    """Tail vs throughput at fixed 1 µs — the bottleneck figure (§5.1)."""
-    run_config = (config if config is not None else RunConfig()).scaled(scale)
-    if rates is None:
-        rates = [500e3, 1000e3, 1250e3, 1500e3, 2000e3, 2500e3,
-                 3000e3, 3500e3, 4000e3, 4500e3]
-    shinjuku, offload = _sweep_pair(
-        ShinjukuConfig(workers=15, preemption=NO_PREEMPTION),
-        ShinjukuOffloadConfig(workers=16, outstanding_per_worker=5,
-                              preemption=NO_PREEMPTION),
-        Fixed(us(1.0)), rates, run_config, executor=executor,
-        on_event=on_event)
-    return _to_figure(
-        "fig6", "Fixed 1us; 15 vs 16 workers (<=5 outstanding)",
-        "Expected shape: Shinjuku greatly outperforms - the ARM "
-        "dispatcher and packetized communication are the bottleneck; "
-        "Offload workers spend far more time waiting for work.",
-        [offload, shinjuku])
-
-
-#: Registry used by the CLI and the smoke tests.
+#: Registry used by the CLI and the smoke tests:
+#: ``ALL_FIGURES[fig_id](config=, scale=, executor=, on_event=, ...)``.
 ALL_FIGURES: Dict[str, Callable[..., FigureResult]] = {
-    "fig2": figure2,
-    "fig3": figure3,
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-}
+    fig_id: functools.partial(run_figure, fig_id)
+    for fig_id in ("fig2", "fig3", "fig4", "fig5", "fig6")}
+figure2 = ALL_FIGURES["fig2"]
+figure3 = ALL_FIGURES["fig3"]
+figure4 = ALL_FIGURES["fig4"]
+figure5 = ALL_FIGURES["fig5"]
+figure6 = ALL_FIGURES["fig6"]

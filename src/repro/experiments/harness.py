@@ -27,7 +27,7 @@ from repro.units import ms
 from repro.workload.distributions import ServiceTimeDistribution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.executor import SweepExecutor
+    from repro.experiments.executor import Plan, SweepExecutor
     from repro.experiments.progress import ProgressCallback
     from repro.faults.plan import FaultPlan
     from repro.sim.tiebreak import TieBreakPolicy
@@ -267,25 +267,22 @@ def run_point(factory: SystemFactory, rate_rps: float,
     return metrics
 
 
-def _run_batch(factory: SystemFactory, rates_rps: Sequence[float],
+def sweep_plan(factory: SystemFactory, rates_rps: Sequence[float],
                distribution: ServiceTimeDistribution, config: RunConfig,
-               system_name: str,
-               executor: Optional["SweepExecutor"],
-               on_event: Optional["ProgressCallback"] = None,
-               ) -> List[RunMetrics]:
-    """One metrics list for *rates_rps*: one ``run_points`` call.
-
-    Without an *executor* the points run on the process-wide
-    :func:`~repro.experiments.executor.default_executor`.  *on_event*
-    subscribes to this batch's progress stream.
-    """
-    from repro.experiments.executor import PointSpec, default_executor
-    specs = [PointSpec(factory=factory, rate_rps=rate,
-                       distribution=distribution, config=config,
-                       label=system_name)
-             for rate in rates_rps]
-    return (executor or default_executor()).run_points(specs,
-                                                       on_event=on_event)
+               system_name: str = "system") -> "Plan":
+    """The plan of one load sweep: a point per offered rate, assembled
+    into a :class:`LoadSweepResult` in the order of *rates_rps*."""
+    from repro.experiments.executor import Plan, PointSpec
+    if not rates_rps:
+        raise ExperimentError("empty rate list")
+    specs = tuple(PointSpec(factory=factory, rate_rps=rate,
+                            distribution=distribution, config=config,
+                            label=system_name)
+                  for rate in rates_rps)
+    return Plan(specs, lambda metrics: LoadSweepResult(
+        system_name=system_name,
+        points=[SweepPoint(offered_rps=spec.rate_rps, metrics=m)
+                for spec, m in zip(specs, metrics)]))
 
 
 def load_sweep(factory: SystemFactory, rates_rps: Sequence[float],
@@ -304,15 +301,11 @@ def load_sweep(factory: SystemFactory, rates_rps: Sequence[float],
     an executor.  A point that fails every attempt raises
     :class:`~repro.errors.SweepFailure` once the other points are done.
     """
+    from repro.experiments.executor import run_plan
     if config is None:
         config = RunConfig()
-    if not rates_rps:
-        raise ExperimentError("empty rate list")
-    all_metrics = _run_batch(factory, rates_rps, distribution, config,
-                             system_name, executor, on_event=on_event)
-    points = [SweepPoint(offered_rps=rate, metrics=metrics)
-              for rate, metrics in zip(rates_rps, all_metrics)]
-    return LoadSweepResult(system_name=system_name, points=points)
+    return run_plan(sweep_plan(factory, rates_rps, distribution, config,
+                               system_name), executor, on_event)
 
 
 def measure_capacity(factory: SystemFactory,
@@ -327,8 +320,6 @@ def measure_capacity(factory: SystemFactory,
     This is how Figure 3's y-axis is measured: offer far more than the
     system can serve and report what actually completes.
     """
-    if config is None:
-        config = RunConfig()
-    metrics = _run_batch(factory, [overload_rps], distribution, config,
-                         system_name, executor, on_event=on_event)[0]
-    return metrics.throughput.achieved_rps
+    sweep = load_sweep(factory, [overload_rps], distribution, config,
+                       system_name, executor, on_event)
+    return sweep.points[0].achieved_rps

@@ -140,7 +140,8 @@ class TestWorkerCount:
         executor = make_executor(jobs=2)
         figure2(config=RunConfig(seed=42), scale=0.05, executor=executor)
         assert executor.stats.points_failed == 0
-        assert executor.stats.workers_started == 2 * 2  # 2 batches x 2
+        # Both systems' sweeps are one batch: 1 batch x 2 workers.
+        assert executor.stats.workers_started == 2
 
     def test_sigkill_costs_exactly_one_more_worker(self, tmp_path):
         _fork_only()

@@ -106,6 +106,26 @@ class TestCli:
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", SWEEP_COMMANDS, ids=SWEEP_IDS)
+    def test_library_error_is_a_message_not_a_traceback(self, capsys, argv):
+        """A ReproError from any command (here: a zero horizon scale)
+        prints one ``repro:`` line and exits 2."""
+        assert main(argv + ["--scale", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ")
+        assert "scale factor must be positive" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_progress_into_a_file_as_cache_dir_is_a_message(self, tmp_path,
+                                                            capsys):
+        """The cache directory is checked before the progress ledger is
+        opened inside it."""
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        argv = ["fig2", "--progress", "--cache-dir", str(not_a_dir)]
+        assert main(argv) == 2
+        assert "is not a directory" in capsys.readouterr().err
+
     def test_race_inject_is_caught_by_the_fuzzer(self, capsys):
         assert main(["race", "--inject", "--permutations", "2"]) == 0
         assert "caught by the fuzzer" in capsys.readouterr().out
@@ -165,6 +185,23 @@ class TestCacheResume:
         assert stats["cached"] == stats["points"] and stats["run"] == 0
         assert _figure_lines(out) == fresh
         assert _ledger_terminal_kinds(tmp_path) == {CACHE_HIT}
+
+    def test_all_is_one_batch_and_reruns_from_the_cache(self, tmp_path,
+                                                        capsys):
+        """``repro all`` runs every figure point and table T1's points in
+        one batch: one stats line, and a re-run over the same cache
+        simulates nothing and prints the same figures and T1 rows."""
+        argv = ["all", "--scale", "0.02", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert _executor_stats(first)["run"] > 0
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        stats = _executor_stats(out)
+        assert stats["run"] == 0 and stats["events"] == 0
+        assert stats["cached"] == stats["points"]
+        assert _figure_lines(out) == _figure_lines(first)
+        assert any(line.startswith("T1e ") for line in _figure_lines(out))
 
     def test_resume_needs_no_ledger(self, tmp_path, capsys):
         """Without --progress no ledger is written, and a re-run over the
